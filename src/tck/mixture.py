@@ -94,10 +94,10 @@ class MixtureParams:
         return self.mu.shape[2]
 
 
-def _masked_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+def _masked_arrays(values: np.ndarray,
+                   mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values with zeros in unobserved cells, float mask)."""
-    obs = data.mask.astype(bool)
-    return np.where(obs, data.values, 0.0), data.mask.astype(float)
+    return np.where(mask.astype(bool), values, 0.0), mask.astype(float)
 
 
 def build_prior(data: Dataset, hp: HyperParams) -> PriorSpec:
@@ -108,7 +108,7 @@ def build_prior(data: Dataset, hp: HyperParams) -> PriorSpec:
     """
     if data.n == 0:
         raise ValueError("cannot build a prior from an empty subset")
-    x0, r = _masked_arrays(data)
+    x0, r = _masked_arrays(data.values, data.mask)
     counts = r.sum(axis=0)                       # (V, T)
     totals = x0.sum(axis=0)                      # (V, T)
     attr_counts = counts.sum(axis=1)             # (V,)
@@ -136,34 +136,46 @@ def build_prior(data: Dataset, hp: HyperParams) -> PriorSpec:
 
 
 # ------------------------------------------------------------
-# E-step / posteriors
+# Per-fit features and component scores
 # ------------------------------------------------------------
 
-def _log_component_scores(params: MixtureParams, values: np.ndarray,
-                          mask: np.ndarray) -> np.ndarray:
-    """(N, G) array of log(theta_g) + log-likelihood of each series under g."""
-    obs = mask.astype(bool)
-    x0 = np.where(obs, values, 0.0)
-    r = mask.astype(float)
+def _features(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """(N, 2VT + 2V) feature rows [x0 | r | sum_t x0^2 | sum_t r].
+
+    x0 holds the values with zeros in unobserved cells and r the float mask.
+    Component scores and all M-step statistics are linear in these rows, so
+    a fit builds them once and reuses them in every sweep.
+    """
+    x0, r = _masked_arrays(values, mask)
+    n, v_dim, t_dim = x0.shape
+    return np.concatenate([x0.reshape(n, v_dim * t_dim), r.reshape(n, v_dim * t_dim),
+                           (x0 ** 2).sum(axis=2), r.sum(axis=2)], axis=1)
+
+
+def _log_component_scores(params: MixtureParams, feats: np.ndarray) -> np.ndarray:
+    """(N, G) array of log(theta_g) + log-likelihood of each series under g.
+
+    Each component contributes one weight row matching the feature layout:
+    mu/sigma^2, -mu^2/(2 sigma^2) (+ log beta - log(1-beta)), -1/(2 sigma^2)
+    and -log(2 pi sigma^2)/2, plus a constant log theta (+ sum log(1-beta)).
+    The contraction is an einsum, not a BLAS GEMM: GEMM blocking changes the
+    last bits of a row with the batch size, and a series must score the same
+    alone as inside its training set.
+    """
+    g_dim = params.n_components
     inv_s2 = 1.0 / params.sigma2                              # (G, V)
-    log_norm = -0.5 * np.log(2.0 * np.pi * params.sigma2)     # (G, V)
-
-    obs_counts = r.sum(axis=2)                                # (N, V)
-    sq = (x0 ** 2).sum(axis=2)                                # (N, V)
-    cross = np.einsum("nvt,gvt->ngv", x0, params.mu)
-    mu_sq = np.einsum("nvt,gvt->ngv", r, params.mu ** 2)
-    quad = (np.einsum("nv,gv->ng", sq, inv_s2)
-            - 2.0 * np.einsum("ngv,gv->ng", cross, inv_s2)
-            + np.einsum("ngv,gv->ng", mu_sq, inv_s2))
-    scores = np.einsum("nv,gv->ng", obs_counts, log_norm) - 0.5 * quad
-
-    if params.mode == MIXED_MODE:
-        scores += np.einsum("nvt,gvt->ng", r, np.log(params.beta))
-        scores += np.einsum("nvt,gvt->ng", 1.0 - r, np.log1p(-params.beta))
-
+    mu_w = params.mu * inv_s2[:, :, None]                     # (G, V, T)
+    r_w = -0.5 * params.mu * mu_w
     with np.errstate(divide="ignore"):
-        scores += np.log(params.theta)[None, :]
-    return scores
+        const = np.log(params.theta)
+    if params.mode == MIXED_MODE:
+        log_miss = np.log1p(-params.beta)
+        r_w = r_w + (np.log(params.beta) - log_miss)
+        const = const + log_miss.sum(axis=(1, 2))
+    weights = np.concatenate([mu_w.reshape(g_dim, -1), r_w.reshape(g_dim, -1),
+                              -0.5 * inv_s2,
+                              -0.5 * np.log(2.0 * np.pi * params.sigma2)], axis=1)
+    return np.einsum("nd,gd->ng", feats, weights) + const[None, :]
 
 
 def _normalize_rows(scores: np.ndarray) -> np.ndarray:
@@ -179,18 +191,67 @@ def _normalize_rows(scores: np.ndarray) -> np.ndarray:
 
 def e_step(params: MixtureParams, data: Dataset) -> np.ndarray:
     """Component responsibilities, one simplex row per series."""
-    return _normalize_rows(_log_component_scores(params, data.values, data.mask))
+    return _normalize_rows(
+        _log_component_scores(params, _features(data.values, data.mask)))
 
 
 def posterior_new(params: MixtureParams, series: MaskedMTS) -> np.ndarray:
     """Responsibilities of a single (possibly unseen) series."""
-    scores = _log_component_scores(params, series.values[None], series.mask[None])
-    return _normalize_rows(scores)[0]
+    feats = _features(series.values[None], series.mask[None])
+    return _normalize_rows(_log_component_scores(params, feats))[0]
 
 
 # ------------------------------------------------------------
 # M-step and objective
 # ------------------------------------------------------------
+
+def _prior_natural_mean(prior: PriorSpec) -> np.ndarray:
+    """(V, T) array S_v^-1 m_v, fixed for the whole fit."""
+    return np.einsum("vij,vj->vi", prior.cov_inv, prior.mean)
+
+
+def _m_step(post: np.ndarray, feats: np.ndarray, prior: PriorSpec,
+            prior_nat: np.ndarray, hp: HyperParams,
+            params_in: MixtureParams) -> MixtureParams:
+    g_dim, v_dim, t_dim = params_in.mu.shape
+    vt = v_dim * t_dim
+    weight = post.sum(axis=0)                                  # (G,)
+    theta = weight / post.shape[0]
+
+    # One GEMM gives every responsibility-weighted statistic.
+    stats = post.T @ feats                                     # (G, 2VT + 2V)
+    rhs_data = stats[:, :vt].reshape(g_dim, v_dim, t_dim)      # sum post * x0
+    diag_w = stats[:, vt:2 * vt].reshape(g_dim, v_dim, t_dim)  # sum post * r
+    weighted_sq = stats[:, 2 * vt:2 * vt + v_dim]              # (G, V)
+    weighted_obs = stats[:, 2 * vt + v_dim:]                   # (G, V)
+
+    # sum_n post sum_t r (x - mu)^2 under the incoming mu
+    mu_in = params_in.mu
+    resid = weighted_sq + (mu_in * (mu_in * diag_w - 2.0 * rhs_data)).sum(axis=2)
+    resid = np.maximum(resid, 0.0)
+    sigma2 = (hp.n0 * prior.scale[None, :] ** 2 + resid) / (hp.n0 + weighted_obs)
+
+    # mu_gv solves (S_v^-1 + sigma^-2 D) mu = S_v^-1 m_v + sigma^-2 e, where
+    # D = diag of responsibility-weighted observation counts per time step.
+    inv_s2 = 1.0 / sigma2
+    systems = np.broadcast_to(prior.cov_inv[None], (g_dim,) + prior.cov_inv.shape).copy()
+    idx = np.arange(t_dim)
+    systems[:, :, idx, idx] += inv_s2[:, :, None] * diag_w
+    rhs = prior_nat[None] + inv_s2[:, :, None] * rhs_data
+    mu = np.linalg.solve(systems, rhs[..., None])[..., 0]
+    untouched = weighted_obs == 0                              # (G, V)
+    if untouched.any():
+        gi, vi = np.nonzero(untouched)
+        mu[gi, vi] = prior.mean[vi]
+
+    beta = None
+    if params_in.mode == MIXED_MODE:
+        beta = diag_w / (weight[:, None, None] + DENOM_EPS)
+        beta = np.clip(beta, BETA_EPS, 1.0 - BETA_EPS)
+
+    return MixtureParams(params_in.mode, theta, mu, sigma2, beta,
+                         seed=params_in.seed, hp=params_in.hp)
+
 
 def m_step(post: np.ndarray, data: Dataset, prior: PriorSpec, hp: HyperParams,
            params_in: MixtureParams) -> MixtureParams:
@@ -200,48 +261,26 @@ def m_step(post: np.ndarray, data: Dataset, prior: PriorSpec, hp: HyperParams,
     the fresh sigma^2, then the Bernoulli rates. Components with no weighted
     observations for an attribute fall back to the prior mean exactly.
     """
-    x0, r = _masked_arrays(data)
-    n = data.n
-    g_dim = params_in.n_components
+    return _m_step(post, _features(data.values, data.mask), prior,
+                   _prior_natural_mean(prior), hp, params_in)
 
-    weight = post.sum(axis=0)                                  # (G,)
-    theta = weight / n
 
-    obs_counts = r.sum(axis=2)                                 # (N, V)
-    sq = (x0 ** 2).sum(axis=2)                                 # (N, V)
-    cross = np.einsum("nvt,gvt->ngv", x0, params_in.mu)
-    mu_sq = np.einsum("nvt,gvt->ngv", r, params_in.mu ** 2)
-    resid = (np.einsum("ng,nv->gv", post, sq)
-             - 2.0 * np.einsum("ng,ngv->gv", post, cross)
-             + np.einsum("ng,ngv->gv", post, mu_sq))
-    resid = np.maximum(resid, 0.0)
-    weighted_obs = np.einsum("ng,nv->gv", post, obs_counts)    # (G, V)
-    sigma2 = (hp.n0 * prior.scale[None, :] ** 2 + resid) / (hp.n0 + weighted_obs)
+def _objective(scores: np.ndarray, params: MixtureParams, prior: PriorSpec,
+               hp: HyperParams) -> float:
+    peak = scores.max(axis=1)
+    loglik = float(np.sum(peak + np.log(np.exp(scores - peak[:, None]).sum(axis=1))))
 
-    # mu_gv solves (S_v^-1 + sigma^-2 D) mu = S_v^-1 m_v + sigma^-2 e, where
-    # D = diag of responsibility-weighted observation counts per time step.
-    diag_w = np.einsum("ng,nvt->gvt", post, r)                 # (G, V, T)
-    rhs_data = np.einsum("ng,nvt->gvt", post, x0)              # (G, V, T)
-    prior_nat = np.einsum("vij,vj->vi", prior.cov_inv, prior.mean)  # (V, T)
-    inv_s2 = 1.0 / sigma2
-    t_dim = data.length
-    systems = np.broadcast_to(prior.cov_inv[None], (g_dim,) + prior.cov_inv.shape).copy()
-    idx = np.arange(t_dim)
-    systems[:, :, idx, idx] += inv_s2[:, :, None] * diag_w
-    rhs = prior_nat[None] + inv_s2[:, :, None] * rhs_data
-    mu = np.linalg.solve(systems, rhs[..., None])[..., 0]
-    untouched = diag_w.sum(axis=2) == 0                        # (G, V)
-    if untouched.any():
-        gi, vi = np.nonzero(untouched)
-        mu[gi, vi] = prior.mean[vi]
-
-    beta = None
-    if params_in.mode == MIXED_MODE:
-        beta = np.einsum("ng,nvt->gvt", post, r) / (weight[:, None, None] + DENOM_EPS)
-        beta = np.clip(beta, BETA_EPS, 1.0 - BETA_EPS)
-
-    return MixtureParams(params_in.mode, theta, mu, sigma2, beta,
-                         seed=params_in.seed, hp=params_in.hp)
+    diff = (params.mu - prior.mean[None]).transpose(1, 0, 2)  # (V, G, T)
+    quad = ((diff @ prior.cov_inv) * diff).sum(axis=2)         # (V, G)
+    t_dim = params.length
+    mu_prior = -0.5 * np.sum(t_dim * np.log(2.0 * np.pi)
+                             + prior.cov_logdet[:, None] + quad)
+    sig_prior = float(np.sum(-0.5 * hp.n0 * np.log(params.sigma2)
+                             - hp.n0 * prior.scale[None] ** 2 / (2.0 * params.sigma2)))
+    total = loglik + float(mu_prior) + sig_prior
+    if not np.isfinite(total):
+        raise FloatingPointError("non-finite MAP objective")
+    return total
 
 
 def map_objective(params: MixtureParams, data: Dataset, prior: PriorSpec,
@@ -251,21 +290,8 @@ def map_objective(params: MixtureParams, data: Dataset, prior: PriorSpec,
     EM never decreases this quantity; the inverse-Gamma part is kept in kernel
     form, so values are comparable within a run but not across n0.
     """
-    scores = _log_component_scores(params, data.values, data.mask)
-    peak = scores.max(axis=1)
-    loglik = float(np.sum(peak + np.log(np.exp(scores - peak[:, None]).sum(axis=1))))
-
-    diff = params.mu - prior.mean[None]                        # (G, V, T)
-    quad = np.einsum("gvi,vij,gvj->gv", diff, prior.cov_inv, diff)
-    t_dim = params.length
-    mu_prior = -0.5 * np.sum(t_dim * np.log(2.0 * np.pi)
-                             + prior.cov_logdet[None] + quad)
-    sig_prior = float(np.sum(-0.5 * hp.n0 * np.log(params.sigma2)
-                             - hp.n0 * prior.scale[None] ** 2 / (2.0 * params.sigma2)))
-    total = loglik + float(mu_prior) + sig_prior
-    if not np.isfinite(total):
-        raise FloatingPointError("non-finite MAP objective")
-    return total
+    scores = _log_component_scores(params, _features(data.values, data.mask))
+    return _objective(scores, params, prior, hp)
 
 
 # ------------------------------------------------------------
@@ -308,11 +334,16 @@ def fit_map_em(data: Dataset, n_components: int, hp: HyperParams, seed: int,
     rng = np.random.default_rng(seed)
     prior = build_prior(data, hp)
     params = _init_params(data, n_components, prior, mode, rng)
+    feats = _features(data.values, data.mask)
+    prior_nat = _prior_natural_mean(prior)
+    # The scores of each new parameter set give both its objective and the
+    # responsibilities of the next sweep (or the returned ones).
+    scores = _log_component_scores(params, feats)
     previous = None
     for _ in range(max_iter):
-        post = e_step(params, data)
-        params = m_step(post, data, prior, hp, params)
-        objective = map_objective(params, data, prior, hp)
+        params = _m_step(_normalize_rows(scores), feats, prior, prior_nat, hp, params)
+        scores = _log_component_scores(params, feats)
+        objective = _objective(scores, params, prior, hp)
         if callback is not None:
             callback(objective)
         if previous is not None and abs(objective - previous) < tol * (abs(previous) + DENOM_EPS):
@@ -320,7 +351,7 @@ def fit_map_em(data: Dataset, n_components: int, hp: HyperParams, seed: int,
         previous = objective
     params.seed = seed
     params.hp = hp
-    return params, e_step(params, data)
+    return params, _normalize_rows(scores)
 
 
 # ------------------------------------------------------------

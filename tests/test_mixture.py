@@ -154,6 +154,19 @@ class TestEStep:
         again = posterior_new(params, ds.series(3))
         np.testing.assert_array_equal(again, post[3])
 
+    @pytest.mark.parametrize("mode", [GAUSSIAN_ONLY, MIXED_MODE])
+    def test_rows_scored_identically_in_any_batch(self, mode):
+        rng = np.random.default_rng(24)
+        n, v, t = 61, 3, 20
+        values = rng.normal(size=(n, v, t))
+        ds = make_dataset(values, (rng.random((n, v, t)) < 0.7).astype(np.uint8))
+        params = random_params(rng, 9, v, t, mode)
+        full = e_step(params, ds)
+        for size in (1, 2, 7):
+            for start in range(0, n, size):
+                rows = np.arange(start, min(start + size, n))
+                np.testing.assert_array_equal(e_step(params, ds.take(rows)), full[rows])
+
 
 class TestMStep:
     def _setup(self, post, mask_cell, mode=MIXED_MODE):
@@ -189,6 +202,42 @@ class TestMStep:
         params = random_params(rng, 2, ds.n_attributes, ds.length, GAUSSIAN_ONLY)
         out = m_step(post, ds, prior, HP, params)
         np.testing.assert_array_equal(out.mu[1], prior.mean)
+
+    @pytest.mark.parametrize("mode", [GAUSSIAN_ONLY, MIXED_MODE])
+    def test_matches_direct_reference(self, mode):
+        rng = np.random.default_rng(25)
+        ds = random_instance(rng, n_max=30, t_max=8)
+        v_dim, t_dim, g_dim = ds.n_attributes, ds.length, 3
+        params = random_params(rng, g_dim, v_dim, t_dim, mode)
+        post = rng.dirichlet(np.ones(g_dim), size=ds.n)
+        post[:, 2] = 0.0  # component 2 gets zero responsibility
+        post /= post.sum(axis=1, keepdims=True)
+        prior = build_prior(ds, HP)
+        out = m_step(post, ds, prior, HP, params)
+
+        weight = post.sum(axis=0)
+        np.testing.assert_allclose(out.theta, weight / ds.n, rtol=1e-10)
+        for g in range(g_dim):
+            for v in range(v_dim):
+                w = post[:, g, None] * ds.mask[:, v, :]           # (N, T) cell weights
+                x = np.where(ds.mask[:, v, :] == 1, ds.values[:, v, :], 0.0)
+                resid = np.sum(w * (x - params.mu[g, v]) ** 2)
+                sigma2 = (HP.n0 * prior.scale[v] ** 2 + resid) / (HP.n0 + w.sum())
+                np.testing.assert_allclose(out.sigma2[g, v], sigma2, rtol=1e-10)
+                d = w.sum(axis=0)
+                if d.sum() == 0:
+                    mu = prior.mean[v]
+                else:
+                    s_inv = np.linalg.inv(prior.cov[v])
+                    rhs = s_inv @ prior.mean[v] + (w * x).sum(axis=0) / sigma2
+                    mu = np.linalg.solve(s_inv + np.diag(d) / sigma2, rhs)
+                np.testing.assert_allclose(out.mu[g, v], mu, rtol=1e-10)
+                if mode == MIXED_MODE:
+                    rate = d / weight[g] if weight[g] > 0 else np.zeros(t_dim)
+                    np.testing.assert_allclose(
+                        out.beta[g, v], np.clip(rate, BETA_EPS, 1 - BETA_EPS), rtol=1e-10)
+        if mode == GAUSSIAN_ONLY:
+            assert out.beta is None
 
 
 class TestObjective:
@@ -285,6 +334,26 @@ class TestFit:
             fit_map_em(ds, g, HP, seed=trial, mode=mode, callback=trace.append)
             diffs = np.diff(trace)
             assert (diffs >= -1e-8 * np.abs(np.array(trace[:-1]))).all()
+
+    @pytest.mark.parametrize("mode", [GAUSSIAN_ONLY, MIXED_MODE])
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_matches_loop_over_public_steps(self, mode, max_iter):
+        ds = random_instance(np.random.default_rng(26), n_max=30)
+        trace = []
+        params, post = fit_map_em(ds, 3, HP, seed=4, mode=mode, max_iter=max_iter,
+                                  tol=0.0, callback=trace.append)
+        ref, _ = fit_map_em(ds, 3, HP, seed=4, mode=mode, max_iter=0)  # the restart
+        prior = build_prior(ds, HP)
+        expected = []
+        for _ in range(max_iter):
+            ref = m_step(e_step(ref, ds), ds, prior, HP, ref)
+            expected.append(map_objective(ref, ds, prior, HP))
+        np.testing.assert_allclose(trace, expected, rtol=1e-10)
+        fields = ("theta", "mu", "sigma2") + (("beta",) if mode == MIXED_MODE else ())
+        for field in fields:
+            np.testing.assert_allclose(getattr(params, field), getattr(ref, field),
+                                       rtol=1e-10, err_msg=field)
+        np.testing.assert_allclose(post, e_step(ref, ds), rtol=1e-10)
 
     def test_deterministic_given_seed(self):
         ds = random_instance(np.random.default_rng(18))
