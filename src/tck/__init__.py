@@ -10,13 +10,12 @@ class posteriors with full or partial label information before kernel
 accumulation.
 """
 
-from .data import (Dataset, FormatError, MaskedMTS, StandardizationStats,
-                   concat_mask, labels_to_onehot, load_dataset, poison_missing,
+from .data import (Dataset, FormatError, StandardizationStats, concat_mask,
+                   labels_to_onehot, load_dataset, poison_missing,
                    resample_length, save_dataset, standardize, zero_impute)
 from .mixture import (GAUSSIAN_ONLY, MIXED_MODE, HyperParams, MixtureParams,
                       PriorSpec, build_prior, component_kl, e_step, fit_map_em,
-                      load_params, m_step, map_objective, posterior_new,
-                      save_params, symmetric_kl)
+                      m_step, map_objective, symmetric_kl)
 from .ensemble import (BaseModelSpec, EnsembleConfig, KernelMatrix,
                        TrainedEnsemble, apply_posterior_transform, cosine,
                        kernel_test, load_ensemble, load_kernel, sample_configs,

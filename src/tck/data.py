@@ -16,15 +16,6 @@ class FormatError(ValueError):
     """A dataset or label file violates the declared schema."""
 
 
-@dataclass(frozen=True)
-class MaskedMTS:
-    """One multivariate time series with its observation mask."""
-
-    values: np.ndarray  # (V, T)
-    mask: np.ndarray    # (V, T) in {0, 1}
-    series_id: int
-
-
 @dataclass
 class Dataset:
     """A collection of equally shaped masked series.
@@ -54,6 +45,12 @@ class Dataset:
             raise ValueError("series ids must be unique")
         if self.mask.size and not np.isin(self.mask, (0, 1)).all():
             raise ValueError("mask entries must be 0 or 1")
+        bad = np.argwhere(self.mask.astype(bool) & ~np.isfinite(self.values))
+        if bad.size:
+            i, v, t = bad[0]
+            raise ValueError(
+                f"series {self.ids[i]}: non-finite value {self.values[i, v, t]} in "
+                f"observed cell (attribute {v + 1}, time {t + 1})")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.values.shape[0],):
@@ -74,9 +71,6 @@ class Dataset:
     @property
     def length(self) -> int:
         return self.values.shape[2]
-
-    def series(self, i: int) -> MaskedMTS:
-        return MaskedMTS(self.values[i], self.mask[i], int(self.ids[i]))
 
     def take(self, indices) -> "Dataset":
         """Row subset (copies), labels and ids travel with the rows."""

@@ -5,7 +5,8 @@ subset, a random subsample of series and randomly drawn prior hyperparameters,
 and is fitted for one entry of a grid of component counts.  The kernel matrix
 accumulates, over base models, the inner products of l2-normalized posterior
 vectors; out-of-sample columns are obtained by scoring new series under the
-stored per-model parameters.
+stored per-model parameters.  Training and test kernels read one per-model
+scoring state, derived once per ensemble.
 """
 from __future__ import annotations
 
@@ -14,12 +15,14 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset
-from .mixture import (HyperParams, MixtureParams, e_step, fit_map_em,
-                      params_from_record, params_to_record, GAUSSIAN_ONLY)
+from .mixture import (HyperParams, MixtureParams, fit_map_em, params_from_record,
+                      params_to_record, GAUSSIAN_ONLY, _component_weights,
+                      _feature_rows, _masked_arrays, _normalize_rows, _score_rows)
 from .transform import TransformMatrix, apply_transform
 
 
@@ -76,6 +79,40 @@ class KernelMatrix:
 
 
 @dataclass
+class _ModelScorer:
+    """Scores series under one base model.
+
+    The component weight rows and constants of ``params`` are built on the
+    first call and kept; ensembles that share a model's parameters share its
+    scorer.
+    """
+
+    spec: BaseModelSpec
+    params: MixtureParams
+    _weights: tuple | None = None
+
+    def posteriors(self, x0: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Rows for the series of masked (N, V, T) grids x0, r: bit for bit the
+        ``e_step`` of their restriction to the model's window."""
+        if self._weights is None:
+            self._weights = _component_weights(self.params)
+        a, w = self.spec.attributes, slice(self.spec.t_start, self.spec.t_stop)
+        return _normalize_rows(_score_rows(_feature_rows(x0[:, a, w], r[:, a, w]),
+                                           *self._weights))
+
+
+class _TrainRows(NamedTuple):
+    """One model's side of the kernel inside an ensemble."""
+
+    transform: np.ndarray | None   # (G, n_classes) transform weights
+    post: np.ndarray               # training posteriors, transformed
+    norms: np.ndarray              # (N,) l2 norms of their rows
+
+    def unit(self) -> np.ndarray:
+        return self.post / self.norms[:, None]
+
+
+@dataclass
 class TrainedEnsemble:
     """Per-model specs, fitted parameters and training posteriors."""
 
@@ -88,6 +125,12 @@ class TrainedEnsemble:
     posteriors: list                              # (N, q2) raw responsibilities
     transforms: list | None = None                # TransformMatrix per success
     failed: list = field(default_factory=list)    # (q1, q2, reason)
+    # Scoring state derived on first use from the fields above, which are
+    # therefore not to change once the ensemble is used; never persisted.
+    _scorers: list | None = field(default=None, init=False, repr=False,
+                                  compare=False)
+    _train_rows: list | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     @property
     def model_count(self) -> int:
@@ -100,6 +143,23 @@ class TrainedEnsemble:
             return apply_transform(self.transforms[i], post)
         return post
 
+    def _model_scorers(self) -> list:
+        if self._scorers is None:
+            self._scorers = [_ModelScorer(spec, params)
+                             for spec, params in zip(self.specs, self.params)]
+        return self._scorers
+
+    def _model_train_rows(self) -> list:
+        if self._train_rows is None:
+            rows = []
+            for i in range(self.model_count):
+                tm = None if self.transforms is None else self.transforms[i]
+                post = self.training_posterior(i)
+                rows.append(_TrainRows(None if tm is None else tm.weights, post,
+                                       _row_norms(post)))
+            self._train_rows = rows
+        return self._train_rows
+
 
 def cosine(post_a: np.ndarray, post_b: np.ndarray) -> float:
     """Inner product of the l2-normalized vectors; in [0, 1] for posteriors."""
@@ -111,11 +171,15 @@ def cosine(post_a: np.ndarray, post_b: np.ndarray) -> float:
     return float(a @ b / (na * nb))
 
 
-def _unit_rows(post: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(post, axis=1, keepdims=True)
+def _row_norms(post: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(post, axis=1)
     if (norms == 0).any():
         raise ValueError("posterior row with zero norm")
-    return post / norms
+    return norms
+
+
+def _unit_rows(post: np.ndarray) -> np.ndarray:
+    return post / _row_norms(post)[:, None]
 
 
 def sample_configs(cfg: EnsembleConfig, n: int, v: int, t: int,
@@ -188,8 +252,8 @@ def _fit_one(data: Dataset, spec: BaseModelSpec, cfg: EnsembleConfig,
     sub = data.take(rows).restrict(attributes=spec.attributes, time=window)
     params, _ = fit_map_em(sub, spec.q2, spec.hp, spec.sub_seed, mode=cfg.mode,
                            max_iter=cfg.em_max_iter, tol=cfg.em_tol)
-    full_view = data.restrict(attributes=spec.attributes, time=window)
-    return params, e_step(params, full_view)
+    return params, _ModelScorer(spec, params).posteriors(
+        *_masked_arrays(data.values, data.mask))
 
 
 _WORKER_STATE: dict = {}
@@ -265,8 +329,8 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig, transform_factory=None,
 
 def _train_kernel(ens: TrainedEnsemble) -> KernelMatrix:
     total = np.zeros((ens.n_series, ens.n_series))
-    for i in range(ens.model_count):
-        unit = _unit_rows(ens.training_posterior(i))
+    for rows in ens._model_train_rows():
+        unit = rows.unit()
         gram = unit @ unit.T
         np.fill_diagonal(gram, 1.0)     # self-similarity is 1 by definition
         total += 0.5 * (gram + gram.T)  # exact symmetry
@@ -287,6 +351,7 @@ def apply_posterior_transform(ens: TrainedEnsemble,
     out = TrainedEnsemble(ens.config, ens.n_series, ens.n_attributes,
                           ens.length, ens.specs, ens.params, ens.posteriors,
                           transforms, ens.failed)
+    out._scorers = ens._model_scorers()
     return out, _train_kernel(out)
 
 
@@ -301,15 +366,13 @@ def kernel_test(ens: TrainedEnsemble, test: Dataset) -> KernelMatrix:
             f"test schema (V={test.n_attributes}, T={test.length}) does not match "
             f"training schema (V={ens.n_attributes}, T={ens.length})")
     total = np.zeros((ens.n_series, test.n))
-    for i, spec in enumerate(ens.specs):
-        view = test.restrict(attributes=spec.attributes,
-                             time=(spec.t_start, spec.t_stop))
-        post = e_step(ens.params[i], view)
-        if ens.transforms is not None and ens.transforms[i] is not None:
-            post = apply_transform(ens.transforms[i], post)
-        train_unit = _unit_rows(ens.training_posterior(i))
-        if test.n:
-            total += train_unit @ _unit_rows(post).T
+    if test.n:
+        x0, r = _masked_arrays(test.values, test.mask)
+        for scorer, rows in zip(ens._model_scorers(), ens._model_train_rows()):
+            post = scorer.posteriors(x0, r)
+            if rows.transform is not None:
+                post = post @ rows.transform
+            total += rows.unit() @ _unit_rows(post).T
     if ens.config.normalize_by_models and ens.model_count:
         total /= ens.model_count
     return KernelMatrix(total, ens.model_count)

@@ -20,12 +20,11 @@ that shrinks small clusters toward the dataset scale.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, MaskedMTS
+from .data import Dataset
 
 # Bernoulli rates live in [BETA_EPS, 1 - BETA_EPS]; the clamp bounds the mask
 # evidence a single cell can contribute to log-odds between components.
@@ -139,28 +138,29 @@ def build_prior(data: Dataset, hp: HyperParams) -> PriorSpec:
 # Per-fit features and component scores
 # ------------------------------------------------------------
 
-def _features(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _feature_rows(x0: np.ndarray, r: np.ndarray) -> np.ndarray:
     """(N, 2VT + 2V) feature rows [x0 | r | sum_t x0^2 | sum_t r].
 
-    x0 holds the values with zeros in unobserved cells and r the float mask.
+    x0 holds the values with zeros in unobserved cells and r the float mask
+    (see ``_masked_arrays``); both may be windows of a larger masked grid.
     Component scores and all M-step statistics are linear in these rows, so
     a fit builds them once and reuses them in every sweep.
     """
-    x0, r = _masked_arrays(values, mask)
     n, v_dim, t_dim = x0.shape
     return np.concatenate([x0.reshape(n, v_dim * t_dim), r.reshape(n, v_dim * t_dim),
                            (x0 ** 2).sum(axis=2), r.sum(axis=2)], axis=1)
 
 
-def _log_component_scores(params: MixtureParams, feats: np.ndarray) -> np.ndarray:
-    """(N, G) array of log(theta_g) + log-likelihood of each series under g.
+def _features(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    return _feature_rows(*_masked_arrays(values, mask))
 
-    Each component contributes one weight row matching the feature layout:
-    mu/sigma^2, -mu^2/(2 sigma^2) (+ log beta - log(1-beta)), -1/(2 sigma^2)
-    and -log(2 pi sigma^2)/2, plus a constant log theta (+ sum log(1-beta)).
-    The contraction is an einsum, not a BLAS GEMM: GEMM blocking changes the
-    last bits of a row with the batch size, and a series must score the same
-    alone as inside its training set.
+
+def _component_weights(params: MixtureParams) -> tuple[np.ndarray, np.ndarray]:
+    """(G, 2VT + 2V) weight rows matching the feature layout, and (G,) constants.
+
+    Each component contributes mu/sigma^2, -mu^2/(2 sigma^2)
+    (+ log beta - log(1-beta)), -1/(2 sigma^2) and -log(2 pi sigma^2)/2,
+    plus a constant log theta (+ sum log(1-beta)).
     """
     g_dim = params.n_components
     inv_s2 = 1.0 / params.sigma2                              # (G, V)
@@ -175,7 +175,22 @@ def _log_component_scores(params: MixtureParams, feats: np.ndarray) -> np.ndarra
     weights = np.concatenate([mu_w.reshape(g_dim, -1), r_w.reshape(g_dim, -1),
                               -0.5 * inv_s2,
                               -0.5 * np.log(2.0 * np.pi * params.sigma2)], axis=1)
+    return weights, const
+
+
+def _score_rows(feats: np.ndarray, weights: np.ndarray,
+                const: np.ndarray) -> np.ndarray:
+    """(N, G) array of log(theta_g) + log-likelihood of each series under g.
+
+    The contraction is an einsum, not a BLAS GEMM: GEMM blocking changes the
+    last bits of a row with the batch size, and a series must score the same
+    alone as inside its training set.
+    """
     return np.einsum("nd,gd->ng", feats, weights) + const[None, :]
+
+
+def _log_component_scores(params: MixtureParams, feats: np.ndarray) -> np.ndarray:
+    return _score_rows(feats, *_component_weights(params))
 
 
 def _normalize_rows(scores: np.ndarray) -> np.ndarray:
@@ -193,12 +208,6 @@ def e_step(params: MixtureParams, data: Dataset) -> np.ndarray:
     """Component responsibilities, one simplex row per series."""
     return _normalize_rows(
         _log_component_scores(params, _features(data.values, data.mask)))
-
-
-def posterior_new(params: MixtureParams, series: MaskedMTS) -> np.ndarray:
-    """Responsibilities of a single (possibly unseen) series."""
-    feats = _features(series.values[None], series.mask[None])
-    return _normalize_rows(_log_component_scores(params, feats))[0]
 
 
 # ------------------------------------------------------------
@@ -409,13 +418,3 @@ def params_from_record(record: dict) -> MixtureParams:
         seed=record.get("seed"),
         hp=None if hp is None else HyperParams(hp["a0"], hp["b0"], hp["n0"]),
     )
-
-
-def save_params(params: MixtureParams, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(params_to_record(params), fh)
-
-
-def load_params(path) -> MixtureParams:
-    with open(path) as fh:
-        return params_from_record(json.load(fh))

@@ -22,7 +22,6 @@ class TransformMatrix:
 
     weights: np.ndarray        # (G, n_classes), rows sum to 1
     row_evidence: np.ndarray   # (G,) unnormalized row sums before normalization
-    source_model: tuple | None = None
 
 
 def _class_evidence(post: np.ndarray, labels_onehot: np.ndarray) -> np.ndarray:
@@ -41,16 +40,15 @@ def _class_evidence(post: np.ndarray, labels_onehot: np.ndarray) -> np.ndarray:
     return post.T @ labels_onehot / counts[None, :]
 
 
-def _normalize(raw: np.ndarray, source_model=None) -> TransformMatrix:
+def _normalize(raw: np.ndarray) -> TransformMatrix:
     sums = raw.sum(axis=1)
     if (sums <= 0).any():
         bad = int(np.nonzero(sums <= 0)[0][0])
         raise ValueError(f"component {bad + 1} accumulated no class evidence")
-    return TransformMatrix(raw / sums[:, None], sums, source_model)
+    return TransformMatrix(raw / sums[:, None], sums)
 
 
-def supervised_transform(post: np.ndarray, labels_onehot: np.ndarray,
-                         source_model=None) -> TransformMatrix:
+def supervised_transform(post: np.ndarray, labels_onehot: np.ndarray) -> TransformMatrix:
     """Learn W from a fully labeled set of posteriors.
 
     Every row of ``labels_onehot`` must be a one-hot vector; each class needs
@@ -59,12 +57,11 @@ def supervised_transform(post: np.ndarray, labels_onehot: np.ndarray,
     labels_onehot = np.asarray(labels_onehot, dtype=float)
     if not np.allclose(labels_onehot.sum(axis=1), 1.0):
         raise ValueError("supervised transform requires every series to be labeled")
-    return _normalize(_class_evidence(post, labels_onehot), source_model)
+    return _normalize(_class_evidence(post, labels_onehot))
 
 
 def semisupervised_transform(post: np.ndarray, labels_onehot: np.ndarray,
-                             params: MixtureParams, h: float = 0.1,
-                             source_model=None) -> TransformMatrix:
+                             params: MixtureParams, h: float = 0.1) -> TransformMatrix:
     """Learn W from partial labels (zero rows in ``labels_onehot`` = unlabeled).
 
     Components whose unnormalized row sum falls below the threshold ``h`` copy
@@ -83,7 +80,7 @@ def semisupervised_transform(post: np.ndarray, labels_onehot: np.ndarray,
         divergences = [symmetric_kl(params, k, int(l)) for l in anchored]
         nearest = anchored[int(np.argmin(divergences))]
         raw[k] = raw[nearest]
-    return _normalize(raw, source_model)
+    return _normalize(raw)
 
 
 def apply_transform(tm: TransformMatrix, post: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ seeds and takes a few minutes; everything else is fast.
 import math
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
 
 from tck.cli import reproduce_var1
@@ -33,6 +34,7 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 # Criterion 1: benchmark table reproduction
 # ------------------------------------------------------------
 
+@pytest.mark.slow
 def test_var1_benchmark_reproduction():
     result = reproduce_var1(seed=0, replicates=3, n_jobs=1)
     for row in result["rows"]:

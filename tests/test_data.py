@@ -220,3 +220,29 @@ def test_masked_cells_never_read():
     assert np.isfinite(out.values[obs]).all()
     clean, _ = standardize(ds)
     np.testing.assert_array_equal(out.values[obs], clean.values[obs])
+
+
+class TestNonFiniteObservedValues:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_naming_series_attribute_and_time(self, bad):
+        values = np.zeros((3, 2, 4))
+        values[1, 1, 2] = bad
+        with pytest.raises(ValueError,
+                           match=r"series 20: non-finite .* \(attribute 2, time 3\)"):
+            Dataset(values, np.ones((3, 2, 4), dtype=np.uint8), None, 0,
+                    np.array([10, 20, 30]))
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_poison_in_unobserved_cells_accepted(self, poison):
+        rng = np.random.default_rng(6)
+        ds = make_dataset(rng.normal(size=(5, 2, 4)),
+                          (rng.random((5, 2, 4)) < 0.6).astype(np.uint8))
+        poisoned = poison_missing(ds, poison)
+        assert not np.isfinite(poisoned.values).all()
+        assert np.array_equal(poisoned.values[ds.mask == 1], ds.values[ds.mask == 1])
+
+    def test_nan_in_csv_fails_at_load(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, "# N=2,V=1,T=3,N_c=0", [(1, 1, 1, 0.5), (2, 1, 3, "nan")])
+        with pytest.raises(ValueError, match=r"series 2: .*attribute 1, time 3"):
+            load_dataset(path)

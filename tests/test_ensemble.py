@@ -7,8 +7,8 @@ from tck.ensemble import (EnsembleConfig, apply_posterior_transform, cosine,
                           kernel_test, load_ensemble, load_kernel,
                           sample_configs, save_ensemble, save_kernel,
                           train_ensemble)
-from tck.mixture import GAUSSIAN_ONLY, MIXED_MODE
-from tck.transform import make_supervised_factory
+from tck.mixture import GAUSSIAN_ONLY, MIXED_MODE, e_step
+from tck.transform import apply_transform, make_supervised_factory
 from tck.data import labels_to_onehot
 
 
@@ -240,3 +240,97 @@ class TestPersistence:
         assert back.model_count == ens.model_count
         km_star = kernel_test(back, data)
         assert np.abs(km_star.values - km.values).max() <= 1e-12
+
+
+def model_view(data, spec):
+    return data.restrict(attributes=spec.attributes, time=(spec.t_start, spec.t_stop))
+
+
+def reference_kernel_test(ens, test):
+    """Test kernel from public pieces: e_step on restricted views, the
+    transform and the cosine of every (training, test) posterior pair."""
+    total = np.zeros((ens.n_series, test.n))
+    for i, spec in enumerate(ens.specs):
+        train = ens.posteriors[i]
+        post = e_step(ens.params[i], model_view(test, spec))
+        if ens.transforms is not None:
+            train = apply_transform(ens.transforms[i], train)
+            post = apply_transform(ens.transforms[i], post)
+        for a in range(ens.n_series):
+            for b in range(test.n):
+                total[a, b] += cosine(train[a], post[b])
+    if ens.config.normalize_by_models:
+        total /= ens.model_count
+    return total
+
+
+def held_out(seed, n=7):
+    test = blob_dataset(seed=seed, n=n)
+    test.mask[0, 1, :] = 0      # one series misses a whole attribute
+    return test
+
+
+class TestKernelTestPath:
+    @pytest.mark.parametrize("mode", [GAUSSIAN_ONLY, MIXED_MODE])
+    @pytest.mark.parametrize("transformed", [False, True])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_matches_public_reference(self, mode, transformed, normalize):
+        data = blob_dataset(seed=18, n=16)
+        cfg = small_config(seed=18, mode=mode, n_init=4)
+        cfg.normalize_by_models = normalize
+        factory = (make_supervised_factory(labels_to_onehot(data.labels, 2))
+                   if transformed else None)
+        ens, _ = train_ensemble(data, cfg, transform_factory=factory)
+        test = held_out(seed=19)
+        np.testing.assert_allclose(kernel_test(ens, test).values,
+                                   reference_kernel_test(ens, test),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", [GAUSSIAN_ONLY, MIXED_MODE])
+    def test_posteriors_bit_identical_to_e_step(self, mode, monkeypatch):
+        data = blob_dataset(seed=20)
+        factory = make_supervised_factory(labels_to_onehot(data.labels, 2))
+        ens, _ = train_ensemble(data, small_config(seed=20, mode=mode, n_init=4),
+                                transform_factory=factory)
+        for i, spec in enumerate(ens.specs):
+            np.testing.assert_array_equal(
+                ens.posteriors[i], e_step(ens.params[i], model_view(data, spec)))
+        seen = []
+        normalize_rows = ens_mod._normalize_rows
+        monkeypatch.setattr(ens_mod, "_normalize_rows",
+                            lambda scores: seen.append(normalize_rows(scores)) or seen[-1])
+        test = held_out(seed=21)
+        kernel_test(ens, test)
+        assert len(seen) == ens.model_count
+        for post, params, spec in zip(seen, ens.params, ens.specs):
+            np.testing.assert_array_equal(post, e_step(params, model_view(test, spec)))
+
+    @pytest.mark.parametrize("mode", [GAUSSIAN_ONLY, MIXED_MODE])
+    @pytest.mark.parametrize("transformed", [False, True])
+    def test_single_series_match_bulk_columns(self, mode, transformed):
+        data = blob_dataset(seed=22)
+        factory = (make_supervised_factory(labels_to_onehot(data.labels, 2))
+                   if transformed else None)
+        ens, _ = train_ensemble(data, small_config(seed=22, mode=mode, n_init=4),
+                                transform_factory=factory)
+        test = held_out(seed=23)
+        bulk = kernel_test(ens, test).values
+        for j in range(test.n):
+            np.testing.assert_allclose(kernel_test(ens, test.take([j])).values[:, 0],
+                                       bulk[:, j], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mode", [GAUSSIAN_ONLY, MIXED_MODE])
+    def test_scoring_state_does_not_leak_into_transformed_ensemble(self, mode,
+                                                                   tmp_path):
+        data = blob_dataset(seed=24)
+        base, _ = train_ensemble(data, small_config(seed=24, mode=mode, n_init=4))
+        test = held_out(seed=25)
+        plain = kernel_test(base, test).values
+        transformed, _ = apply_posterior_transform(
+            base, make_supervised_factory(labels_to_onehot(data.labels, 2)))
+        got = kernel_test(transformed, test).values
+        save_ensemble(transformed, tmp_path / "ens")
+        fresh = kernel_test(load_ensemble(tmp_path / "ens"), test).values
+        np.testing.assert_array_equal(got, fresh)
+        assert not np.allclose(got, plain)
+        np.testing.assert_array_equal(kernel_test(base, test).values, plain)
