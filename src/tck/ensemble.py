@@ -20,9 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .mixture import (HyperParams, MixtureParams, fit_map_em, params_from_record,
-                      params_to_record, GAUSSIAN_ONLY, _component_weights,
-                      _feature_rows, _masked_arrays, _normalize_rows, _score_rows)
+from .mixture import (HyperParams, MixtureParams, fit_map_em, GAUSSIAN_ONLY,
+                      MIXED_MODE, _component_weights, _feature_rows,
+                      _masked_arrays, _normalize_rows, _score_rows)
 from .transform import TransformMatrix, apply_transform
 
 
@@ -405,78 +405,157 @@ def load_kernel(path) -> KernelMatrix:
     return KernelMatrix(values, count)
 
 
+def _param_shapes(q2: int, v: int, t: int, mode: str) -> list:
+    """Shapes of theta, mu, sigma2 and (mixed mode only) beta of one model."""
+    shapes = [(q2,), (q2, v, t), (q2, v)]
+    if mode == MIXED_MODE:
+        shapes.append((q2, v, t))
+    return shapes
+
+
+def _flat(parts, dtype) -> np.ndarray:
+    """The parts raveled and concatenated in order, as one 1-D array."""
+    if not parts:
+        return np.zeros(0, dtype)
+    return np.concatenate([np.ravel(p) for p in parts]).astype(dtype, copy=False)
+
+
 def save_ensemble(ens: TrainedEnsemble, directory) -> None:
-    """Directory layout: manifest.json, one model_*.json per base model and a
-    posteriors.npy holding all training posteriors side by side."""
+    """Write the ensemble as a fixed set of files, whatever its model count.
+
+    * ``manifest.json``: config, dimensions, each model's spec scalars (q1,
+      q2, hp, window, attributes, subsample size, seeds), the posterior
+      offsets and the failed models;
+    * ``params.npy``: theta | mu | sigma2 | beta (mixed mode only) of every
+      model, raveled and concatenated in model order;
+    * ``subsamples.npy``: every model's subsample ids, concatenated;
+    * ``transforms.npy``: weights | row_evidence per model, only when the
+      ensemble carries transforms;
+    * ``posteriors.npy``: the (N, sum of q2) training posteriors side by side.
+
+    Each model's array shapes follow from its spec, so the flat files need no
+    offsets of their own.
+    """
     os.makedirs(directory, exist_ok=True)
-    model_files = []
-    offsets = [0]
-    for i, (spec, params) in enumerate(zip(ens.specs, ens.params)):
-        record = {
-            "spec": {
-                "q1": spec.q1, "q2": spec.q2,
-                "hp": {"a0": spec.hp.a0, "b0": spec.hp.b0, "n0": spec.hp.n0},
-                "t_start": spec.t_start, "t_stop": spec.t_stop,
-                "attributes": [int(a) for a in spec.attributes],
-                "subsample_ids": [int(s) for s in spec.subsample_ids],
-                "sub_seed": spec.sub_seed,
-            },
-            "params": params_to_record(params),
-        }
-        if ens.transforms is not None and ens.transforms[i] is not None:
-            tm = ens.transforms[i]
-            record["transform"] = {
-                "weights": tm.weights.tolist(),
-                "row_evidence": tm.row_evidence.tolist(),
-            }
-        name = f"model_{spec.q1:03d}_{spec.q2:03d}.json"
-        with open(os.path.join(directory, name), "w") as fh:
-            json.dump(record, fh)
-        model_files.append(name)
-        offsets.append(offsets[-1] + ens.posteriors[i].shape[1])
-    stacked = (np.concatenate(ens.posteriors, axis=1) if ens.posteriors
-               else np.zeros((ens.n_series, 0)))
-    np.save(os.path.join(directory, "posteriors.npy"), stacked)
+    arrays = {
+        "params.npy": _flat([a for p in ens.params
+                             for a in (p.theta, p.mu, p.sigma2, p.beta)
+                             if a is not None], np.float64),
+        "subsamples.npy": _flat([s.subsample_ids for s in ens.specs], np.int64),
+    }
+    if ens.transforms is not None:
+        arrays["transforms.npy"] = _flat(
+            [a for tm in ens.transforms for a in (tm.weights, tm.row_evidence)],
+            np.float64)
+    arrays["posteriors.npy"] = (np.concatenate(ens.posteriors, axis=1)
+                                if ens.posteriors else np.zeros((ens.n_series, 0)))
+    for name, array in arrays.items():
+        np.save(os.path.join(directory, name), array)
     manifest = {
         "config": asdict_config(ens.config),
         "n_series": ens.n_series,
         "n_attributes": ens.n_attributes,
         "length": ens.length,
-        "model_files": model_files,
-        "posterior_offsets": offsets,
+        "models": [{
+            "q1": spec.q1, "q2": spec.q2,
+            "hp": {"a0": spec.hp.a0, "b0": spec.hp.b0, "n0": spec.hp.n0},
+            "t_start": spec.t_start, "t_stop": spec.t_stop,
+            "attributes": [int(a) for a in spec.attributes],
+            "n_subsample": len(spec.subsample_ids),
+            "sub_seed": spec.sub_seed,
+            "seed": params.seed,
+        } for spec, params in zip(ens.specs, ens.params)],
+        "posterior_offsets": np.cumsum(
+            [0] + [p.shape[1] for p in ens.posteriors]).tolist(),
         "has_transforms": ens.transforms is not None,
+        "transform_classes": (ens.transforms[0].weights.shape[1]
+                              if ens.transforms else None),
         "failed": [[q1, q2, reason] for q1, q2, reason in ens.failed],
     }
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1)
 
 
+def _load_array(directory, name: str, shape: tuple) -> np.ndarray:
+    """np.load of one ensemble file, which must have the manifest's shape."""
+    path = os.path.join(directory, name)
+    try:
+        array = np.load(path)
+    except FileNotFoundError:
+        raise ValueError(f"{path} is missing; the ensemble directory is "
+                         f"incomplete") from None
+    except ValueError as exc:           # truncated or not an .npy file
+        raise ValueError(f"{path}: {exc}") from exc
+    if array.shape != shape:
+        raise ValueError(f"{path}: manifest.json implies shape {shape}, "
+                         f"found {array.shape}")
+    return array
+
+
+def _load_parts(directory, name: str, shapes: list):
+    """Iterator over consecutive reshaped views of one flat ensemble file,
+    one per shape; the file must hold exactly their total size."""
+    flat = _load_array(directory, name, (sum(math.prod(s) for s in shapes),))
+    parts, pos = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        parts.append(flat[pos:pos + size].reshape(shape))
+        pos += size
+    return iter(parts)
+
+
 def load_ensemble(directory) -> TrainedEnsemble:
-    with open(os.path.join(directory, "manifest.json")) as fh:
-        manifest = json.load(fh)
+    """Read a directory written by ``save_ensemble``.
+
+    Raises ValueError when a file is missing, when an array's size disagrees
+    with the sizes the manifest's model specs imply, or when the directory
+    was written in the older one-JSON-file-per-model layout.
+    """
+    path = os.path.join(directory, "manifest.json")
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError:
+        raise ValueError(f"{path} is missing; not an ensemble directory") from None
+    if "model_files" in manifest:
+        raise ValueError(f"{directory} was saved by an older tck (one JSON file "
+                         f"per base model) and cannot be read; retrain it")
     cfg_dict = dict(manifest["config"])
     for key in ("component_counts", "a0_range", "b0_range", "n0_range"):
         if cfg_dict.get(key) is not None:
             cfg_dict[key] = tuple(cfg_dict[key])
     cfg = EnsembleConfig(**cfg_dict)
-    stacked = np.load(os.path.join(directory, "posteriors.npy"))
+    models = manifest["models"]
     offsets = manifest["posterior_offsets"]
-    specs, params, posts = [], [], []
-    transforms = [] if manifest["has_transforms"] else None
-    for i, name in enumerate(manifest["model_files"]):
-        with open(os.path.join(directory, name)) as fh:
-            record = json.load(fh)
-        s = record["spec"]
-        specs.append(BaseModelSpec(
-            s["q1"], s["q2"], HyperParams(**s["hp"]), s["t_start"], s["t_stop"],
-            np.asarray(s["attributes"]), np.asarray(s["subsample_ids"]),
-            s["sub_seed"]))
-        params.append(params_from_record(record["params"]))
-        posts.append(stacked[:, offsets[i]:offsets[i + 1]])
-        if transforms is not None:
-            tm = record.get("transform")
-            transforms.append(None if tm is None else TransformMatrix(
-                np.asarray(tm["weights"]), np.asarray(tm["row_evidence"])))
+    expected = np.cumsum([0] + [m["q2"] for m in models]).tolist()
+    if offsets != expected:
+        raise ValueError(f"{path}: posterior_offsets {offsets} disagree with "
+                         f"the models' component counts, which give {expected}")
+    stacked = _load_array(directory, "posteriors.npy",
+                          (manifest["n_series"], offsets[-1]))
+    params = _load_parts(directory, "params.npy", [
+        s for m in models for s in _param_shapes(
+            m["q2"], len(m["attributes"]), m["t_stop"] - m["t_start"], cfg.mode)])
+    ids = _load_parts(directory, "subsamples.npy",
+                      [(m["n_subsample"],) for m in models])
+    transforms = None
+    if manifest["has_transforms"]:
+        parts = _load_parts(directory, "transforms.npy", [
+            s for m in models
+            for s in ((m["q2"], manifest["transform_classes"]), (m["q2"],))])
+        transforms = [TransformMatrix(next(parts), next(parts)) for _ in models]
+
+    specs, fitted = [], []
+    for m in models:
+        spec = BaseModelSpec(m["q1"], m["q2"], HyperParams(**m["hp"]),
+                             m["t_start"], m["t_stop"],
+                             np.asarray(m["attributes"]), next(ids), m["sub_seed"])
+        theta, mu, sigma2 = next(params), next(params), next(params)
+        beta = next(params) if cfg.mode == MIXED_MODE else None
+        specs.append(spec)
+        fitted.append(MixtureParams(cfg.mode, theta, mu, sigma2, beta,
+                                    seed=m["seed"], hp=spec.hp))
+    posts = [stacked[:, a:b] for a, b in zip(offsets, offsets[1:])]
     return TrainedEnsemble(cfg, manifest["n_series"], manifest["n_attributes"],
-                           manifest["length"], specs, params, posts, transforms,
+                           manifest["length"], specs, fitted, posts, transforms,
                            [tuple(f) for f in manifest["failed"]])

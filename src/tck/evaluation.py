@@ -92,20 +92,20 @@ def knn_predict(train_emb, train_labels, test_emb, k: int = 1,
             raise ValueError("exclude_self requires test set == training set")
         np.fill_diagonal(dist, np.inf)
 
-    preds = np.empty(x_test.shape[0], dtype=np.int64)
-    for m in range(x_test.shape[0]):
-        order = np.argsort(dist[m], kind="stable")[:k]
-        neigh_labels = labels[order]
-        neigh_dist = dist[m][order]
-        classes, votes = np.unique(neigh_labels, return_counts=True)
-        best = classes[votes == votes.max()]
-        if len(best) == 1:
-            preds[m] = best[0]
-            continue
-        means = np.array([neigh_dist[neigh_labels == c].mean() for c in best])
-        close = best[means == means.min()]
-        preds[m] = close.min()
-    return preds
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    neigh_dist = np.take_along_axis(dist, order, axis=1)      # (M, k)
+    classes = np.unique(labels)
+    hits = labels[order][:, :, None] == classes               # (M, k, C)
+    votes = hits.sum(axis=1)
+    # Summed neighbour by neighbour, in distance order, as np.mean of a
+    # class's few neighbour distances does, so exact ties stay exact.
+    dist_sums = np.zeros(votes.shape)
+    for j in range(k):
+        dist_sums += np.where(hits[:, j], neigh_dist[:, j, None], 0.0)
+    best = votes == votes.max(axis=1, keepdims=True)
+    means = np.where(best, dist_sums / np.maximum(votes, 1), np.inf)
+    close = best & (means == means.min(axis=1, keepdims=True))
+    return classes[np.argmax(close, axis=1)]
 
 
 @dataclass

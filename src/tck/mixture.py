@@ -367,18 +367,24 @@ def fit_map_em(data: Dataset, n_components: int, hp: HyperParams, seed: int,
 # Component divergences
 # ------------------------------------------------------------
 
+def _gaussian_kl(mu_i: np.ndarray, s2i: np.ndarray, mu_j: np.ndarray,
+                 s2j: np.ndarray) -> np.ndarray:
+    """KL(i || j) between components with means (..., V, T) and variances
+    (..., V); leading axes broadcast, one divergence per leading index."""
+    t_dim = np.shape(mu_i)[-1]
+    ratio = t_dim * (s2i / s2j - 1.0 + np.log(s2j) - np.log(s2i))
+    shift = ((mu_j - mu_i) ** 2 / s2j[..., None]).sum(axis=-1)
+    return 0.5 * np.sum(ratio + shift, axis=-1)
+
+
 def component_kl(params: MixtureParams, i: int, j: int) -> float:
     """KL(component i || component j) of the Gaussian parts, closed form.
 
     The components factorize over the V*T observed-cell grid, so the
     divergence is a sum of univariate Gaussian divergences.
     """
-    s2i, s2j = params.sigma2[i], params.sigma2[j]              # (V,)
-    mu_i, mu_j = params.mu[i], params.mu[j]                    # (V, T)
-    t_dim = params.length
-    ratio = t_dim * (s2i / s2j - 1.0 + np.log(s2j) - np.log(s2i))
-    shift = ((mu_j - mu_i) ** 2 / s2j[:, None]).sum(axis=1)
-    return float(0.5 * np.sum(ratio + shift))
+    return float(_gaussian_kl(params.mu[i], params.sigma2[i],
+                              params.mu[j], params.sigma2[j]))
 
 
 def symmetric_kl(params: MixtureParams, i: int, j: int) -> float:
@@ -386,35 +392,9 @@ def symmetric_kl(params: MixtureParams, i: int, j: int) -> float:
     return 0.5 * (component_kl(params, i, j) + component_kl(params, j, i))
 
 
-# ------------------------------------------------------------
-# Serialization
-# ------------------------------------------------------------
-
-def params_to_record(params: MixtureParams) -> dict:
-    """Self-describing plain-data record; floats round-trip bit-exactly."""
-    return {
-        "mode": params.mode,
-        "n_components": params.n_components,
-        "n_attributes": params.n_attributes,
-        "length": params.length,
-        "theta": params.theta.tolist(),
-        "mu": params.mu.tolist(),
-        "sigma2": params.sigma2.tolist(),
-        "beta": None if params.beta is None else params.beta.tolist(),
-        "seed": params.seed,
-        "hp": None if params.hp is None else
-              {"a0": params.hp.a0, "b0": params.hp.b0, "n0": params.hp.n0},
-    }
-
-
-def params_from_record(record: dict) -> MixtureParams:
-    hp = record.get("hp")
-    return MixtureParams(
-        mode=record["mode"],
-        theta=np.asarray(record["theta"], dtype=float),
-        mu=np.asarray(record["mu"], dtype=float),
-        sigma2=np.asarray(record["sigma2"], dtype=float),
-        beta=None if record.get("beta") is None else np.asarray(record["beta"], dtype=float),
-        seed=record.get("seed"),
-        hp=None if hp is None else HyperParams(hp["a0"], hp["b0"], hp["n0"]),
-    )
+def _symmetric_kls(params: MixtureParams, i: int, others) -> np.ndarray:
+    """``symmetric_kl(params, i, j)`` for every j in ``others``, bit for bit,
+    from one broadcast evaluation per direction."""
+    mu, s2 = params.mu, params.sigma2
+    return 0.5 * (_gaussian_kl(mu[i], s2[i], mu[others], s2[others])
+                  + _gaussian_kl(mu[others], s2[others], mu[i], s2[i]))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixture import MixtureParams, symmetric_kl
+from .mixture import MixtureParams, _symmetric_kls
 
 
 @dataclass
@@ -77,8 +77,7 @@ def semisupervised_transform(post: np.ndarray, labels_onehot: np.ndarray,
     if anchored.size == 0:
         raise ValueError("no anchored components: every row sum is below h")
     for k in np.nonzero(sums < h)[0]:
-        divergences = [symmetric_kl(params, k, int(l)) for l in anchored]
-        nearest = anchored[int(np.argmin(divergences))]
+        nearest = anchored[int(np.argmin(_symmetric_kls(params, k, anchored)))]
         raw[k] = raw[nearest]
     return _normalize(raw)
 

@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -240,6 +243,72 @@ class TestPersistence:
         assert back.model_count == ens.model_count
         km_star = kernel_test(back, data)
         assert np.abs(km_star.values - km.values).max() <= 1e-12
+
+
+class TestEnsembleFiles:
+    """save_ensemble writes a fixed set of files; load_ensemble checks them
+    against the manifest."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        data = blob_dataset(seed=18)
+        factory = make_supervised_factory(labels_to_onehot(data.labels, 2))
+        ens, _ = train_ensemble(data, small_config(seed=18, n_init=2),
+                                transform_factory=factory)
+        save_ensemble(ens, tmp_path / "ens")
+        return tmp_path / "ens"
+
+    def test_file_set_does_not_grow_with_models(self, saved, tmp_path):
+        data = blob_dataset(seed=18)
+        ens, _ = train_ensemble(data, small_config(seed=18, n_init=6,
+                                                   counts=(2, 3, 4)))
+        save_ensemble(ens, tmp_path / "bigger")
+        base = ["manifest.json", "params.npy", "posteriors.npy", "subsamples.npy"]
+        assert sorted(os.listdir(tmp_path / "bigger")) == base
+        assert sorted(os.listdir(saved)) == sorted(base + ["transforms.npy"])
+
+    def test_truncated_params_rejected(self, saved):
+        params = np.load(saved / "params.npy")
+        np.save(saved / "params.npy", params[:-5])
+        with pytest.raises(ValueError, match=rf"params\.npy.*\({params.size},\)"
+                                             rf".*\({params.size - 5},\)"):
+            load_ensemble(saved)
+
+    def test_partly_written_params_rejected(self, saved):
+        raw = (saved / "params.npy").read_bytes()
+        (saved / "params.npy").write_bytes(raw[:-40])
+        with pytest.raises(ValueError, match=r"params\.npy"):
+            load_ensemble(saved)
+
+    def test_spec_disagreeing_with_arrays_rejected(self, saved):
+        manifest = json.loads((saved / "manifest.json").read_text())
+        manifest["models"][0]["t_stop"] -= 1
+        (saved / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=r"params\.npy.*implies shape"):
+            load_ensemble(saved)
+
+    def test_offsets_disagreeing_with_component_counts_rejected(self, saved):
+        manifest = json.loads((saved / "manifest.json").read_text())
+        manifest["posterior_offsets"][1] += 1
+        (saved / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="posterior_offsets"):
+            load_ensemble(saved)
+
+    @pytest.mark.parametrize("name", ["manifest.json", "params.npy",
+                                      "subsamples.npy", "transforms.npy",
+                                      "posteriors.npy"])
+    def test_missing_file_rejected(self, saved, name):
+        (saved / name).unlink()
+        with pytest.raises(ValueError, match=rf"{name} is missing"):
+            load_ensemble(saved)
+
+    def test_old_layout_rejected(self, saved):
+        manifest = json.loads((saved / "manifest.json").read_text())
+        del manifest["models"]
+        manifest["model_files"] = ["model_001_002.json", "model_001_003.json"]
+        (saved / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="older tck.*retrain"):
+            load_ensemble(saved)
 
 
 def model_view(data, spec):

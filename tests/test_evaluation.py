@@ -92,6 +92,63 @@ class TestKnn:
         with pytest.raises(ValueError):
             knn_predict(np.zeros((3, 1)), [1, 1, 2], np.zeros((1, 1)), k=4)
 
+    @pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
+    def test_matches_per_row_loop_on_random_inputs(self, k):
+        rng = np.random.default_rng(k)
+        for n_classes, dim in ((2, 1), (3, 2), (4, 5)):
+            train = rng.normal(size=(40, dim))
+            labels = rng.integers(1, n_classes + 1, size=40)
+            test = rng.normal(size=(60, dim))
+            np.testing.assert_array_equal(knn_predict(train, labels, test, k=k),
+                                          loop_knn_predict(train, labels, test, k))
+            np.testing.assert_array_equal(
+                knn_predict(train, labels, train, k=k, exclude_self=True),
+                loop_knn_predict(train, labels, train, k, exclude_self=True))
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
+    def test_matches_per_row_loop_on_constructed_ties(self, k):
+        # Points on a small integer lattice: many equal distances (so the
+        # stable order decides who is among the k nearest), vote ties
+        # between classes, and equal mean distances among the tied classes.
+        rng = np.random.default_rng(100 + k)
+        for n_classes in (2, 3, 4):
+            train = rng.integers(-2, 3, size=(30, 2)).astype(float)
+            labels = rng.integers(1, n_classes + 1, size=30)
+            test = rng.integers(-2, 3, size=(50, 2)).astype(float)
+            got = knn_predict(train, labels, test, k=k)
+            np.testing.assert_array_equal(got, loop_knn_predict(train, labels, test, k))
+        # A class pair symmetric about every test point: votes and mean
+        # distances tie exactly, so the lowest class wins.
+        train = np.array([[1.0], [-1.0], [2.0], [-2.0], [3.0], [-3.0],
+                          [4.0], [-4.0], [5.0], [-5.0]])
+        labels = np.array([2, 1] * 5)
+        got = knn_predict(train, labels, np.array([[0.0]]), k=k)
+        np.testing.assert_array_equal(got, loop_knn_predict(train, labels,
+                                                            np.array([[0.0]]), k))
+
+
+def loop_knn_predict(train, labels, test, k, exclude_self=False):
+    """Reference kNN: one stable argsort and one vote per test row."""
+    labels = np.asarray(labels, dtype=np.int64)
+    dist = np.sqrt(np.maximum(
+        ((test[:, None, :] - train[None, :, :]) ** 2).sum(axis=2), 0.0))
+    if exclude_self:
+        np.fill_diagonal(dist, np.inf)
+    preds = np.empty(test.shape[0], dtype=np.int64)
+    for m in range(test.shape[0]):
+        order = np.argsort(dist[m], kind="stable")[:k]
+        neigh_labels = labels[order]
+        neigh_dist = dist[m][order]
+        classes, votes = np.unique(neigh_labels, return_counts=True)
+        best = classes[votes == votes.max()]
+        if len(best) == 1:
+            preds[m] = best[0]
+            continue
+        means = np.array([neigh_dist[neigh_labels == c].mean() for c in best])
+        close = best[means == means.min()]
+        preds[m] = close.min()
+    return preds
+
 
 class TestMetrics:
     def test_harmonic_mean_case(self):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,8 +6,11 @@ import pytest
 from tck.data import Dataset
 from tck.mixture import (BETA_EPS, GAUSSIAN_ONLY, MIXED_MODE, HyperParams,
                          MixtureParams, build_prior, component_kl, e_step,
-                         fit_map_em, m_step, map_objective, params_from_record,
-                         params_to_record, symmetric_kl)
+                         _symmetric_kls, fit_map_em, m_step, map_objective,
+                         symmetric_kl)
+from tck.ensemble import (BaseModelSpec, EnsembleConfig, TrainedEnsemble,
+                          load_ensemble, save_ensemble)
+from tck.transform import TransformMatrix
 
 HP = HyperParams(0.1, 0.1, 0.05)
 
@@ -407,16 +409,65 @@ class TestDivergence:
                 assert component_kl(params, i, j) >= 0
                 assert symmetric_kl(params, i, j) == symmetric_kl(params, j, i)
 
+    def test_divergences_to_many_equal_per_pair_values(self):
+        rng = np.random.default_rng(24)
+        for g, v, t in ((3, 1, 1), (6, 2, 7), (9, 10, 40), (12, 3, 17)):
+            params = random_params(rng, g, v, t, GAUSSIAN_ONLY)
+            for i in range(g):
+                others = np.array([j for j in range(g) if j != i])
+                np.testing.assert_array_equal(
+                    _symmetric_kls(params, i, others),
+                    [symmetric_kl(params, i, int(j)) for j in others])
 
-def test_params_round_trip_is_bit_exact():
+
+def test_params_round_trip_is_bit_exact(tmp_path):
+    """Parameters, subsample ids, posteriors and transforms survive an
+    ensemble save/load bit for bit, in both modes."""
     rng = np.random.default_rng(23)
-    params = random_params(rng, 3, 2, 4, MIXED_MODE)
-    params.seed = 42
-    params.hp = HP
-    back = params_from_record(json.loads(json.dumps(params_to_record(params))))
-    assert back.mode == params.mode
-    assert np.array_equal(back.theta, params.theta)
-    assert np.array_equal(back.mu, params.mu)
-    assert np.array_equal(back.sigma2, params.sigma2)
-    assert np.array_equal(back.beta, params.beta)
-    assert back.seed == 42 and back.hp == HP
+    for mode in (GAUSSIAN_ONLY, MIXED_MODE):
+        specs, fitted, posts, transforms = [], [], [], []
+        for q1, (g, attributes, window) in enumerate(
+                [(3, [0, 2], (1, 5)), (2, [1], (0, 3)), (4, [0, 1, 2], (2, 6))],
+                start=1):
+            params = random_params(rng, g, len(attributes), window[1] - window[0],
+                                   mode)
+            params.seed = 42
+            params.hp = HP
+            specs.append(BaseModelSpec(q1, g, HP, *window, np.array(attributes),
+                                       np.sort(rng.choice(50, 30 + q1, replace=False)),
+                                       int(rng.integers(0, 2**63))))
+            fitted.append(params)
+            posts.append(rng.dirichlet(np.ones(g), size=8))
+            transforms.append(TransformMatrix(rng.dirichlet(np.ones(2), size=g),
+                                              rng.uniform(size=g)))
+        ens = TrainedEnsemble(EnsembleConfig(mode=mode, component_counts=(2, 3, 4)),
+                              8, 3, 6, specs, fitted, posts, transforms,
+                              [(2, 3, "posterior underflow")])
+        save_ensemble(ens, tmp_path / mode)
+        back = load_ensemble(tmp_path / mode)
+        assert back.config == ens.config
+        assert back.failed == ens.failed
+        assert back.model_count == ens.model_count
+        for i, params in enumerate(fitted):
+            got, spec = back.params[i], back.specs[i]
+            assert got.mode == params.mode
+            np.testing.assert_array_equal(got.theta, params.theta)
+            np.testing.assert_array_equal(got.mu, params.mu)
+            np.testing.assert_array_equal(got.sigma2, params.sigma2)
+            if mode == MIXED_MODE:
+                np.testing.assert_array_equal(got.beta, params.beta)
+            else:
+                assert got.beta is None
+            assert got.seed == 42 and got.hp == HP
+            assert (spec.q1, spec.q2, spec.hp, spec.t_start, spec.t_stop,
+                    spec.sub_seed) == (specs[i].q1, specs[i].q2, HP,
+                                       specs[i].t_start, specs[i].t_stop,
+                                       specs[i].sub_seed)
+            np.testing.assert_array_equal(spec.attributes, specs[i].attributes)
+            np.testing.assert_array_equal(spec.subsample_ids,
+                                          specs[i].subsample_ids)
+            np.testing.assert_array_equal(back.posteriors[i], posts[i])
+            np.testing.assert_array_equal(back.transforms[i].weights,
+                                          transforms[i].weights)
+            np.testing.assert_array_equal(back.transforms[i].row_evidence,
+                                          transforms[i].row_evidence)

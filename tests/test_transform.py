@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tck.data import labels_to_onehot
-from tck.mixture import GAUSSIAN_ONLY, MixtureParams
+from tck.mixture import GAUSSIAN_ONLY, MixtureParams, symmetric_kl
 from tck.transform import (apply_transform, semisupervised_transform,
                            supervised_transform, TransformMatrix)
 
@@ -109,6 +109,20 @@ class TestSemisupervised:
                          for a in np.nonzero(raw.sum(axis=1) >= 0.1)[0])
             assert own or copied
 
+    def test_matches_per_pair_anchoring(self):
+        # Components 1 and 4 are clones, so a starved component's divergences
+        # to them tie exactly and the lower index must win, as before.
+        rng = np.random.default_rng(3)
+        for h in (0.2, 0.3, 0.4):
+            params = random_gaussian_params(rng, 8, 2, 6)
+            params.mu[4], params.sigma2[4] = params.mu[1], params.sigma2[1]
+            post = rng.dirichlet(np.full(8, 0.3), size=20)
+            onehot = labels_to_onehot(np.array([1, 2, 3, 1] + [0] * 16), 3)
+            got = semisupervised_transform(post, onehot, params, h)
+            want = per_pair_semisupervised(post, onehot, params, h)
+            np.testing.assert_array_equal(got.weights, want.weights)
+            np.testing.assert_array_equal(got.row_evidence, want.row_evidence)
+
     def test_bad_threshold(self):
         post = np.full((2, 2), 0.5)
         labels = labels_to_onehot(np.array([1, 2]), 2)
@@ -158,3 +172,21 @@ class TestApply:
         tm = TransformMatrix(np.eye(3), np.ones(3))
         with pytest.raises(ValueError):
             apply_transform(tm, np.array([0.5, 0.5]))
+
+
+def random_gaussian_params(rng, g, v, t):
+    return MixtureParams(GAUSSIAN_ONLY, rng.dirichlet(np.ones(g)),
+                         rng.normal(size=(g, v, t)),
+                         rng.uniform(0.5, 2.0, size=(g, v)), None)
+
+
+def per_pair_semisupervised(post, onehot, params, h):
+    """Reference anchoring: one symmetric_kl call per (starved, anchored) pair."""
+    raw = post.T @ onehot / onehot.sum(axis=0)[None, :]
+    sums = raw.sum(axis=1)
+    anchored = np.nonzero(sums >= h)[0]
+    for k in np.nonzero(sums < h)[0]:
+        divergences = [symmetric_kl(params, k, int(l)) for l in anchored]
+        raw[k] = raw[anchored[int(np.argmin(divergences))]]
+    sums = raw.sum(axis=1)
+    return TransformMatrix(raw / sums[:, None], sums)
