@@ -17,8 +17,8 @@ from .mixture import (GAUSSIAN_ONLY, MIXED_MODE, HyperParams, MixtureParams,
                       PriorSpec, build_prior, component_kl, e_step, fit_map_em,
                       m_step, map_objective, symmetric_kl)
 from .ensemble import (BaseModelSpec, EnsembleConfig, KernelMatrix,
-                       TrainedEnsemble, apply_posterior_transform, cosine,
-                       kernel_test, load_ensemble, load_kernel, sample_configs,
+                       TrainedEnsemble, apply_posterior_transform, kernel_test,
+                       load_ensemble, load_kernel, sample_configs,
                        save_ensemble, save_kernel, train_ensemble)
 from .transform import (TransformMatrix, apply_transform,
                         make_semisupervised_factory, make_supervised_factory,

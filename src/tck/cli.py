@@ -131,6 +131,8 @@ def prepare_eval_data(data: Dataset, variant: str,
 
 def _transform_factory(variant: str, train: Dataset, h: float,
                        n_labeled: int | None, seed: int):
+    """The variant's per-model label transform factory, or None. Its label
+    options are checked here, so that bad ones fail before any fit."""
     _, kind, _ = VARIANTS[variant]
     if kind is None:
         return None
@@ -140,10 +142,29 @@ def _transform_factory(variant: str, train: Dataset, h: float,
         if (train.labels == 0).any():
             raise ValueError("supervised variants need a label for every series")
         return make_supervised_factory(train.one_hot())
+    if not 0.0 < h < 1.0:
+        raise ValueError(f"--h must lie in (0, 1) for variant {variant}; got {h}")
     count = n_labeled if n_labeled is not None else max(20, 3 * train.n_classes)
+    if count < train.n_classes:
+        raise ValueError(f"--n-labeled must be at least the number of classes "
+                         f"({train.n_classes}), so that every class has a "
+                         f"labeled series; got {count}")
     partial = stratified_label_subset(train.labels, count, seed)
     onehot = dt.labels_to_onehot(partial, train.n_classes)
     return make_semisupervised_factory(onehot, h)
+
+
+def _variant_kernels(variants, train: Dataset, cfg: EnsembleConfig, h: float,
+                     n_labeled: int | None, label_seed: int,
+                     n_jobs: int) -> list:
+    """(ensemble, train kernel) per variant of cfg's component family, from
+    one fit of the base ensemble. The label transforms are built, and their
+    options checked, before the fit."""
+    factories = [_transform_factory(v, train, h, n_labeled, label_seed)
+                 for v in variants]
+    fitted = train_ensemble(train, cfg, n_jobs=n_jobs)
+    return [fitted if f is None else apply_posterior_transform(fitted[0], f)
+            for f in factories]
 
 
 def _stats_to_dict(stats: StandardizationStats) -> dict:
@@ -223,13 +244,13 @@ def cmd_generate(args, config: dict) -> int:
 # train
 # ------------------------------------------------------------
 
-def _build_config(args, mode: str) -> EnsembleConfig:
+def _build_config(args, seed: int) -> EnsembleConfig:
     return EnsembleConfig(
         n_init=args.q,
         component_counts=_parse_components(args.components),
         t_min=args.t_min,
-        seed=args.seed,
-        mode=mode,
+        seed=seed,
+        mode=VARIANTS[args.variant][0],
         normalize_by_models=args.normalize,
     )
 
@@ -237,17 +258,11 @@ def _build_config(args, mode: str) -> EnsembleConfig:
 def cmd_train(args, config: dict) -> int:
     out_dir = _out_dir(args, "train")
     os.makedirs(out_dir, exist_ok=True)
-    if args.variant not in VARIANTS:
-        raise ValueError(f"unknown variant {args.variant!r}; choose from "
-                         f"{sorted(VARIANTS)}")
     raw = dt.load_dataset(args.data, args.labels)
     prepared, stats = prepare_training_data(raw, args.variant)
-    mode, _, _ = VARIANTS[args.variant]
-    cfg = _build_config(args, mode)
-    factory = _transform_factory(args.variant, prepared, args.h,
-                                 args.n_labeled, args.seed)
-    ens, kernel = train_ensemble(prepared, cfg, transform_factory=factory,
-                                 n_jobs=args.threads)
+    cfg = _build_config(args, args.seed)
+    [(ens, kernel)] = _variant_kernels([args.variant], prepared, cfg, args.h,
+                                       args.n_labeled, args.seed, args.threads)
     save_ensemble(ens, os.path.join(out_dir, "ensemble"))
     save_kernel(kernel, os.path.join(out_dir, "kernel_train.csv"))
     resolved = {
@@ -259,7 +274,7 @@ def cmd_train(args, config: dict) -> int:
         "n_labeled": args.n_labeled,
         "ensemble": {"n_init": cfg.n_init,
                      "component_counts": list(ens.config.component_counts or ()),
-                     "mode": mode},
+                     "mode": cfg.mode},
         "standardization": _stats_to_dict(stats),
         "train_labels": None if raw.labels is None else raw.labels.tolist(),
         "model_count": kernel.model_count,
@@ -346,22 +361,20 @@ def cmd_eval(args, config: dict) -> int:
 
 def _eval_cross_validated(args, out_dir: str) -> int:
     if args.variant not in VARIANTS:
-        raise ValueError(f"unknown variant {args.variant!r}")
+        raise ValueError(f"--folds needs --variant, one of {sorted(VARIANTS)}; "
+                         f"got {args.variant!r}")
     full = dt.load_dataset(args.data, args.labels)
     if full.labels is None:
         raise ValueError("cross-validation requires labels")
-    mode, _, _ = VARIANTS[args.variant]
     fold_counter = iter(range(10**6))
 
     def pipeline(train: Dataset, test: Dataset) -> np.ndarray:
         fold = next(fold_counter)
         prepared, stats = prepare_training_data(train, args.variant)
-        cfg = _build_config(args, mode)
-        cfg.seed = _derive_seed(args.seed, 100 + fold)
-        factory = _transform_factory(args.variant, prepared, args.h,
-                                     args.n_labeled, cfg.seed)
-        ens, kernel = train_ensemble(prepared, cfg, transform_factory=factory,
-                                     n_jobs=args.threads)
+        cfg = _build_config(args, _derive_seed(args.seed, 100 + fold))
+        [(ens, kernel)] = _variant_kernels([args.variant], prepared, cfg,
+                                           args.h, args.n_labeled, cfg.seed,
+                                           args.threads)
         test_prepared = prepare_eval_data(test, args.variant, stats)
         _, _, preds = _embed_and_classify(kernel, ens, test_prepared,
                                           train.labels, args.dim,
@@ -397,26 +410,17 @@ def _run_var1_once(seed: int, n_init: int, component_counts, n_jobs: int,
     train_std, stats = dt.standardize(train)
     test_std = stats.apply(test)
 
-    full_onehot = train.one_hot()
-    count = n_labeled if n_labeled is not None else max(20, 3 * train.n_classes)
-    partial = stratified_label_subset(train.labels, count, _derive_seed(seed, 13))
-    partial_onehot = dt.labels_to_onehot(partial, train.n_classes)
-
     accuracies = {}
-    for mode, family, tag in ((GAUSSIAN_ONLY, "tck", 21), (MIXED_MODE, "tck_im", 22)):
+    for family, tag in (("tck", 21), ("tck_im", 22)):
+        names = (family, "ss" + family, "s" + family)
         cfg = EnsembleConfig(n_init=n_init, component_counts=component_counts,
-                             seed=_derive_seed(seed, tag), mode=mode)
-        ens, kernel = train_ensemble(train_std, cfg, n_jobs=n_jobs)
-        ss_ens, ss_kernel = apply_posterior_transform(
-            ens, make_semisupervised_factory(partial_onehot, h))
-        s_ens, s_kernel = apply_posterior_transform(
-            ens, make_supervised_factory(full_onehot))
-        jobs = ((family, ens, kernel),
-                ("ss" + family, ss_ens, ss_kernel),
-                ("s" + family, s_ens, s_kernel))
-        for name, e, k in jobs:
-            _, _, preds = _embed_and_classify(k, e, test_std, train.labels,
-                                              dim=10, k=1)
+                             seed=_derive_seed(seed, tag),
+                             mode=VARIANTS[family][0])
+        kernels = _variant_kernels(names, train_std, cfg, h, n_labeled,
+                                   _derive_seed(seed, 13), n_jobs)
+        for name, (ens, kernel) in zip(names, kernels):
+            _, _, preds = _embed_and_classify(kernel, ens, test_std,
+                                              train.labels, dim=10, k=1)
             accuracies[name] = float((preds == test.labels).mean())
     return accuracies
 

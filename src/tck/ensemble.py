@@ -136,13 +136,6 @@ class TrainedEnsemble:
     def model_count(self) -> int:
         return len(self.specs)
 
-    def training_posterior(self, i: int) -> np.ndarray:
-        """Posteriors of model i, transformed when a transform is attached."""
-        post = self.posteriors[i]
-        if self.transforms is not None and self.transforms[i] is not None:
-            return apply_transform(self.transforms[i], post)
-        return post
-
     def _model_scorers(self) -> list:
         if self._scorers is None:
             self._scorers = [_ModelScorer(spec, params)
@@ -152,23 +145,14 @@ class TrainedEnsemble:
     def _model_train_rows(self) -> list:
         if self._train_rows is None:
             rows = []
-            for i in range(self.model_count):
-                tm = None if self.transforms is None else self.transforms[i]
-                post = self.training_posterior(i)
-                rows.append(_TrainRows(None if tm is None else tm.weights, post,
-                                       _row_norms(post)))
+            for i, post in enumerate(self.posteriors):
+                weights = None
+                if self.transforms is not None:
+                    weights = self.transforms[i].weights
+                    post = apply_transform(self.transforms[i], post)
+                rows.append(_TrainRows(weights, post, _row_norms(post)))
             self._train_rows = rows
         return self._train_rows
-
-
-def cosine(post_a: np.ndarray, post_b: np.ndarray) -> float:
-    """Inner product of the l2-normalized vectors; in [0, 1] for posteriors."""
-    a = np.asarray(post_a, dtype=float)
-    b = np.asarray(post_b, dtype=float)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine of a zero vector is undefined")
-    return float(a @ b / (na * nb))
 
 
 def _row_norms(post: np.ndarray) -> np.ndarray:
@@ -244,16 +228,24 @@ def asdict_config(cfg: EnsembleConfig) -> dict:
     return d
 
 
-def _fit_one(data: Dataset, spec: BaseModelSpec, cfg: EnsembleConfig,
-             row_of_id: dict) -> tuple[MixtureParams, np.ndarray]:
-    """Fit one base model and score every series of the full dataset."""
-    rows = np.array([row_of_id[i] for i in spec.subsample_ids])
-    window = (spec.t_start, spec.t_stop)
-    sub = data.take(rows).restrict(attributes=spec.attributes, time=window)
-    params, _ = fit_map_em(sub, spec.q2, spec.hp, spec.sub_seed, mode=cfg.mode,
-                           max_iter=cfg.em_max_iter, tol=cfg.em_tol)
-    return params, _ModelScorer(spec, params).posteriors(
-        *_masked_arrays(data.values, data.mask))
+def _fit_one(spec: BaseModelSpec, data: Dataset, cfg: EnsembleConfig,
+             row_of_id: dict) -> tuple:
+    """Fit one base model and score every series of the full dataset.
+
+    Returns ("ok", (params, posteriors)), or ("failed", reason) when the fit
+    fails; the serial loop and the pool workers both go through here.
+    """
+    try:
+        rows = np.array([row_of_id[i] for i in spec.subsample_ids])
+        window = (spec.t_start, spec.t_stop)
+        sub = data.take(rows).restrict(attributes=spec.attributes, time=window)
+        params, _ = fit_map_em(sub, spec.q2, spec.hp, spec.sub_seed,
+                               mode=cfg.mode, max_iter=cfg.em_max_iter,
+                               tol=cfg.em_tol)
+        return "ok", (params, _ModelScorer(spec, params).posteriors(
+            *_masked_arrays(data.values, data.mask)))
+    except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
+        return "failed", str(exc)
 
 
 _WORKER_STATE: dict = {}
@@ -264,22 +256,16 @@ def _worker_init(data, cfg, row_of_id):
 
 
 def _worker_fit(spec):
-    data, cfg, row_of_id = _WORKER_STATE["args"]
-    try:
-        return "ok", _fit_one(data, spec, cfg, row_of_id)
-    except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
-        return "failed", str(exc)
+    return _fit_one(spec, *_WORKER_STATE["args"])
 
 
-def train_ensemble(data: Dataset, cfg: EnsembleConfig, transform_factory=None,
+def train_ensemble(data: Dataset, cfg: EnsembleConfig,
                    n_jobs: int = 1) -> tuple[TrainedEnsemble, KernelMatrix]:
     """Fit the ensemble on standardized data and accumulate the train kernel.
 
-    ``transform_factory``, when given, is called per base model with that
-    model's training posteriors and parameters and must return a
-    TransformMatrix; posteriors are mapped through it before normalization.
     Base models that fail to fit are skipped and recorded; more than 10%
-    failures aborts training.
+    failures aborts training. Label transforms are attached afterwards with
+    ``apply_posterior_transform``.
     """
     cfg = _resolve_counts(cfg, data)
     if data.n < max(cfg.component_counts):
@@ -290,17 +276,12 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig, transform_factory=None,
                            ids=data.ids)
     row_of_id = {int(i): r for r, i in enumerate(data.ids)}
 
-    outcomes = []
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs, initializer=_worker_init,
                                  initargs=(data, cfg, row_of_id)) as pool:
             outcomes = list(pool.map(_worker_fit, specs, chunksize=8))
     else:
-        for spec in specs:
-            try:
-                outcomes.append(("ok", _fit_one(data, spec, cfg, row_of_id)))
-            except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
-                outcomes.append(("failed", str(exc)))
+        outcomes = [_fit_one(spec, data, cfg, row_of_id) for spec in specs]
 
     kept_specs, kept_params, kept_posts, failed = [], [], [], []
     for spec, (status, payload) in zip(specs, outcomes):
@@ -316,14 +297,8 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig, transform_factory=None,
             f"{len(failed)} of {len(specs)} base models failed; first failure: "
             f"{failed[0]}")
 
-    transforms = None
-    if transform_factory is not None:
-        transforms = [transform_factory(post, params)
-                      for post, params in zip(kept_posts, kept_params)]
-
     ens = TrainedEnsemble(cfg, data.n, data.n_attributes, data.length,
-                          kept_specs, kept_params, kept_posts, transforms,
-                          failed)
+                          kept_specs, kept_params, kept_posts, failed=failed)
     return ens, _train_kernel(ens)
 
 
@@ -341,10 +316,12 @@ def _train_kernel(ens: TrainedEnsemble) -> KernelMatrix:
 
 def apply_posterior_transform(ens: TrainedEnsemble,
                               transform_factory) -> tuple[TrainedEnsemble, KernelMatrix]:
-    """Re-derive the kernel with per-model transforms, reusing fitted models.
+    """Attach per-model label transforms to a fitted ensemble and re-derive
+    its kernel, without fitting again.
 
-    Equivalent to training with the factory attached (fits are seed-determined)
-    without paying for the fits again.
+    ``transform_factory`` is called per base model with that model's training
+    posteriors and parameters and returns a TransformMatrix; posteriors are
+    mapped through it before normalization, in the training and test kernels.
     """
     transforms = [transform_factory(post, params)
                   for post, params in zip(ens.posteriors, ens.params)]

@@ -122,13 +122,15 @@ class TestTrain:
         assert code == 1
         assert "shrink" in capsys.readouterr().err
 
-    def test_training_outputs_are_byte_deterministic(self, tmp_path, var1_dir):
+    @pytest.mark.parametrize("variant", ["tck", "sstck_im"])
+    def test_training_outputs_are_byte_deterministic(self, tmp_path, var1_dir,
+                                                     variant):
         outs = []
         for name in ("t1", "t2"):
             out = tmp_path / name
             code = run(["train", "--data", var1_dir / "train.csv",
                         "--labels", var1_dir / "train_labels.csv",
-                        "--variant", "tck", "--seed", "4", "--out", out,
+                        "--variant", variant, "--seed", "4", "--out", out,
                         *SMALL])
             assert code == 0
             outs.append(out)
@@ -137,6 +139,7 @@ class TestTrain:
         names = sorted(p.name for p in (a / "ensemble").iterdir())
         assert names == sorted(p.name for p in (b / "ensemble").iterdir())
         assert {"manifest.json", "posteriors.npy"} <= set(names)
+        assert ("transforms.npy" in names) == (variant == "sstck_im")
         for name in names:
             assert (a / "ensemble" / name).read_bytes() == \
                    (b / "ensemble" / name).read_bytes(), name
@@ -183,11 +186,12 @@ class TestEval:
         assert code == 0
         assert (out / "metrics.csv").exists()
 
-    def test_cross_validated_eval(self, tmp_path, var1_dir):
+    @pytest.mark.parametrize("variant", ["tck", "stck"])
+    def test_cross_validated_eval(self, tmp_path, var1_dir, variant):
         out = tmp_path / "cv"
         code = run(["eval", "--data", var1_dir / "train.csv",
                     "--labels", var1_dir / "train_labels.csv",
-                    "--variant", "tck", "--folds", "2", "--dim", "5",
+                    "--variant", variant, "--folds", "2", "--dim", "5",
                     "--seed", "3", "--out", out, *SMALL])
         assert code == 0
         lines = (out / "metrics.csv").read_text().splitlines()
@@ -203,6 +207,50 @@ class TestEval:
                     "--out", tmp_path / "x"])
         assert code == 1
         assert "schema" in capsys.readouterr().err
+
+
+class TestLabelOptionsFailBeforeFitting:
+    """Bad label options exit 1 naming the flag, before any base model is
+    fitted: fit_map_em is replaced by a function that must not be called."""
+
+    @pytest.fixture(autouse=True)
+    def no_fits(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a base model was fitted")
+        monkeypatch.setattr("tck.ensemble.fit_map_em", refuse)
+
+    @pytest.mark.parametrize("command, options, flag", [
+        pytest.param("train", ["--variant", "sstck", "--h", "2"], "--h",
+                     id="train-h-above-1"),
+        pytest.param("train", ["--variant", "sstck_im", "--h", "0"], "--h",
+                     id="train-h-0"),
+        pytest.param("train", ["--variant", "sstck", "--n-labeled", "1"],
+                     "--n-labeled", id="train-fewer-labels-than-classes"),
+        pytest.param("train", ["--variant", "sstck_im", "--n-labeled", "-3"],
+                     "--n-labeled", id="train-negative-labels"),
+        pytest.param("eval", ["--folds", "2"], "--variant",
+                     id="folds-without-variant"),
+        pytest.param("eval", ["--folds", "2", "--variant", "sstck", "--h", "1.5"],
+                     "--h", id="folds-h-above-1"),
+        pytest.param("eval", ["--folds", "2", "--variant", "sstck",
+                              "--n-labeled", "0"], "--n-labeled",
+                     id="folds-no-labels"),
+    ])
+    def test_fails_naming_the_flag(self, tmp_path, var1_dir, capsys,
+                                   command, options, flag):
+        code = run([command, "--data", var1_dir / "train.csv",
+                    "--labels", var1_dir / "train_labels.csv", *options,
+                    "--seed", "2", "--out", tmp_path / "x", *SMALL])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"tck {command}: ") and flag in err
+        assert not (tmp_path / "x" / "ensemble").exists()
+
+    def test_reproduce_checks_labels_before_fitting(self, tmp_path, capsys):
+        code = run(["reproduce", "--table", "var1", "--replicates", "1",
+                    "--h", "2", "--out", tmp_path / "r", *SMALL])
+        assert code == 1
+        assert "--h" in capsys.readouterr().err
 
 
 class TestReproduce:

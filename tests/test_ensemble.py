@@ -6,7 +6,7 @@ import pytest
 
 import tck.ensemble as ens_mod
 from tck.data import Dataset, standardize
-from tck.ensemble import (EnsembleConfig, apply_posterior_transform, cosine,
+from tck.ensemble import (EnsembleConfig, apply_posterior_transform,
                           kernel_test, load_ensemble, load_kernel,
                           sample_configs, save_ensemble, save_kernel,
                           train_ensemble)
@@ -30,6 +30,14 @@ def blob_dataset(seed=0, n=30, v=2, t=10, missing=0.3):
 def small_config(seed=0, mode=GAUSSIAN_ONLY, n_init=10, counts=(2, 3)):
     return EnsembleConfig(n_init=n_init, component_counts=counts, t_min=4,
                           seed=seed, mode=mode)
+
+
+def train_supervised(data, cfg):
+    """(ensemble, train kernel) of the supervised variant: the base ensemble
+    fitted on two-class data, then its fully labeled transforms attached."""
+    base, _ = train_ensemble(data, cfg)
+    return apply_posterior_transform(
+        base, make_supervised_factory(labels_to_onehot(data.labels, 2)))
 
 
 class TestSampleConfigs:
@@ -71,6 +79,17 @@ class TestSampleConfigs:
         cfg = small_config()
         with pytest.raises(ValueError, match="lower t_min"):
             sample_configs(cfg, n=10, v=2, t=3)
+
+
+def cosine(post_a, post_b):
+    """Inner product of the l2-normalized vectors; in [0, 1] for posteriors.
+    The per-pair reference against which the kernel paths are checked."""
+    a = np.asarray(post_a, dtype=float)
+    b = np.asarray(post_b, dtype=float)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("cosine of a zero vector is undefined")
+    return float(a @ b / (na * nb))
 
 
 class TestCosine:
@@ -172,22 +191,43 @@ def test_masked_cells_never_enter_the_kernel():
 
 
 class TestFailureHandling:
-    def test_failed_models_are_recorded_and_skipped(self, monkeypatch):
-        data = blob_dataset(seed=12)
-        cfg = small_config(seed=12, n_init=20, counts=(2,))
+    @staticmethod
+    def inject_failures(monkeypatch, bad=(0, 4)):
+        """Make the fits whose seed is in ``bad`` modulo 20 raise: two of the
+        20 fits of ``small_config(seed=12, n_init=20, counts=(2,))``."""
         original = ens_mod.fit_map_em
-        bad = {3, 7}
 
         def flaky(sub, q2, hp, seed, **kw):
             if seed % 20 in bad:
-                raise np.linalg.LinAlgError("synthetic failure")
+                raise np.linalg.LinAlgError(f"synthetic failure {seed % 20}")
             return original(sub, q2, hp, seed, **kw)
 
         monkeypatch.setattr(ens_mod, "fit_map_em", flaky)
+
+    def test_failed_models_are_recorded_and_skipped(self, monkeypatch):
+        data = blob_dataset(seed=12)
+        cfg = small_config(seed=12, n_init=20, counts=(2,))
+        self.inject_failures(monkeypatch)
         ens, km = train_ensemble(data, cfg)
+        assert len(ens.failed) == 2
         assert ens.model_count + len(ens.failed) == 20
         np.testing.assert_allclose(np.diag(km.values), ens.model_count,
                                    atol=1e-9)
+
+    def test_serial_and_parallel_record_the_same_failures(self, monkeypatch):
+        data = blob_dataset(seed=12)
+        cfg = small_config(seed=12, n_init=20, counts=(2,))
+        self.inject_failures(monkeypatch)
+        serial, km_serial = train_ensemble(data, cfg, n_jobs=1)
+        parallel, km_parallel = train_ensemble(data, cfg, n_jobs=2)
+        # The pool forks, so the patched fit_map_em runs in the workers; a
+        # pool that did not see it would record no failures here.
+        assert parallel.failed
+        assert all(reason.startswith("synthetic failure")
+                   for _, _, reason in parallel.failed)
+        assert parallel.failed == serial.failed
+        assert parallel.model_count == serial.model_count
+        np.testing.assert_array_equal(km_parallel.values, km_serial.values)
 
     def test_too_many_failures_abort(self, monkeypatch):
         data = blob_dataset(seed=13)
@@ -202,23 +242,20 @@ class TestFailureHandling:
 
 
 class TestTransformsInEnsemble:
-    def test_attached_factory_matches_after_the_fact_application(self):
+    def test_applied_transforms_are_row_stochastic(self):
         data = blob_dataset(seed=14)
-        factory = make_supervised_factory(labels_to_onehot(data.labels, 2))
-        cfg = small_config(seed=14)
-        with_factory, km_a = train_ensemble(data, cfg, transform_factory=factory)
-        plain, _ = train_ensemble(data, cfg)
-        rebuilt, km_b = apply_posterior_transform(plain, factory)
-        assert np.array_equal(km_a.values, km_b.values)
-        assert with_factory.transforms is not None
-        for tm in with_factory.transforms:
+        plain, _ = train_ensemble(data, small_config(seed=14))
+        assert plain.transforms is None
+        rebuilt, _ = apply_posterior_transform(
+            plain, make_supervised_factory(labels_to_onehot(data.labels, 2)))
+        assert rebuilt.transforms is not None
+        assert len(rebuilt.transforms) == rebuilt.model_count
+        for tm in rebuilt.transforms:
             np.testing.assert_allclose(tm.weights.sum(axis=1), 1.0, atol=1e-10)
 
     def test_transform_travels_to_test_kernel(self):
         data = blob_dataset(seed=15)
-        factory = make_supervised_factory(labels_to_onehot(data.labels, 2))
-        ens, km = train_ensemble(data, small_config(seed=15),
-                                 transform_factory=factory)
+        ens, km = train_supervised(data, small_config(seed=15))
         km_star = kernel_test(ens, data)
         assert np.abs(km_star.values - km.values).max() <= 1e-12
 
@@ -235,9 +272,7 @@ class TestPersistence:
 
     def test_ensemble_directory_round_trip(self, tmp_path):
         data = blob_dataset(seed=17)
-        factory = make_supervised_factory(labels_to_onehot(data.labels, 2))
-        ens, km = train_ensemble(data, small_config(seed=17, n_init=3),
-                                 transform_factory=factory)
+        ens, km = train_supervised(data, small_config(seed=17, n_init=3))
         save_ensemble(ens, tmp_path / "ens")
         back = load_ensemble(tmp_path / "ens")
         assert back.model_count == ens.model_count
@@ -252,9 +287,7 @@ class TestEnsembleFiles:
     @pytest.fixture
     def saved(self, tmp_path):
         data = blob_dataset(seed=18)
-        factory = make_supervised_factory(labels_to_onehot(data.labels, 2))
-        ens, _ = train_ensemble(data, small_config(seed=18, n_init=2),
-                                transform_factory=factory)
+        ens, _ = train_supervised(data, small_config(seed=18, n_init=2))
         save_ensemble(ens, tmp_path / "ens")
         return tmp_path / "ens"
 
@@ -347,9 +380,7 @@ class TestKernelTestPath:
         data = blob_dataset(seed=18, n=16)
         cfg = small_config(seed=18, mode=mode, n_init=4)
         cfg.normalize_by_models = normalize
-        factory = (make_supervised_factory(labels_to_onehot(data.labels, 2))
-                   if transformed else None)
-        ens, _ = train_ensemble(data, cfg, transform_factory=factory)
+        ens, _ = (train_supervised if transformed else train_ensemble)(data, cfg)
         test = held_out(seed=19)
         np.testing.assert_allclose(kernel_test(ens, test).values,
                                    reference_kernel_test(ens, test),
@@ -358,9 +389,7 @@ class TestKernelTestPath:
     @pytest.mark.parametrize("mode", [GAUSSIAN_ONLY, MIXED_MODE])
     def test_posteriors_bit_identical_to_e_step(self, mode, monkeypatch):
         data = blob_dataset(seed=20)
-        factory = make_supervised_factory(labels_to_onehot(data.labels, 2))
-        ens, _ = train_ensemble(data, small_config(seed=20, mode=mode, n_init=4),
-                                transform_factory=factory)
+        ens, _ = train_supervised(data, small_config(seed=20, mode=mode, n_init=4))
         for i, spec in enumerate(ens.specs):
             np.testing.assert_array_equal(
                 ens.posteriors[i], e_step(ens.params[i], model_view(data, spec)))
@@ -378,10 +407,8 @@ class TestKernelTestPath:
     @pytest.mark.parametrize("transformed", [False, True])
     def test_single_series_match_bulk_columns(self, mode, transformed):
         data = blob_dataset(seed=22)
-        factory = (make_supervised_factory(labels_to_onehot(data.labels, 2))
-                   if transformed else None)
-        ens, _ = train_ensemble(data, small_config(seed=22, mode=mode, n_init=4),
-                                transform_factory=factory)
+        cfg = small_config(seed=22, mode=mode, n_init=4)
+        ens, _ = (train_supervised if transformed else train_ensemble)(data, cfg)
         test = held_out(seed=23)
         bulk = kernel_test(ens, test).values
         for j in range(test.n):
