@@ -1,8 +1,11 @@
 """Command-line front end: generate / train / eval / reproduce.
 
-Every command resolves its options from (defaults < config file < flags),
-writes a manifest echoing the resolved configuration, and is a pure function
-of its inputs and seed: identical invocations produce identical bytes.
+``main`` runs every command. Each option's default is written once, in its
+argparse definition; a ``--config`` JSON file overrides the defaults of the
+chosen command and flags override both. ``main`` creates the output
+directory and writes ``manifest.json`` from what the ``cmd_*`` handler
+returns: the resolved configuration and the files it wrote. Identical
+invocations produce identical bytes.
 """
 from __future__ import annotations
 
@@ -49,13 +52,6 @@ def _derive_seed(master: int, tag: int) -> int:
     return int(np.random.SeedSequence((master, tag)).generate_state(1)[0])
 
 
-def _out_dir(args, command: str) -> str:
-    if args.out:
-        return args.out
-    root = os.environ.get("TCK_OUTPUT_ROOT", ".")
-    return os.path.join(root, f"tck_{command}")
-
-
 def _write_manifest(out_dir: str, command: str, resolved: dict, outputs: list) -> None:
     manifest = {"command": command, "config": resolved, "outputs": outputs}
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
@@ -68,14 +64,21 @@ def _parse_k(value):
     return int(value)
 
 
-def _parse_components(text: str | None):
-    if text is None:
-        return None
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(x) for x in text.split(","))
+def _ensemble_size(args) -> tuple:
+    """(--q, --components as a tuple or None), checked before any fit."""
+    if args.q < 1:
+        raise ValueError(f"--q must be at least 1; got {args.q}")
+    if args.components is None:
+        return args.q, None
+    text = args.components.strip()
+    lo, dots, hi = text.partition("..")
+    counts = (tuple(range(int(lo), int(hi) + 1)) if dots
+              else tuple(int(x) for x in text.split(",")))
+    if not counts:
+        raise ValueError(f"--components {text} gives no component count")
+    if min(counts) < 1:
+        raise ValueError(f"--components must be at least 1; got {text}")
+    return args.q, counts
 
 
 def stratified_label_subset(labels: np.ndarray, n_labeled: int,
@@ -92,8 +95,7 @@ def stratified_label_subset(labels: np.ndarray, n_labeled: int,
         quotas[int(np.argmax(remainders))] += 1
         remainders[int(np.argmax(remainders))] = -1
     while quotas.sum() > n_labeled:
-        big = int(np.argmax(quotas))
-        quotas[big] -= 1
+        quotas[int(np.argmax(quotas))] -= 1
     out = np.zeros_like(labels)
     for c, quota in zip(classes, quotas):
         idx = np.nonzero(labels == c)[0]
@@ -107,14 +109,11 @@ def stratified_label_subset(labels: np.ndarray, n_labeled: int,
 # ------------------------------------------------------------
 
 def prepare_training_data(data: Dataset, variant: str):
-    """(prepared dataset, standardization stats) for a kernel variant."""
+    """(prepared dataset, standardization stats) for a kernel variant: the
+    statistics of its training attributes, applied as to held-out data."""
     _, _, prep = VARIANTS[variant]
-    if prep == "concat_mask":
-        data = dt.concat_mask(data)
-    prepared, stats = dt.standardize(data)
-    if prep == "zero_impute":
-        prepared = dt.zero_impute(prepared)
-    return prepared, stats
+    stats = dt.standardize(dt.concat_mask(data) if prep == "concat_mask" else data)[1]
+    return prepare_eval_data(data, variant, stats), stats
 
 
 def prepare_eval_data(data: Dataset, variant: str,
@@ -162,6 +161,11 @@ def _variant_kernels(variants, train: Dataset, cfg: EnsembleConfig, h: float,
     options checked, before the fit."""
     factories = [_transform_factory(v, train, h, n_labeled, label_seed)
                  for v in variants]
+    fewest = min(cfg.component_counts or (train.n_classes,))
+    if fewest < train.n_classes and any(f is not None for f in factories):
+        raise ValueError(f"--components must be at least the number of classes "
+                         f"({train.n_classes}) for a label-transformed variant; "
+                         f"got {fewest}")
     fitted = train_ensemble(train, cfg, n_jobs=n_jobs)
     return [fitted if f is None else apply_posterior_transform(fitted[0], f)
             for f in factories]
@@ -181,9 +185,7 @@ def _stats_from_dict(d: dict) -> StandardizationStats:
 # generate
 # ------------------------------------------------------------
 
-def cmd_generate(args, config: dict) -> int:
-    out_dir = _out_dir(args, "generate")
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_generate(args, out_dir: str):
     seed = args.seed
     outputs = []
     resolved = {"recipe": args.recipe, "seed": seed}
@@ -206,12 +208,11 @@ def cmd_generate(args, config: dict) -> int:
             info["missing_fraction_train"] = rep_tr.missing_fraction
             info["missing_fraction_test"] = rep_te.missing_fraction
         for name, ds in (("train", train), ("test", test)):
-            path = os.path.join(out_dir, f"{name}.csv")
-            label_path = os.path.join(out_dir, f"{name}_labels.csv")
-            dt.save_dataset(ds, path, label_path)
-            outputs += [f"{name}.csv", f"{name}_labels.csv"]
+            files = [f"{name}.csv", f"{name}_labels.csv"]
+            dt.save_dataset(ds, *(os.path.join(out_dir, f) for f in files))
+            outputs += files
         resolved.update({"no_missing": bool(args.no_missing), **info})
-    elif args.recipe in ("rate_mar", "rate_mnar"):
+    else:
         if not args.data or not args.labels:
             raise ValueError(f"recipe {args.recipe} requires --data and --labels")
         base = dt.load_dataset(args.data, args.labels)
@@ -233,11 +234,7 @@ def cmd_generate(args, config: dict) -> int:
             "missing_fraction": report.missing_fraction,
             "directions": report.directions.tolist(),
         })
-    else:
-        raise ValueError(f"unknown recipe {args.recipe!r}")
-
-    _write_manifest(out_dir, "generate", resolved, outputs)
-    return 0
+    return resolved, outputs
 
 
 # ------------------------------------------------------------
@@ -245,19 +242,14 @@ def cmd_generate(args, config: dict) -> int:
 # ------------------------------------------------------------
 
 def _build_config(args, seed: int) -> EnsembleConfig:
-    return EnsembleConfig(
-        n_init=args.q,
-        component_counts=_parse_components(args.components),
-        t_min=args.t_min,
-        seed=seed,
-        mode=VARIANTS[args.variant][0],
-        normalize_by_models=args.normalize,
-    )
+    n_init, counts = _ensemble_size(args)
+    return EnsembleConfig(n_init=n_init, component_counts=counts,
+                          t_min=args.t_min, seed=seed,
+                          mode=VARIANTS[args.variant][0],
+                          normalize_by_models=args.normalize)
 
 
-def cmd_train(args, config: dict) -> int:
-    out_dir = _out_dir(args, "train")
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_train(args, out_dir: str):
     raw = dt.load_dataset(args.data, args.labels)
     prepared, stats = prepare_training_data(raw, args.variant)
     cfg = _build_config(args, args.seed)
@@ -280,8 +272,7 @@ def cmd_train(args, config: dict) -> int:
         "model_count": kernel.model_count,
         "failed_models": len(ens.failed),
     }
-    _write_manifest(out_dir, "train", resolved, ["ensemble", "kernel_train.csv"])
-    return 0
+    return resolved, ["ensemble", "kernel_train.csv"]
 
 
 # ------------------------------------------------------------
@@ -308,22 +299,24 @@ def _write_embedding_csv(path, embedding_coords, labels, ids, roles) -> None:
             fh.write(f"{role},{sid},{label},{row[0]:.17g},{pc2:.17g}\n")
 
 
-def cmd_eval(args, config: dict) -> int:
-    out_dir = _out_dir(args, "eval")
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_eval(args, out_dir: str):
     if args.folds:
         return _eval_cross_validated(args, out_dir)
-
     if not args.train_dir:
         raise ValueError("--train-dir is required (output directory of `train`)")
-    with open(os.path.join(args.train_dir, "manifest.json")) as fh:
+    path = os.path.join(args.train_dir, "manifest.json")
+    with open(path) as fh:
         train_manifest = json.load(fh)
-    variant = train_manifest["config"]["variant"]
-    stats = _stats_from_dict(train_manifest["config"]["standardization"])
-    stored = train_manifest["config"]["train_labels"]
-    train_labels = None if stored is None else np.asarray(stored, dtype=np.int64)
-    if train_labels is None:
+    try:
+        config = train_manifest["config"]
+        variant, stored = config["variant"], config["train_labels"]
+        stats = _stats_from_dict(config["standardization"])
+    except KeyError as exc:
+        raise ValueError(f"{path} has no {exc} key; --train-dir must be an "
+                         f"output directory of `tck train`") from None
+    if stored is None:
         raise ValueError("training run had no labels; cannot classify")
+    train_labels = np.asarray(stored, dtype=np.int64)
     ens = load_ensemble(os.path.join(args.train_dir, "ensemble"))
     kernel_train = load_kernel(os.path.join(args.train_dir, "kernel_train.csv"))
 
@@ -355,11 +348,10 @@ def cmd_eval(args, config: dict) -> int:
                 fh.write(f"{key},{value:.17g}\n")
         outputs.append("metrics.csv")
         resolved["accuracy"] = metrics.accuracy
-    _write_manifest(out_dir, "eval", resolved, outputs)
-    return 0
+    return resolved, outputs
 
 
-def _eval_cross_validated(args, out_dir: str) -> int:
+def _eval_cross_validated(args, out_dir: str):
     if args.variant not in VARIANTS:
         raise ValueError(f"--folds needs --variant, one of {sorted(VARIANTS)}; "
                          f"got {args.variant!r}")
@@ -383,19 +375,17 @@ def _eval_cross_validated(args, out_dir: str) -> int:
 
     result = kfold_evaluate(full, pipeline, folds=args.folds, seed=args.seed,
                             positive_class=args.positive_class)
-    keys = list(result.per_fold[0].as_dict().keys())
+    rows = [(str(f), m.as_dict()) for f, m in enumerate(result.per_fold, start=1)]
+    rows += [("mean", result.mean), ("se", result.se)]
+    keys = list(rows[0][1])
     with open(os.path.join(out_dir, "metrics.csv"), "w") as fh:
         fh.write("fold," + ",".join(keys) + "\n")
-        for f, m in enumerate(result.per_fold, start=1):
-            d = m.as_dict()
-            fh.write(f"{f}," + ",".join(f"{d[k]:.17g}" for k in keys) + "\n")
-        fh.write("mean," + ",".join(f"{result.mean[k]:.17g}" for k in keys) + "\n")
-        fh.write("se," + ",".join(f"{result.se[k]:.17g}" for k in keys) + "\n")
+        for tag, d in rows:
+            fh.write(tag + "," + ",".join(f"{d[k]:.17g}" for k in keys) + "\n")
     resolved = {"variant": args.variant, "folds": args.folds, "seed": args.seed,
                 "dim": args.dim, "k": args.k,
                 "mean": result.mean, "se": result.se}
-    _write_manifest(out_dir, "eval", resolved, ["metrics.csv"])
-    return 0
+    return resolved, ["metrics.csv"]
 
 
 # ------------------------------------------------------------
@@ -407,8 +397,8 @@ def _run_var1_once(seed: int, n_init: int, component_counts, n_jobs: int,
     train, test = gen_var1(default_var1_params(), seed)
     train = inject_var1_mnar(train, seed=_derive_seed(seed, 11))
     test = inject_var1_mnar(test, seed=_derive_seed(seed, 12))
-    train_std, stats = dt.standardize(train)
-    test_std = stats.apply(test)
+    train_std, stats = prepare_training_data(train, "tck")
+    test_std = prepare_eval_data(test, "tck", stats)
 
     accuracies = {}
     for family, tag in (("tck", 21), ("tck_im", 22)):
@@ -442,11 +432,9 @@ def reproduce_var1(seed: int = 0, n_init: int = 30, component_counts=None,
     accuracies = {name: float(np.mean([rep[name] for rep in per_replicate]))
                   for name in per_replicate[0]}
 
-    rows = []
-    for name, target in VAR1_TARGETS.items():
-        measured = accuracies[name]
-        rows.append({"variant": name, "accuracy": measured, "target": target,
-                     "ok": abs(measured - target) <= VAR1_ACCURACY_TOL})
+    rows = [{"variant": name, "accuracy": accuracies[name], "target": target,
+             "ok": abs(accuracies[name] - target) <= VAR1_ACCURACY_TOL}
+            for name, target in VAR1_TARGETS.items()]
     slack = VAR1_ORDERING_SLACK
     checks = [
         {"check": "tck_im - tck >= 0.05",
@@ -463,13 +451,12 @@ def reproduce_var1(seed: int = 0, n_init: int = 30, component_counts=None,
             "replicates": replicates}
 
 
-def cmd_reproduce(args, config: dict) -> int:
-    if args.table != "var1":
-        raise ValueError("only the var1 benchmark table is reproducible at desk scale")
-    out_dir = _out_dir(args, "reproduce")
-    os.makedirs(out_dir, exist_ok=True)
-    report = reproduce_var1(seed=args.seed, n_init=args.q,
-                            component_counts=_parse_components(args.components),
+def cmd_reproduce(args, out_dir: str):
+    if args.table != "var1":            # a --config value skips argparse's choices
+        raise ValueError(f"--table must be var1; got {args.table!r}")
+    n_init, counts = _ensemble_size(args)
+    report = reproduce_var1(seed=args.seed, n_init=n_init,
+                            component_counts=counts,
                             n_jobs=args.threads, h=args.h,
                             n_labeled=args.n_labeled,
                             replicates=args.replicates)
@@ -491,8 +478,7 @@ def cmd_reproduce(args, config: dict) -> int:
     resolved = {"table": args.table, "seed": args.seed, "q": args.q,
                 "components": args.components, "h": args.h,
                 "n_labeled": args.n_labeled, "replicates": args.replicates}
-    _write_manifest(out_dir, "reproduce", resolved, ["report.csv", "report.json"])
-    return 0
+    return resolved, ["report.csv", "report.json"]
 
 
 # ------------------------------------------------------------
@@ -500,30 +486,39 @@ def cmd_reproduce(args, config: dict) -> int:
 # ------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with default option values")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
+    p.add_argument("--config", help="JSON file of option values for this "
+                                    "command; flags override them")
+    p.add_argument("--seed", type=int, default=0,
+                   help="master seed (default %(default)s)")
     p.add_argument("--out", help="output directory "
                                  "(default $TCK_OUTPUT_ROOT/tck_<command>)")
 
 
-def _add_train_like(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=int, help="random restarts per component count "
-                                         "(default 30)")
-    p.add_argument("--components", help="component counts, e.g. '2..22' or '2,3,4' "
-                                        "(default N_c..N_c+20)")
-    p.add_argument("--t-min", type=int, help="minimum segment length (default 6)")
-    p.add_argument("--h", type=float, help="anchoring threshold for "
-                                           "semi-supervised variants (default 0.1)")
-    p.add_argument("--n-labeled", type=int,
-                   help="labeled series for semi-supervised variants "
-                        "(default max(20, 3*N_c))")
-    p.add_argument("--threads", type=int,
-                   help="parallel base-model fits (default: all cores)")
-    p.add_argument("--normalize", action="store_true", default=None,
-                   help="divide the kernel by the number of base models")
+def _add_fit_options(p: argparse.ArgumentParser, note: str = "",
+                     per_model: bool = True) -> None:
+    """Ensemble options; ``note`` ends each help string. ``per_model=False``
+    leaves out --t-min and --normalize, which `reproduce` does not use."""
+    def add(flag, text, **kwargs):
+        p.add_argument(flag, help=text + note, **kwargs)
+
+    add("--q", "random restarts per component count (default %(default)s)",
+        type=int, default=30)
+    add("--components", "component counts, e.g. '2..22' or '2,3,4' "
+                        "(default N_c..N_c+20)")
+    add("--h", "anchoring threshold for semi-supervised variants "
+               "(default %(default)s)", type=float, default=0.1)
+    add("--n-labeled", "labeled series for semi-supervised variants "
+                       "(default max(20, 3*N_c))", type=int)
+    add("--threads", "parallel base-model fits (default: all cores)", type=int)
+    if per_model:
+        add("--t-min", "minimum segment length (default %(default)s)",
+            type=int, default=6)
+        add("--normalize", "divide the kernel by the number of base models",
+            action="store_true")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple:
+    """The ``tck`` parser, and its sub-parsers by command name."""
     parser = argparse.ArgumentParser(
         prog="tck",
         description="Time series cluster kernels for incompletely observed "
@@ -534,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(g)
     g.add_argument("--recipe", required=True,
                    choices=("var1", "rate_mar", "rate_mnar"))
-    g.add_argument("--no-missing", action="store_true", default=None)
+    g.add_argument("--no-missing", action="store_true",
+                   help="var1 without the missing-value injection")
     g.add_argument("--data", help="base data CSV for the rate injectors")
     g.add_argument("--labels", help="base label CSV for the rate injectors")
     g.add_argument("--target-corr", type=float,
@@ -546,66 +542,58 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", required=True)
     t.add_argument("--labels")
     t.add_argument("--variant", required=True, choices=sorted(VARIANTS))
-    _add_train_like(t)
+    _add_fit_options(t)
 
     e = sub.add_parser("eval", help="score held-out data against a trained run")
     _add_common(e)
     e.add_argument("--train-dir", help="output directory of `tck train`")
     e.add_argument("--data", required=True)
     e.add_argument("--labels")
-    e.add_argument("--dim", type=int, help="embedding dimension (default 10)")
-    e.add_argument("--k", help="nearest neighbors: an integer, or 'cv' to pick "
-                               "from {1,3,5,7,9} by 5-fold cross-validation "
-                               "(default 1)")
+    e.add_argument("--dim", type=int, default=10,
+                   help="embedding dimension (default %(default)s)")
+    e.add_argument("--k", default=1,
+                   help="nearest neighbors: an integer, or 'cv' to pick from "
+                        "{1,3,5,7,9} by 5-fold cross-validation "
+                        "(default %(default)s)")
     e.add_argument("--positive-class", type=int,
                    help="class for binary F1/sensitivity/specificity")
     e.add_argument("--folds", type=int,
                    help="run k-fold cross-validation on --data instead")
     e.add_argument("--variant", choices=sorted(VARIANTS),
-                   help="variant to train per fold (cross-validation mode)")
-    _add_train_like(e)
+                   help="variant to train per fold; with --folds only")
+    _add_fit_options(e, note="; with --folds only")
 
     r = sub.add_parser("reproduce", help="re-run the published benchmark table")
     _add_common(r)
     r.add_argument("--table", default="var1", choices=("var1",))
-    r.add_argument("--replicates", type=int,
+    r.add_argument("--replicates", type=int, default=3,
                    help="benchmark repetitions averaged into the report "
-                        "(default 3)")
-    _add_train_like(r)
-    return parser
-
-
-_DEFAULTS = {
-    "seed": 0, "q": 30, "components": None, "t_min": 6, "h": 0.1,
-    "n_labeled": None, "threads": None, "normalize": False, "dim": 10, "k": 1,
-    "folds": None, "positive_class": None, "variant": None, "out": None,
-    "replicates": 3,
-}
-
-
-def _resolve_args(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags."""
-    config = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            config = json.load(fh)
-    for key, default in _DEFAULTS.items():
-        if not hasattr(args, key):
-            continue
-        if getattr(args, key) is None:
-            setattr(args, key, config.get(key, default))
-    if getattr(args, "threads", False) is None:
-        args.threads = os.cpu_count() or 1
-    return config
+                        "(default %(default)s)")
+    _add_fit_options(r, per_model=False)
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
     try:
-        config = _resolve_args(args)
+        if args.config:
+            with open(args.config) as fh:
+                config = json.load(fh)
+            commands[args.command].set_defaults(**{
+                key: value for key, value in config.items()
+                if key in vars(args) and key != "command"})
+            args = parser.parse_args(argv)
+        if getattr(args, "threads", False) is None:
+            args.threads = os.cpu_count() or 1
+        out_dir = args.out or os.path.join(
+            os.environ.get("TCK_OUTPUT_ROOT", "."), f"tck_{args.command}")
+        os.makedirs(out_dir, exist_ok=True)
         handler = {"generate": cmd_generate, "train": cmd_train,
                    "eval": cmd_eval, "reproduce": cmd_reproduce}[args.command]
-        return handler(args, config)
+        resolved, outputs = handler(args, out_dir)
+        _write_manifest(out_dir, args.command, resolved, outputs)
+        return 0
     except (ValueError, OSError, RuntimeError, FloatingPointError) as exc:
         print(f"tck {args.command}: {exc}", file=sys.stderr)
         return 1

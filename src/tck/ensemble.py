@@ -14,7 +14,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import NamedTuple
 
 import numpy as np
@@ -484,9 +484,10 @@ def _load_parts(directory, name: str, shapes: list):
 def load_ensemble(directory) -> TrainedEnsemble:
     """Read a directory written by ``save_ensemble``.
 
-    Raises ValueError when a file is missing, when an array's size disagrees
-    with the sizes the manifest's model specs imply, or when the directory
-    was written in the older one-JSON-file-per-model layout.
+    Raises ValueError when a file is missing, when the manifest lacks a key
+    or has an unknown config key, when an array's size disagrees with the
+    sizes the manifest's model specs imply, or when the directory was written
+    in the older one-JSON-file-per-model layout.
     """
     path = os.path.join(directory, "manifest.json")
     try:
@@ -497,7 +498,17 @@ def load_ensemble(directory) -> TrainedEnsemble:
     if "model_files" in manifest:
         raise ValueError(f"{directory} was saved by an older tck (one JSON file "
                          f"per base model) and cannot be read; retrain it")
+    try:
+        return _ensemble_from_manifest(directory, path, manifest)
+    except KeyError as exc:
+        raise ValueError(f"{path} has no {exc} key") from None
+
+
+def _ensemble_from_manifest(directory, path: str, manifest: dict) -> TrainedEnsemble:
     cfg_dict = dict(manifest["config"])
+    unknown = sorted(set(cfg_dict) - {f.name for f in fields(EnsembleConfig)})
+    if unknown:
+        raise ValueError(f"{path}: unknown config key {unknown[0]!r}")
     for key in ("component_counts", "a0_range", "b0_range", "n0_range"):
         if cfg_dict.get(key) is not None:
             cfg_dict[key] = tuple(cfg_dict[key])

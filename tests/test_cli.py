@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ def generate_var1(out_dir, seed=7, extra=()):
 
 
 SMALL = ["--q", "2", "--components", "2,3", "--t-min", "4", "--threads", "1"]
+# reproduce fixes --t-min at the published value and takes no such flag
+REPRODUCE_SMALL = ["--q", "2", "--components", "2,3", "--threads", "1"]
 
 
 class TestGenerate:
@@ -209,15 +212,18 @@ class TestEval:
         assert "schema" in capsys.readouterr().err
 
 
+@pytest.fixture
+def no_fits(monkeypatch):
+    """Replace fit_map_em by a function that must not be called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a base model was fitted")
+    monkeypatch.setattr("tck.ensemble.fit_map_em", refuse)
+
+
+@pytest.mark.usefixtures("no_fits")
 class TestLabelOptionsFailBeforeFitting:
     """Bad label options exit 1 naming the flag, before any base model is
-    fitted: fit_map_em is replaced by a function that must not be called."""
-
-    @pytest.fixture(autouse=True)
-    def no_fits(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a base model was fitted")
-        monkeypatch.setattr("tck.ensemble.fit_map_em", refuse)
+    fitted."""
 
     @pytest.mark.parametrize("command, options, flag", [
         pytest.param("train", ["--variant", "sstck", "--h", "2"], "--h",
@@ -248,16 +254,80 @@ class TestLabelOptionsFailBeforeFitting:
 
     def test_reproduce_checks_labels_before_fitting(self, tmp_path, capsys):
         code = run(["reproduce", "--table", "var1", "--replicates", "1",
-                    "--h", "2", "--out", tmp_path / "r", *SMALL])
+                    "--h", "2", "--out", tmp_path / "r", *REPRODUCE_SMALL])
         assert code == 1
         assert "--h" in capsys.readouterr().err
+
+
+@pytest.mark.usefixtures("no_fits")
+class TestEnsembleOptionsFailBeforeFitting:
+    """Ensemble sizes that cannot be fitted exit 1 naming the flag, before any
+    base model is fitted. Later flags win, so each case overrides SMALL."""
+
+    @pytest.mark.parametrize("variant, options, flag", [
+        pytest.param("stck", ["--components", "1,2"], "--components",
+                     id="fewer-components-than-classes"),
+        pytest.param("tck", ["--components", "5..2"], "--components",
+                     id="empty-component-range"),
+        pytest.param("tck", ["--components", "0,2"], "--components",
+                     id="zero-components"),
+        pytest.param("tck", ["--q", "0"], "--q", id="no-restarts"),
+    ])
+    def test_fails_naming_the_flag(self, tmp_path, var1_dir, capsys,
+                                   variant, options, flag):
+        code = run(["train", "--data", var1_dir / "train.csv",
+                    "--labels", var1_dir / "train_labels.csv",
+                    "--variant", variant, "--seed", "2",
+                    "--out", tmp_path / "x", *SMALL, *options])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("tck train: ") and flag in err
+        assert not (tmp_path / "x" / "ensemble").exists()
+
+
+class TestBadTrainDir:
+    """A --train-dir that `tck train` did not write, or whose ensemble
+    manifest is damaged, exits 1 naming the file and the key."""
+
+    def eval_fails(self, train_dir, var1_dir, tmp_path, capsys):
+        code = run(["eval", "--train-dir", train_dir,
+                    "--data", var1_dir / "test.csv",
+                    "--labels", var1_dir / "test_labels.csv",
+                    "--out", tmp_path / "e"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("tck eval: ")
+        return err
+
+    def test_generate_output_is_not_a_train_run(self, tmp_path, var1_dir,
+                                                 capsys):
+        err = self.eval_fails(var1_dir, var1_dir, tmp_path, capsys)
+        assert str(var1_dir / "manifest.json") in err and "'variant'" in err
+
+    @pytest.mark.parametrize("key, damage", [
+        pytest.param("n_series", lambda m: m.pop("n_series"), id="missing-key"),
+        pytest.param("q2", lambda m: m["models"][0].pop("q2"),
+                     id="missing-model-key"),
+        pytest.param("bogus", lambda m: m["config"].update(bogus=1),
+                     id="unknown-config-key"),
+    ])
+    def test_damaged_ensemble_manifest(self, tmp_path, var1_dir, trained_dir,
+                                       capsys, key, damage):
+        run_dir = tmp_path / "run"
+        shutil.copytree(trained_dir, run_dir)
+        path = run_dir / "ensemble" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        damage(manifest)
+        path.write_text(json.dumps(manifest))
+        err = self.eval_fails(run_dir, var1_dir, tmp_path, capsys)
+        assert str(path) in err and f"'{key}'" in err
 
 
 class TestReproduce:
     def test_smoke_scale_report(self, tmp_path):
         out = tmp_path / "r"
         code = run(["reproduce", "--table", "var1", "--seed", "0",
-                    "--replicates", "1", "--out", out, *SMALL])
+                    "--replicates", "1", "--out", out, *REPRODUCE_SMALL])
         assert code == 0
         lines = (out / "report.csv").read_text().splitlines()
         assert lines[0] == "variant,accuracy,target,ok"
@@ -272,9 +342,115 @@ class TestReproduce:
         for name in ("r1", "r2"):
             out = tmp_path / name
             code = run(["reproduce", "--table", "var1", "--seed", "1",
-                        "--replicates", "1", "--out", out, *SMALL])
+                        "--replicates", "1", "--out", out, *REPRODUCE_SMALL])
             assert code == 0
             outs.append((out / "report.csv").read_bytes())
+        assert outs[0] == outs[1]
+
+
+class _FitReached(Exception):
+    """Raised in place of the ensemble fit, carrying (config, n_jobs)."""
+
+
+@pytest.fixture
+def resolve(monkeypatch):
+    """Run a CLI command up to its ensemble fit; return (config, n_jobs)."""
+    def stop(data, cfg, n_jobs=1):
+        raise _FitReached(cfg, n_jobs)
+    monkeypatch.setattr("tck.cli.train_ensemble", stop)
+
+    def resolve_argv(argv):
+        with pytest.raises(_FitReached) as info:
+            run(argv)
+        return info.value.args
+    return resolve_argv
+
+
+class TestOptionPrecedence:
+    """default < --config < flag."""
+
+    @pytest.fixture
+    def train(self, tmp_path, var1_dir):
+        return ["train", "--data", var1_dir / "train.csv",
+                "--labels", var1_dir / "train_labels.csv",
+                "--variant", "tck", "--out", tmp_path / "t"]
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        def write(**values):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(values))
+            return ["--config", path]
+        return write
+
+    def test_int_options(self, resolve, train, config):
+        cfg, _ = resolve(train)
+        assert (cfg.n_init, cfg.seed) == (30, 0)
+        cfg, _ = resolve(train + config(q=4, seed=9))
+        assert (cfg.n_init, cfg.seed) == (4, 9)
+        cfg, _ = resolve(train + config(q=4, seed=9) + ["--q", "5", "--seed", "2"])
+        assert (cfg.n_init, cfg.seed) == (5, 2)
+
+    def test_components(self, resolve, train, config):
+        assert resolve(train)[0].component_counts is None
+        assert resolve(train + config(components="2,3"))[0].component_counts == (2, 3)
+        cfg, _ = resolve(train + config(components="2,3") + ["--components", "4..5"])
+        assert cfg.component_counts == (4, 5)
+
+    def test_threads(self, resolve, train, config, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        assert resolve(train)[1] == 3
+        assert resolve(train + config(threads=2))[1] == 2
+        assert resolve(train + config(threads=2) + ["--threads", "1"])[1] == 1
+
+    def test_normalize_reaches_the_ensemble_manifest(self, tmp_path, train,
+                                                     config):
+        def normalized(extra):
+            out = tmp_path / "t"
+            shutil.rmtree(out, ignore_errors=True)
+            assert run(train + ["--q", "1", "--components", "2", "--t-min", "4",
+                                "--threads", "1", *extra]) == 0
+            manifest = json.loads((out / "ensemble" / "manifest.json").read_text())
+            return manifest["config"]["normalize_by_models"]
+
+        assert normalized([]) is False
+        assert normalized(config(normalize=True)) is True
+        assert normalized(config(normalize=False) + ["--normalize"]) is True
+
+    def test_k_keeps_its_type(self, tmp_path, var1_dir, trained_dir, config):
+        def echoed_k(extra):
+            out = tmp_path / "e"
+            assert run(["eval", "--train-dir", trained_dir,
+                        "--data", var1_dir / "test.csv",
+                        "--labels", var1_dir / "test_labels.csv",
+                        "--dim", "5", "--out", out, *extra]) == 0
+            return json.loads((out / "manifest.json").read_text())["config"]["k"]
+
+        assert echoed_k([]) == 1 and isinstance(echoed_k([]), int)
+        assert echoed_k(config(k=3)) == 3
+        assert echoed_k(config(k=5) + ["--k", "3"]) == "3"
+
+    def test_configured_table_is_checked(self, tmp_path, capsys, config,
+                                         no_fits):
+        # argparse checks choices only for flags, not for configured defaults
+        code = run(["reproduce", *config(table="ucr"), "--replicates", "1",
+                    "--out", tmp_path / "r", *REPRODUCE_SMALL])
+        assert code == 1
+        assert "--table" in capsys.readouterr().err
+
+    def test_keys_a_command_does_not_use_are_harmless(self, tmp_path, resolve,
+                                                      train, config):
+        unused = config(dim=4, folds=3, replicates=2, recipe="rate_mnar",
+                        command="eval", no_such_option=1)
+        cfg, n_jobs = resolve(train + unused + ["--threads", "1"])
+        assert (cfg.n_init, cfg.seed, cfg.component_counts) == (30, 0, None)
+        outs = []
+        for name, extra in (("plain", []), ("configured", config(
+                q=0, variant="tck", command="train", k=9, t_min=1))):
+            out = tmp_path / name
+            assert run(["generate", "--recipe", "var1", "--seed", "3",
+                        "--out", out, *extra]) == 0
+            outs.append((out / "manifest.json").read_bytes())
         assert outs[0] == outs[1]
 
 
