@@ -72,8 +72,12 @@ def _ensemble_size(args) -> tuple:
         return args.q, None
     text = args.components.strip()
     lo, dots, hi = text.partition("..")
-    counts = (tuple(range(int(lo), int(hi) + 1)) if dots
-              else tuple(int(x) for x in text.split(",")))
+    try:
+        counts = (tuple(range(int(lo), int(hi) + 1)) if dots
+                  else tuple(int(x) for x in text.split(",")))
+    except ValueError:
+        raise ValueError(f"--components {text} is not 'lo..hi' or a comma-"
+                         f"separated list of integers") from None
     if not counts:
         raise ValueError(f"--components {text} gives no component count")
     if min(counts) < 1:
@@ -573,13 +577,25 @@ def build_parser() -> tuple:
     return parser, sub.choices
 
 
+def _load_config(path) -> dict:
+    """The ``--config`` file's JSON object of option values."""
+    with open(path) as fh:
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"--config {path} is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise ValueError(f"--config {path} must hold a JSON object of option "
+                         f"values; found {type(config).__name__}")
+    return config
+
+
 def main(argv=None) -> int:
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.config:
-            with open(args.config) as fh:
-                config = json.load(fh)
+            config = _load_config(args.config)
             commands[args.command].set_defaults(**{
                 key: value for key, value in config.items()
                 if key in vars(args) and key != "command"})

@@ -5,8 +5,9 @@ subset, a random subsample of series and randomly drawn prior hyperparameters,
 and is fitted for one entry of a grid of component counts.  The kernel matrix
 accumulates, over base models, the inner products of l2-normalized posterior
 vectors; out-of-sample columns are obtained by scoring new series under the
-stored per-model parameters.  Training and test kernels read one per-model
-scoring state, derived once per ensemble.
+stored per-model parameters.  Training and test posteriors come from one
+scoring plan, derived once per ensemble, which scores a batch of series
+under a block of models and runs the softmax once per component count.
 """
 from __future__ import annotations
 
@@ -21,8 +22,7 @@ import numpy as np
 
 from .data import Dataset
 from .mixture import (HyperParams, MixtureParams, fit_map_em, GAUSSIAN_ONLY,
-                      MIXED_MODE, _component_weights, _feature_rows,
-                      _masked_arrays, _normalize_rows, _score_rows)
+                      MIXED_MODE, _component_weights, _masked_arrays)
 from .transform import TransformMatrix, apply_transform
 
 
@@ -78,38 +78,113 @@ class KernelMatrix:
         return self.values.shape
 
 
-@dataclass
-class _ModelScorer:
-    """Scores series under one base model.
+# Upper bound on the score buffers (and so on the test unit rows) that
+# ``kernel_test`` keeps for one block of consecutive base models.
+_BLOCK_BYTES = 1 << 20
 
-    The component weight rows and constants of ``params`` are built on the
-    first call and kept; ensembles that share a model's parameters share its
-    scorer.
+
+class _ScoringPlan:
+    """How to score a batch of series under each base model of an ensemble.
+
+    A batch is scored from one feature grid: the masked cells [x0 | r] of
+    the whole (V, T) grid, then sum_t x0^2 and sum_t r of every attribute
+    over every distinct model window. Each model keeps the grid columns
+    that form its ``_feature_rows`` layout, its weight rows and its
+    constants; they are built on the first ``grid`` call. The plan depends
+    on specs and parameters only, so ensembles that share a model's
+    parameters share the plan.
     """
 
-    spec: BaseModelSpec
-    params: MixtureParams
-    _weights: tuple | None = None
+    def __init__(self, specs: list, params: list, n_attributes: int,
+                 length: int):
+        self.specs, self.params = specs, params
+        self.n_attributes, self.length = n_attributes, length
+        self.q2 = np.array([s.q2 for s in specs], dtype=np.int64)
+        self.cols = None
 
-    def posteriors(self, x0: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Rows for the series of masked (N, V, T) grids x0, r: bit for bit the
-        ``e_step`` of their restriction to the model's window."""
-        if self._weights is None:
-            self._weights = _component_weights(self.params)
-        a, w = self.spec.attributes, slice(self.spec.t_start, self.spec.t_stop)
-        return _normalize_rows(_score_rows(_feature_rows(x0[:, a, w], r[:, a, w]),
-                                           *self._weights))
+    def _build(self) -> None:
+        v_dim, t_dim = self.n_attributes, self.length
+        self.windows = sorted({(s.t_start, s.t_stop) for s in self.specs})
+        window_col = {w: i for i, w in enumerate(self.windows)}
+        self.cols = []
+        for s in self.specs:
+            a = s.attributes
+            cells = (a[:, None] * t_dim + np.arange(s.t_start, s.t_stop)).ravel()
+            sums = (2 * v_dim * t_dim + a * len(self.windows)
+                    + window_col[s.t_start, s.t_stop])
+            self.cols.append(np.concatenate([cells, v_dim * t_dim + cells, sums,
+                                             sums + v_dim * len(self.windows)]))
+        weights = [_component_weights(p) for p in self.params]
+        self.weights = [w for w, _ in weights]
+        self.consts = [c for _, c in weights]
+
+    def grid(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """(n, 2VT + 2VW) feature grid of n series, W the distinct windows.
+
+        Each window sum reduces a slice whose last axis is contiguous, so it
+        adds up the same cells in the same order as ``_feature_rows`` on the
+        model's window.
+        """
+        if self.cols is None:
+            self._build()
+        cells = np.concatenate(_masked_arrays(values, mask), axis=1)  # (n, 2V, T)
+        n, two_v, t_dim = cells.shape
+        grid = np.empty((n, two_v * (t_dim + len(self.windows))))
+        grid[:, :two_v * t_dim] = cells.reshape(n, -1)
+        cells[:, :two_v // 2] **= 2                                   # [x0^2 | r]
+        sums = grid[:, two_v * t_dim:].reshape(n, two_v, len(self.windows))
+        for w, (t_start, t_stop) in enumerate(self.windows):
+            cells[:, :, t_start:t_stop].sum(axis=2, out=sums[:, :, w])
+        return grid
+
+    def blocks(self, n: int):
+        """Consecutive model ranges (start, stop) whose (n, G) score buffers
+        hold at most ``_BLOCK_BYTES`` together, or a single model."""
+        ends = np.cumsum(self.q2) * (8 * n)      # bytes through each model
+        start = 0
+        while start < len(ends):
+            before = ends[start - 1] if start else 0
+            stop = int(np.searchsorted(ends, before + _BLOCK_BYTES, side="right"))
+            stop = max(stop, start + 1)
+            yield start, stop
+            start = stop
+
+    def posteriors(self, grid: np.ndarray, models) -> np.ndarray:
+        """(k, n, G) posteriors of the grid's series under k models that
+        have G components each; slab j is, bit for bit, the ``e_step`` of
+        model ``models[j]`` on its window of the series.
+
+        Each score einsum reads C-contiguous feature rows and writes one
+        C-contiguous slab, and the softmax reduces the contiguous last axis,
+        so a slab carries the bits ``_normalize_rows(_score_rows(...))``
+        gives for that model alone.
+        """
+        post = np.empty((len(models), len(grid), self.q2[models[0]]))
+        for slab, m in zip(post, models):      # the einsum of _score_rows
+            np.einsum("nd,gd->ng", grid.take(self.cols[m], axis=1),
+                      self.weights[m], out=slab)
+        post += np.array([self.consts[m] for m in models])[:, None, :]
+        peak = post.max(axis=2)
+        finite = np.isfinite(peak)
+        if not finite.all():
+            bad = np.argwhere(~finite)[0]
+            raise ValueError(f"posterior underflow for series index {bad[1]}")
+        post -= peak[:, :, None]
+        np.exp(post, out=post)
+        post /= post.sum(axis=2, keepdims=True)
+        return post
 
 
 class _TrainRows(NamedTuple):
     """One model's side of the kernel inside an ensemble."""
 
-    transform: np.ndarray | None   # (G, n_classes) transform weights
-    post: np.ndarray               # training posteriors, transformed
-    norms: np.ndarray              # (N,) l2 norms of their rows
+    rows: np.ndarray               # unit rows if transformed, else posteriors
+    norms: np.ndarray | None       # (N,) row norms of untransformed posteriors
 
     def unit(self) -> np.ndarray:
-        return self.post / self.norms[:, None]
+        if self.norms is None:
+            return self.rows
+        return self.rows / self.norms[:, None]
 
 
 @dataclass
@@ -127,8 +202,8 @@ class TrainedEnsemble:
     failed: list = field(default_factory=list)    # (q1, q2, reason)
     # Scoring state derived on first use from the fields above, which are
     # therefore not to change once the ensemble is used; never persisted.
-    _scorers: list | None = field(default=None, init=False, repr=False,
-                                  compare=False)
+    _plan: _ScoringPlan | None = field(default=None, init=False, repr=False,
+                                       compare=False)
     _train_rows: list | None = field(default=None, init=False, repr=False,
                                      compare=False)
 
@@ -136,27 +211,27 @@ class TrainedEnsemble:
     def model_count(self) -> int:
         return len(self.specs)
 
-    def _model_scorers(self) -> list:
-        if self._scorers is None:
-            self._scorers = [_ModelScorer(spec, params)
-                             for spec, params in zip(self.specs, self.params)]
-        return self._scorers
+    def _scoring_plan(self) -> _ScoringPlan:
+        if self._plan is None:
+            self._plan = _ScoringPlan(self.specs, self.params,
+                                      self.n_attributes, self.length)
+        return self._plan
 
     def _model_train_rows(self) -> list:
         if self._train_rows is None:
-            rows = []
-            for i, post in enumerate(self.posteriors):
-                weights = None
-                if self.transforms is not None:
-                    weights = self.transforms[i].weights
-                    post = apply_transform(self.transforms[i], post)
-                rows.append(_TrainRows(weights, post, _row_norms(post)))
-            self._train_rows = rows
+            if self.transforms is None:
+                self._train_rows = [_TrainRows(post, _row_norms(post))
+                                    for post in self.posteriors]
+            else:
+                self._train_rows = [
+                    _TrainRows(_unit_rows(apply_transform(tm, post)), None)
+                    for tm, post in zip(self.transforms, self.posteriors)]
         return self._train_rows
 
 
 def _row_norms(post: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(post, axis=1)
+    """l2 norms over the last axis; a zero norm is an error."""
+    norms = np.linalg.norm(post, axis=-1)
     if (norms == 0).any():
         raise ValueError("posterior row with zero norm")
     return norms
@@ -242,8 +317,9 @@ def _fit_one(spec: BaseModelSpec, data: Dataset, cfg: EnsembleConfig,
         params, _ = fit_map_em(sub, spec.q2, spec.hp, spec.sub_seed,
                                mode=cfg.mode, max_iter=cfg.em_max_iter,
                                tol=cfg.em_tol)
-        return "ok", (params, _ModelScorer(spec, params).posteriors(
-            *_masked_arrays(data.values, data.mask)))
+        plan = _ScoringPlan([spec], [params], data.n_attributes, data.length)
+        return "ok", (params, plan.posteriors(plan.grid(data.values, data.mask),
+                                              [0])[0])
     except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
         return "failed", str(exc)
 
@@ -328,7 +404,7 @@ def apply_posterior_transform(ens: TrainedEnsemble,
     out = TrainedEnsemble(ens.config, ens.n_series, ens.n_attributes,
                           ens.length, ens.specs, ens.params, ens.posteriors,
                           transforms, ens.failed)
-    out._scorers = ens._model_scorers()
+    out._plan = ens._scoring_plan()
     return out, _train_kernel(out)
 
 
@@ -337,19 +413,38 @@ def kernel_test(ens: TrainedEnsemble, test: Dataset) -> KernelMatrix:
 
     The test data must be preprocessed with the training statistics and share
     the training schema. Failed base models are skipped, matching training.
+
+    Models are scored in blocks of consecutive models. In a block the
+    softmax, transform and norms run once per component count; per model
+    there remain the feature gather, the score einsum and the kernel GEMM
+    (and, without transforms, the division of the training rows by their
+    norms). The kernel is accumulated in model order, so every column has
+    the bits of scoring the batch one model at a time. The batch itself is
+    never split, because BLAS takes gemv for one series and GEMM for more,
+    and the two differ in the last bits.
     """
     if test.n_attributes != ens.n_attributes or test.length != ens.length:
         raise ValueError(
             f"test schema (V={test.n_attributes}, T={test.length}) does not match "
             f"training schema (V={ens.n_attributes}, T={ens.length})")
     total = np.zeros((ens.n_series, test.n))
-    if test.n:
-        x0, r = _masked_arrays(test.values, test.mask)
-        for scorer, rows in zip(ens._model_scorers(), ens._model_train_rows()):
-            post = scorer.posteriors(x0, r)
-            if rows.transform is not None:
-                post = post @ rows.transform
-            total += rows.unit() @ _unit_rows(post).T
+    if test.n and ens.model_count:
+        plan, train = ens._scoring_plan(), ens._model_train_rows()
+        grid = plan.grid(test.values, test.mask)
+        for start, stop in plan.blocks(test.n):
+            units = [None] * (stop - start)
+            q2 = plan.q2[start:stop]
+            for g in np.unique(q2):
+                models = start + np.flatnonzero(q2 == g)
+                post = plan.posteriors(grid, models)
+                if ens.transforms is not None:
+                    post = post @ np.array([ens.transforms[m].weights
+                                            for m in models])
+                post /= _row_norms(post)[:, :, None]
+                for m, unit in zip(models, post):
+                    units[m - start] = unit
+            for rows, unit in zip(train[start:stop], units):
+                total += rows.unit() @ unit.T
     if ens.config.normalize_by_models and ens.model_count:
         total /= ens.model_count
     return KernelMatrix(total, ens.model_count)

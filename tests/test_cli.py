@@ -272,6 +272,10 @@ class TestEnsembleOptionsFailBeforeFitting:
         pytest.param("tck", ["--components", "0,2"], "--components",
                      id="zero-components"),
         pytest.param("tck", ["--q", "0"], "--q", id="no-restarts"),
+        pytest.param("tck", ["--components", "2..x"], "--components",
+                     id="range-bound-not-an-integer"),
+        pytest.param("tck", ["--components", "a,3"], "--components",
+                     id="list-entry-not-an-integer"),
     ])
     def test_fails_naming_the_flag(self, tmp_path, var1_dir, capsys,
                                    variant, options, flag):
@@ -464,6 +468,21 @@ class TestConfigPlumbing:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 9
+
+    @pytest.mark.parametrize("text, problem", [
+        pytest.param("[1]", "must hold a JSON object", id="not-an-object"),
+        pytest.param("{seed: 9}", "is not valid JSON", id="invalid-json"),
+    ])
+    def test_bad_config_file_exits_naming_it(self, tmp_path, capsys, text,
+                                             problem):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = run(["generate", "--recipe", "var1", "--config", cfg,
+                    "--out", tmp_path / "g"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"tck generate: --config {cfg} ")
+        assert problem in err
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TCK_OUTPUT_ROOT", str(tmp_path))

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from tck.ensemble import (EnsembleConfig, apply_posterior_transform,
                           kernel_test, load_ensemble, load_kernel,
                           sample_configs, save_ensemble, save_kernel,
                           train_ensemble)
-from tck.mixture import GAUSSIAN_ONLY, MIXED_MODE, e_step
-from tck.transform import apply_transform, make_supervised_factory
+from tck.mixture import (GAUSSIAN_ONLY, MIXED_MODE, _component_weights,
+                         _feature_rows, _masked_arrays, _normalize_rows,
+                         _score_rows, e_step)
+from tck.transform import (apply_transform, make_semisupervised_factory,
+                           make_supervised_factory)
 from tck.data import labels_to_onehot
 
 
@@ -393,15 +397,21 @@ class TestKernelTestPath:
         for i, spec in enumerate(ens.specs):
             np.testing.assert_array_equal(
                 ens.posteriors[i], e_step(ens.params[i], model_view(data, spec)))
-        seen = []
-        normalize_rows = ens_mod._normalize_rows
-        monkeypatch.setattr(ens_mod, "_normalize_rows",
-                            lambda scores: seen.append(normalize_rows(scores)) or seen[-1])
+        # The test posteriors, as the scoring plan hands them to kernel_test.
+        seen = {}
+        posteriors = ens_mod._ScoringPlan.posteriors
+
+        def record(plan, grid, models):
+            post = posteriors(plan, grid, models)
+            seen.update((int(m), slab.copy()) for m, slab in zip(models, post))
+            return post
+
+        monkeypatch.setattr(ens_mod._ScoringPlan, "posteriors", record)
         test = held_out(seed=21)
         kernel_test(ens, test)
-        assert len(seen) == ens.model_count
-        for post, params, spec in zip(seen, ens.params, ens.specs):
-            np.testing.assert_array_equal(post, e_step(params, model_view(test, spec)))
+        assert sorted(seen) == list(range(ens.model_count))
+        for i, (params, spec) in enumerate(zip(ens.params, ens.specs)):
+            np.testing.assert_array_equal(seen[i], e_step(params, model_view(test, spec)))
 
     @pytest.mark.parametrize("mode", [GAUSSIAN_ONLY, MIXED_MODE])
     @pytest.mark.parametrize("transformed", [False, True])
@@ -430,3 +440,155 @@ class TestKernelTestPath:
         np.testing.assert_array_equal(got, fresh)
         assert not np.allclose(got, plain)
         np.testing.assert_array_equal(kernel_test(base, test).values, plain)
+
+
+def per_model_kernel_test(ens, test):
+    """kernel_test as one loop over the base models, each scoring the whole
+    batch from its own feature rows: the path that the blocked kernel_test
+    replaced, and which it must match bit for bit."""
+    total = np.zeros((ens.n_series, test.n))
+    if test.n:
+        x0, r = _masked_arrays(test.values, test.mask)
+        for i, (spec, params) in enumerate(zip(ens.specs, ens.params)):
+            a, w = spec.attributes, slice(spec.t_start, spec.t_stop)
+            post = _normalize_rows(_score_rows(_feature_rows(x0[:, a, w], r[:, a, w]),
+                                               *_component_weights(params)))
+            train = ens.posteriors[i]
+            if ens.transforms is not None:
+                train = apply_transform(ens.transforms[i], train)
+                post = post @ ens.transforms[i].weights
+            unit = train / np.linalg.norm(train, axis=1)[:, None]
+            total += unit @ (post / np.linalg.norm(post, axis=1)[:, None]).T
+    if ens.config.normalize_by_models and ens.model_count:
+        total /= ens.model_count
+    return total
+
+
+def scoring_pool(v, n=200):
+    """n held-out series with v attributes; with v > 1 the first one misses
+    its second attribute entirely."""
+    pool = blob_dataset(seed=40 + v, n=n, v=v)
+    if v > 1:
+        pool.mask[0, 1, :] = 0
+    return pool
+
+
+def sub_ensemble(ens, keep):
+    """The models of ``ens`` at the indices ``keep``, in that order."""
+    return ens_mod.TrainedEnsemble(
+        ens.config, ens.n_series, ens.n_attributes, ens.length,
+        [ens.specs[i] for i in keep], [ens.params[i] for i in keep],
+        [ens.posteriors[i] for i in keep],
+        None if ens.transforms is None else [ens.transforms[i] for i in keep],
+        ens.failed)
+
+
+def label_variant(base, data, variant):
+    """``base`` itself, or its supervised / semi-supervised sibling."""
+    if variant == "plain":
+        return base
+    onehot = labels_to_onehot(data.labels, 2)
+    if variant == "supervised":
+        return apply_posterior_transform(base, make_supervised_factory(onehot))[0]
+    onehot[1::3] = 0                    # a third of the series unlabeled
+    return apply_posterior_transform(
+        base, make_semisupervised_factory(onehot, 0.1))[0]
+
+
+def assert_matches_per_model(ens, pool, monkeypatch):
+    """kernel_test equals ``per_model_kernel_test`` bit for bit on the first
+    0 to 200 series of ``pool``, under the default block size and one so
+    small that most blocks hold a single model."""
+    for block_bytes in (ens_mod._BLOCK_BYTES, 2048):
+        monkeypatch.setattr(ens_mod, "_BLOCK_BYTES", block_bytes)
+        for n in (0, 1, 2, 3, 64, 65, 200):
+            test = pool.take(np.arange(n))
+            np.testing.assert_array_equal(kernel_test(ens, test).values,
+                                          per_model_kernel_test(ens, test))
+
+
+class TestBlockedScoringIsBitIdentical:
+    """The blocked kernel_test against the per-model loop, for each kind of
+    ensemble that blocks and component-count groups must handle."""
+
+    @pytest.mark.parametrize("mode", [GAUSSIAN_ONLY, MIXED_MODE])
+    @pytest.mark.parametrize("variant", ["plain", "supervised", "semisupervised"])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_modes_variants_and_normalization(self, mode, variant, normalize,
+                                              monkeypatch):
+        data = blob_dataset(seed=41)
+        cfg = small_config(seed=41, mode=mode, n_init=4, counts=(2, 3, 5))
+        cfg.normalize_by_models = normalize
+        ens = label_variant(train_ensemble(data, cfg)[0], data, variant)
+        assert_matches_per_model(ens, scoring_pool(2), monkeypatch)
+
+    @pytest.mark.parametrize("v", [1, 3])
+    def test_attribute_subsets(self, v, monkeypatch):
+        data = blob_dataset(seed=42, v=v)
+        cfg = small_config(seed=42, n_init=5, counts=(2, 4))
+        cfg.v_min = 1
+        ens, _ = train_ensemble(data, cfg)
+        if v == 3:      # some model reads a subset other than the first attributes
+            assert any(not np.array_equal(s.attributes, np.arange(len(s.attributes)))
+                       for s in ens.specs)
+        assert_matches_per_model(ens, scoring_pool(v), monkeypatch)
+
+    def test_repeated_and_single_use_component_counts(self, monkeypatch):
+        data = blob_dataset(seed=43)
+        ens, _ = train_ensemble(data, small_config(seed=43, n_init=3,
+                                                   counts=(2, 3, 4)))
+        # every model of 2 and 3 components, and one of the three with 4
+        keep = [i for i, s in enumerate(ens.specs) if s.q2 < 4]
+        keep.insert(2, next(i for i, s in enumerate(ens.specs) if s.q2 == 4))
+        sub = sub_ensemble(ens, keep)
+        assert sorted(s.q2 for s in sub.specs) == [2, 2, 2, 3, 3, 3, 4]
+        assert_matches_per_model(sub, scoring_pool(2), monkeypatch)
+
+    def test_ensemble_with_failed_models(self, monkeypatch):
+        data = blob_dataset(seed=12)
+        TestFailureHandling.inject_failures(monkeypatch)
+        ens, _ = train_ensemble(data, small_config(seed=12, n_init=20, counts=(2,)))
+        assert len(ens.failed) == 2
+        assert_matches_per_model(ens, scoring_pool(2), monkeypatch)
+
+    @pytest.mark.parametrize("sibling_first", [False, True])
+    def test_base_and_transformed_sibling_in_either_order(self, sibling_first,
+                                                          monkeypatch):
+        data = blob_dataset(seed=44)
+        base, _ = train_ensemble(data, small_config(seed=44, n_init=3,
+                                                    counts=(2, 3)))
+        sibling = label_variant(base, data, "supervised")
+        order = [sibling, base] if sibling_first else [base, sibling]
+        for ens in order:
+            assert_matches_per_model(ens, scoring_pool(2), monkeypatch)
+
+
+def test_warm_kernel_test_memory_is_bounded_by_the_block(monkeypatch):
+    """A warm call on 108 models and 200 series allocates at most the output,
+    the block constant and 1 MiB of slack (the feature grid, one model's
+    feature rows, one component count's temporaries and one GEMM product).
+    Keeping every model's unit rows for the whole call, as an unblocked
+    loop would, exceeds that bound."""
+    data = blob_dataset(seed=45, n=60)
+    fitted, _ = train_ensemble(data, small_config(seed=45, n_init=6,
+                                                  counts=(14, 16, 18)))
+    ens = sub_ensemble(fitted, list(range(fitted.model_count)) * 6)
+    assert ens.model_count >= 100
+    test = scoring_pool(2)
+    output = ens.n_series * test.n * 8
+    stored = sum(test.n * s.q2 * 8 for s in ens.specs)
+
+    def peak():
+        kernel_test(ens, test)                    # warm: plan and rows built
+        tracemalloc.start()
+        try:
+            kernel_test(ens, test)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    bound = output + ens_mod._BLOCK_BYTES + 1024 * 1024
+    assert stored > bound
+    assert peak() <= bound
+    monkeypatch.setattr(ens_mod, "_BLOCK_BYTES", 2 * stored)   # one block
+    assert peak() > bound
