@@ -11,8 +11,8 @@ accumulation.
 """
 
 from .data import (Dataset, FormatError, StandardizationStats, concat_mask,
-                   labels_to_onehot, load_dataset, poison_missing,
-                   resample_length, save_dataset, standardize, zero_impute)
+                   labels_to_onehot, load_dataset, save_dataset, standardize,
+                   zero_impute)
 from .mixture import (GAUSSIAN_ONLY, MIXED_MODE, HyperParams, MixtureParams,
                       PriorSpec, build_prior, component_kl, e_step, fit_map_em,
                       m_step, map_objective, symmetric_kl)

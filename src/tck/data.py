@@ -278,33 +278,6 @@ def standardize(data: Dataset) -> tuple[Dataset, StandardizationStats]:
     return stats.apply(data), stats
 
 
-def resample_length(data: Dataset, cap: int = 25) -> Dataset:
-    """Shorten series to at most ``cap`` steps with non-overlapping window means.
-
-    The output length is ``ceil(T / ceil(T / cap))``; a window's value is the
-    mean of its observed cells and its mask is set iff at least one cell was
-    observed. Series shorter than the dataset length are assumed already
-    padded with mask=0.
-    """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    t_dim = data.length
-    width = -(-t_dim // cap)          # ceil(T / cap)
-    t_out = -(-t_dim // width)        # ceil(T / width)
-    values = np.zeros((data.n, data.n_attributes, t_out))
-    mask = np.zeros((data.n, data.n_attributes, t_out), dtype=np.uint8)
-    obs = data.mask.astype(bool)
-    safe = np.where(obs, data.values, 0.0)
-    for j in range(t_out):
-        window = slice(j * width, min((j + 1) * width, t_dim))
-        counts = obs[:, :, window].sum(axis=2)
-        totals = safe[:, :, window].sum(axis=2)
-        has = counts > 0
-        values[:, :, j] = np.where(has, totals / np.maximum(counts, 1), 0.0)
-        mask[:, :, j] = has
-    return replace(data, values=values, mask=mask)
-
-
 def concat_mask(data: Dataset) -> Dataset:
     """Append the observation mask as V extra fully observed real attributes."""
     values = np.concatenate([data.values, data.mask.astype(float)], axis=1)
@@ -317,13 +290,3 @@ def zero_impute(data: Dataset) -> Dataset:
     values = np.where(data.mask.astype(bool), data.values, 0.0)
     return replace(data, values=values, mask=np.ones_like(data.mask))
 
-
-def poison_missing(data: Dataset, poison: float = np.nan) -> Dataset:
-    """Overwrite unobserved cells with a poison value (debug aid).
-
-    Downstream code must never read cells under mask=0, so piping a poisoned
-    dataset through a computation and checking the result is finite (and
-    unchanged) exposes mask violations.
-    """
-    values = np.where(data.mask.astype(bool), data.values, poison)
-    return replace(data, values=values, mask=data.mask.copy())

@@ -6,13 +6,14 @@ and is fitted for one entry of a grid of component counts.  The kernel matrix
 accumulates, over base models, the inner products of l2-normalized posterior
 vectors; out-of-sample columns are obtained by scoring new series under the
 stored per-model parameters.  Training and test posteriors come from one
-scoring plan, derived once per ensemble, which scores a batch of series
-under a block of models and runs the softmax once per component count.
+blocked pass of a scoring plan over the fitted models, which scores a batch
+of series under a block of models and runs the softmax once per count.
 """
 from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
@@ -78,8 +79,8 @@ class KernelMatrix:
         return self.values.shape
 
 
-# Upper bound on the score buffers (and so on the test unit rows) that
-# ``kernel_test`` keeps for one block of consecutive base models.
+# Upper bound on the score buffers (and so on the test unit rows) that a
+# scoring pass keeps for one block of consecutive base models.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -137,18 +138,6 @@ class _ScoringPlan:
             cells[:, :, t_start:t_stop].sum(axis=2, out=sums[:, :, w])
         return grid
 
-    def blocks(self, n: int):
-        """Consecutive model ranges (start, stop) whose (n, G) score buffers
-        hold at most ``_BLOCK_BYTES`` together, or a single model."""
-        ends = np.cumsum(self.q2) * (8 * n)      # bytes through each model
-        start = 0
-        while start < len(ends):
-            before = ends[start - 1] if start else 0
-            stop = int(np.searchsorted(ends, before + _BLOCK_BYTES, side="right"))
-            stop = max(stop, start + 1)
-            yield start, stop
-            start = stop
-
     def posteriors(self, grid: np.ndarray, models) -> np.ndarray:
         """(k, n, G) posteriors of the grid's series under k models that
         have G components each; slab j is, bit for bit, the ``e_step`` of
@@ -173,6 +162,26 @@ class _ScoringPlan:
         np.exp(post, out=post)
         post /= post.sum(axis=2, keepdims=True)
         return post
+
+    def block_posteriors(self, values: np.ndarray, mask: np.ndarray):
+        """Yield (models, post) for each component-count group of each block
+        of consecutive models, blocks in model order: ``post`` holds the
+        (k, n, G) ``posteriors`` of the n series under the k models whose
+        indices are ``models``. A block is the longest run of models whose
+        (n, G) score buffers hold at most ``_BLOCK_BYTES`` together, or a
+        single model."""
+        grid = self.grid(values, mask)
+        ends = np.cumsum(self.q2) * (8 * len(grid))     # bytes through each model
+        start = 0
+        while start < len(ends):
+            before = ends[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, before + _BLOCK_BYTES,
+                                                      side="right")))
+            q2 = self.q2[start:stop]
+            for g in np.unique(q2):
+                models = start + np.flatnonzero(q2 == g)
+                yield models, self.posteriors(grid, models)
+            start = stop
 
 
 class _TrainRows(NamedTuple):
@@ -305,10 +314,10 @@ def asdict_config(cfg: EnsembleConfig) -> dict:
 
 def _fit_one(spec: BaseModelSpec, data: Dataset, cfg: EnsembleConfig,
              row_of_id: dict) -> tuple:
-    """Fit one base model and score every series of the full dataset.
+    """Fit one base model on its subsample, attributes and window.
 
-    Returns ("ok", (params, posteriors)), or ("failed", reason) when the fit
-    fails; the serial loop and the pool workers both go through here.
+    Returns ("ok", params), or ("failed", reason) when the fit fails; the
+    serial loop and the pool workers both go through here.
     """
     try:
         rows = np.array([row_of_id[i] for i in spec.subsample_ids])
@@ -317,9 +326,7 @@ def _fit_one(spec: BaseModelSpec, data: Dataset, cfg: EnsembleConfig,
         params, _ = fit_map_em(sub, spec.q2, spec.hp, spec.sub_seed,
                                mode=cfg.mode, max_iter=cfg.em_max_iter,
                                tol=cfg.em_tol)
-        plan = _ScoringPlan([spec], [params], data.n_attributes, data.length)
-        return "ok", (params, plan.posteriors(plan.grid(data.values, data.mask),
-                                              [0])[0])
+        return "ok", params
     except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
         return "failed", str(exc)
 
@@ -339,9 +346,10 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig,
                    n_jobs: int = 1) -> tuple[TrainedEnsemble, KernelMatrix]:
     """Fit the ensemble on standardized data and accumulate the train kernel.
 
-    Base models that fail to fit are skipped and recorded; more than 10%
-    failures aborts training. Label transforms are attached afterwards with
-    ``apply_posterior_transform``.
+    Workers only fit; this process then scores the training series under
+    all fitted models at once. Base models that fail to fit or to score are
+    skipped and recorded; more than 10% failures aborts training. Label
+    transforms are attached afterwards with ``apply_posterior_transform``.
     """
     cfg = _resolve_counts(cfg, data)
     if data.n < max(cfg.component_counts):
@@ -352,29 +360,42 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig,
                            ids=data.ids)
     row_of_id = {int(i): r for r, i in enumerate(data.ids)}
 
-    if n_jobs > 1:
+    if n_jobs > 1:      # forked workers, whatever the platform default
         with ProcessPoolExecutor(max_workers=n_jobs, initializer=_worker_init,
-                                 initargs=(data, cfg, row_of_id)) as pool:
+                                 initargs=(data, cfg, row_of_id),
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
             outcomes = list(pool.map(_worker_fit, specs, chunksize=8))
     else:
         outcomes = [_fit_one(spec, data, cfg, row_of_id) for spec in specs]
 
-    kept_specs, kept_params, kept_posts, failed = [], [], [], []
-    for spec, (status, payload) in zip(specs, outcomes):
-        if status == "ok":
-            params, post = payload
-            kept_specs.append(spec)
-            kept_params.append(params)
-            kept_posts.append(post)
-        else:
-            failed.append((spec.q1, spec.q2, payload))
+    fitted = [i for i, (status, _) in enumerate(outcomes) if status == "ok"]
+    plan = _ScoringPlan([specs[i] for i in fitted], [outcomes[i][1] for i in fitted],
+                        data.n_attributes, data.length)
+    posts = {}
+    try:
+        for models, post in plan.block_posteriors(data.values, data.mask):
+            posts.update(zip(models.tolist(), post))
+    except ValueError:
+        # A model whose fit returned can still score a series outside its
+        # subsample to underflow (an observed value whose square overflows);
+        # scoring each model alone finds which.
+        grid = plan.grid(data.values, data.mask)
+        for m, i in enumerate(fitted):
+            try:
+                posts[m] = plan.posteriors(grid, [m])[0]
+            except ValueError as exc:
+                outcomes[i] = "failed", str(exc)
+    failed = [(spec.q1, spec.q2, reason)
+              for spec, (status, reason) in zip(specs, outcomes) if status == "failed"]
     if len(failed) > 0.1 * len(specs):
         raise RuntimeError(
             f"{len(failed)} of {len(specs)} base models failed; first failure: "
             f"{failed[0]}")
 
+    kept = sorted(posts)
     ens = TrainedEnsemble(cfg, data.n, data.n_attributes, data.length,
-                          kept_specs, kept_params, kept_posts, failed=failed)
+                          [plan.specs[m] for m in kept], [plan.params[m] for m in kept],
+                          [posts[m] for m in kept], failed=failed)
     return ens, _train_kernel(ens)
 
 
@@ -429,22 +450,17 @@ def kernel_test(ens: TrainedEnsemble, test: Dataset) -> KernelMatrix:
             f"training schema (V={ens.n_attributes}, T={ens.length})")
     total = np.zeros((ens.n_series, test.n))
     if test.n and ens.model_count:
-        plan, train = ens._scoring_plan(), ens._model_train_rows()
-        grid = plan.grid(test.values, test.mask)
-        for start, stop in plan.blocks(test.n):
-            units = [None] * (stop - start)
-            q2 = plan.q2[start:stop]
-            for g in np.unique(q2):
-                models = start + np.flatnonzero(q2 == g)
-                post = plan.posteriors(grid, models)
-                if ens.transforms is not None:
-                    post = post @ np.array([ens.transforms[m].weights
-                                            for m in models])
-                post /= _row_norms(post)[:, :, None]
-                for m, unit in zip(models, post):
-                    units[m - start] = unit
-            for rows, unit in zip(train[start:stop], units):
-                total += rows.unit() @ unit.T
+        train, units, done = ens._model_train_rows(), {}, 0
+        for models, post in ens._scoring_plan().block_posteriors(test.values,
+                                                                 test.mask):
+            if ens.transforms is not None:
+                post = post @ np.array([ens.transforms[m].weights
+                                        for m in models])
+            post /= _row_norms(post)[:, :, None]
+            units.update(zip(models.tolist(), post))
+            while done in units:
+                total += train[done].unit() @ units.pop(done).T
+                done += 1
     if ens.config.normalize_by_models and ens.model_count:
         total /= ens.model_count
     return KernelMatrix(total, ens.model_count)

@@ -10,6 +10,10 @@ from .data import Dataset
 from .ensemble import KernelMatrix
 
 
+# Upper bound on the coordinate differences that ``knn_predict`` holds at once.
+_KNN_BLOCK_BYTES = 1 << 20
+
+
 @dataclass
 class Embedding:
     """Kernel PCA coordinates with their (non-increasing) eigenvalues."""
@@ -85,7 +89,10 @@ def knn_predict(train_emb, train_labels, test_emb, k: int = 1,
     n_train = x_train.shape[0]
     if not (1 <= k <= n_train - (1 if exclude_self else 0)):
         raise ValueError(f"k must lie in [1, {n_train}]")
-    d2 = ((x_test[:, None, :] - x_train[None, :, :]) ** 2).sum(axis=2)
+    d2 = np.empty((len(x_test), n_train))
+    step = max(1, _KNN_BLOCK_BYTES // max(1, 8 * x_train.size))
+    for i in range(0, len(x_test), step):
+        d2[i:i + step] = ((x_test[i:i + step, None] - x_train) ** 2).sum(axis=2)
     dist = np.sqrt(np.maximum(d2, 0.0))
     if exclude_self:
         if x_test.shape[0] != n_train:

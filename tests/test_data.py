@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from tck.data import (Dataset, FormatError, concat_mask, load_dataset,
-                      poison_missing, resample_length, save_dataset,
-                      standardize, zero_impute)
+                      save_dataset, standardize, zero_impute)
+
+from poison import poison_missing
 
 
 def make_dataset(values, mask, labels=None, n_classes=0):
@@ -130,39 +131,6 @@ class TestStandardize:
                           [[[1, 1, 1], [0, 0, 0]], [[1, 0, 1], [0, 0, 0]]])
         with pytest.raises(ValueError, match="attribute 2"):
             standardize(ds)
-
-
-class TestResample:
-    @pytest.mark.parametrize("t_max,expected", [(315, 25), (205, 23), (29, 15)])
-    def test_published_lengths(self, t_max, expected):
-        ds = make_dataset(np.zeros((1, 1, t_max)), np.ones((1, 1, t_max)))
-        assert resample_length(ds, cap=25).length == expected
-
-    def test_formula_matches_window_count_oracle(self):
-        # oracle: step through the axis in ceil(T/cap)-wide windows and count
-        for t_max in range(1, 10001):
-            width = (t_max + 24) // 25
-            count = 0
-            pos = 0
-            while pos < t_max:
-                count += 1
-                pos += width
-            formula = -(-t_max // width)
-            assert formula == count
-
-    def test_window_mean_and_mask(self):
-        # width = ceil(6/3) = 2, so windows are [1,3], [10*,4], [7*,100*]
-        ds = make_dataset([[[1.0, 3.0, 10.0, 4.0, 7.0, 100.0]]],
-                          [[[1, 1, 0, 1, 0, 0]]])
-        out = resample_length(ds, cap=3)
-        assert out.length == 3
-        np.testing.assert_allclose(out.values[0, 0, :2], [2.0, 4.0])
-        assert out.mask[0, 0].tolist() == [1, 1, 0]
-
-    def test_bad_cap(self):
-        ds = make_dataset(np.zeros((1, 1, 4)), np.ones((1, 1, 4)))
-        with pytest.raises(ValueError):
-            resample_length(ds, cap=0)
 
 
 class TestMaskBaselines:

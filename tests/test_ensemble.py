@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import tracemalloc
 
@@ -18,6 +19,8 @@ from tck.transform import (apply_transform, make_semisupervised_factory,
                            make_supervised_factory)
 from tck.data import labels_to_onehot
 
+from poison import poison_missing
+
 
 def blob_dataset(seed=0, n=30, v=2, t=10, missing=0.3):
     """Two noisy clusters with some cells removed."""
@@ -36,10 +39,10 @@ def small_config(seed=0, mode=GAUSSIAN_ONLY, n_init=10, counts=(2, 3)):
                           seed=seed, mode=mode)
 
 
-def train_supervised(data, cfg):
+def train_supervised(data, cfg, n_jobs=1):
     """(ensemble, train kernel) of the supervised variant: the base ensemble
     fitted on two-class data, then its fully labeled transforms attached."""
-    base, _ = train_ensemble(data, cfg)
+    base, _ = train_ensemble(data, cfg, n_jobs)
     return apply_posterior_transform(
         base, make_supervised_factory(labels_to_onehot(data.labels, 2)))
 
@@ -182,10 +185,20 @@ class TestTrainKernel:
         assert np.array_equal(serial.values, parallel.values)
 
 
+def fail_fits(monkeypatch, fails):
+    """Make every base-model fit whose seed satisfies ``fails`` raise."""
+    original = ens_mod.fit_map_em
+
+    def flaky(sub, q2, hp, seed, **kw):
+        if fails(seed):
+            raise np.linalg.LinAlgError(f"synthetic failure {seed % 20}")
+        return original(sub, q2, hp, seed, **kw)
+
+    monkeypatch.setattr(ens_mod, "fit_map_em", flaky)
+
+
 def test_masked_cells_never_enter_the_kernel():
     """Poisoned unobserved values must not change fits, posteriors or K."""
-    from tck.data import poison_missing
-
     data = blob_dataset(seed=21, n=20)
     cfg = small_config(seed=21, n_init=3)
     _, clean = train_ensemble(data, cfg)
@@ -199,14 +212,7 @@ class TestFailureHandling:
     def inject_failures(monkeypatch, bad=(0, 4)):
         """Make the fits whose seed is in ``bad`` modulo 20 raise: two of the
         20 fits of ``small_config(seed=12, n_init=20, counts=(2,))``."""
-        original = ens_mod.fit_map_em
-
-        def flaky(sub, q2, hp, seed, **kw):
-            if seed % 20 in bad:
-                raise np.linalg.LinAlgError(f"synthetic failure {seed % 20}")
-            return original(sub, q2, hp, seed, **kw)
-
-        monkeypatch.setattr(ens_mod, "fit_map_em", flaky)
+        fail_fits(monkeypatch, lambda seed: seed % 20 in bad)
 
     def test_failed_models_are_recorded_and_skipped(self, monkeypatch):
         data = blob_dataset(seed=12)
@@ -218,20 +224,50 @@ class TestFailureHandling:
         np.testing.assert_allclose(np.diag(km.values), ens.model_count,
                                    atol=1e-9)
 
-    def test_serial_and_parallel_record_the_same_failures(self, monkeypatch):
+    @pytest.fixture(params=["fork", "spawn"])
+    def default_start_method(self, request):
+        """The process-wide default start method, restored afterwards."""
+        saved = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method(request.param, force=True)
+        yield request.param
+        multiprocessing.set_start_method(saved, force=True)
+
+    def test_serial_and_parallel_record_the_same_failures(self, monkeypatch,
+                                                          default_start_method):
         data = blob_dataset(seed=12)
         cfg = small_config(seed=12, n_init=20, counts=(2,))
         self.inject_failures(monkeypatch)
         serial, km_serial = train_ensemble(data, cfg, n_jobs=1)
         parallel, km_parallel = train_ensemble(data, cfg, n_jobs=2)
-        # The pool forks, so the patched fit_map_em runs in the workers; a
-        # pool that did not see it would record no failures here.
+        # The pool forks whatever the default, so the patched fit_map_em runs
+        # in the workers; a pool that did not see it would record no
+        # failures here.
         assert parallel.failed
         assert all(reason.startswith("synthetic failure")
                    for _, _, reason in parallel.failed)
         assert parallel.failed == serial.failed
         assert parallel.model_count == serial.model_count
         np.testing.assert_array_equal(km_parallel.values, km_serial.values)
+
+    def test_model_that_fits_but_cannot_score_a_series_is_recorded(self):
+        """A series outside a model's subsample is scored only after the fit;
+        an observed value whose square overflows makes every component score
+        of it -inf. Only that model is skipped, with the reason."""
+        data = blob_dataset(seed=0, n=30, t=20)
+        data.values[5, 0, 0] = 1e160
+        cfg = EnsembleConfig(n_init=20, component_counts=(2,), t_min=4,
+                             t_max=4, n_min=15, seed=21)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            ens, km = train_ensemble(data, cfg)
+        assert ens.failed == [(18, 2, "posterior underflow for series index 5")]
+        unscored = sample_configs(cfg, data.n, data.n_attributes, data.length,
+                                  ids=data.ids)[17]
+        assert unscored.t_start == 0 and 6 not in unscored.subsample_ids
+        assert ens.model_count == 19
+        for i, spec in enumerate(ens.specs):
+            np.testing.assert_array_equal(
+                ens.posteriors[i], e_step(ens.params[i], model_view(data, spec)))
+        np.testing.assert_allclose(np.diag(km.values), 19, atol=1e-9)
 
     def test_too_many_failures_abort(self, monkeypatch):
         data = blob_dataset(seed=13)
@@ -390,28 +426,51 @@ class TestKernelTestPath:
                                    reference_kernel_test(ens, test),
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("mode", [GAUSSIAN_ONLY, MIXED_MODE])
-    def test_posteriors_bit_identical_to_e_step(self, mode, monkeypatch):
-        data = blob_dataset(seed=20)
-        ens, _ = train_supervised(data, small_config(seed=20, mode=mode, n_init=4))
+    @staticmethod
+    def check_posteriors_equal_e_step(mode, monkeypatch, n_jobs, failing):
+        """Train with the fits at indices ``failing`` raising; pin every
+        training posterior, and every test posterior that kernel_test takes
+        from the scoring pass, to e_step on the model's view bit for bit."""
+        data, test = blob_dataset(seed=20), held_out(seed=21)
+        cfg = small_config(seed=20, mode=mode, n_init=10)
+        specs = sample_configs(cfg, data.n, data.n_attributes, data.length,
+                               ids=data.ids)
+        with monkeypatch.context() as patch:
+            bad = {specs[i].sub_seed for i in failing}
+            fail_fits(patch, lambda seed: seed in bad)
+            ens, _ = train_supervised(data, cfg, n_jobs)
+        assert [s.sub_seed for s in ens.specs] == [
+            s.sub_seed for i, s in enumerate(specs) if i not in failing]
         for i, spec in enumerate(ens.specs):
             np.testing.assert_array_equal(
                 ens.posteriors[i], e_step(ens.params[i], model_view(data, spec)))
-        # The test posteriors, as the scoring plan hands them to kernel_test.
         seen = {}
-        posteriors = ens_mod._ScoringPlan.posteriors
+        block_posteriors = ens_mod._ScoringPlan.block_posteriors
 
-        def record(plan, grid, models):
-            post = posteriors(plan, grid, models)
-            seen.update((int(m), slab.copy()) for m, slab in zip(models, post))
-            return post
+        def record(plan, values, mask):
+            for models, post in block_posteriors(plan, values, mask):
+                seen.update((int(m), slab.copy()) for m, slab in zip(models, post))
+                yield models, post
 
-        monkeypatch.setattr(ens_mod._ScoringPlan, "posteriors", record)
-        test = held_out(seed=21)
+        monkeypatch.setattr(ens_mod._ScoringPlan, "block_posteriors", record)
         kernel_test(ens, test)
         assert sorted(seen) == list(range(ens.model_count))
         for i, (params, spec) in enumerate(zip(ens.params, ens.specs)):
-            np.testing.assert_array_equal(seen[i], e_step(params, model_view(test, spec)))
+            np.testing.assert_array_equal(seen[i],
+                                          e_step(params, model_view(test, spec)))
+
+    @pytest.mark.parametrize("mode", [GAUSSIAN_ONLY, MIXED_MODE])
+    def test_posteriors_bit_identical_to_e_step(self, mode, monkeypatch):
+        self.check_posteriors_equal_e_step(mode, monkeypatch, 1, ())
+
+    @pytest.mark.parametrize("mode", [GAUSSIAN_ONLY, MIXED_MODE])
+    @pytest.mark.parametrize("n_jobs,failing", [(2, ()), (1, (1, 6)), (2, (1, 6))],
+                             ids=["pooled", "serial-failed", "pooled-failed"])
+    def test_pooled_and_failed_posteriors_bit_identical_to_e_step(
+            self, mode, n_jobs, failing, monkeypatch):
+        """Pooled fits, and failed fits that shift the kept-model indices,
+        leave every posterior equal to e_step."""
+        self.check_posteriors_equal_e_step(mode, monkeypatch, n_jobs, failing)
 
     @pytest.mark.parametrize("mode", [GAUSSIAN_ONLY, MIXED_MODE])
     @pytest.mark.parametrize("transformed", [False, True])

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import tck.evaluation as evaluation
 from tck.data import Dataset
 from tck.evaluation import (classification_metrics, kfold_evaluate,
                             knn_predict, kpca, select_k)
@@ -125,6 +128,23 @@ class TestKnn:
         got = knn_predict(train, labels, np.array([[0.0]]), k=k)
         np.testing.assert_array_equal(got, loop_knn_predict(train, labels,
                                                             np.array([[0.0]]), k))
+
+
+def test_knn_memory_is_bounded_by_the_block():
+    """At M = N = 600 and d = 10 the whole (M, N, d) difference tensor is
+    28.8 MB; knn_predict holds a block of it at a time, besides a few (M, N)
+    arrays, and predicts as the per-row reference does."""
+    rng = np.random.default_rng(7)
+    train, test = rng.normal(size=(600, 10)), rng.normal(size=(600, 10))
+    labels = rng.integers(1, 3, size=600)
+    tracemalloc.start()
+    try:
+        preds = knn_predict(train, labels, test, k=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 600 * 600 * 8 + 2 * evaluation._KNN_BLOCK_BYTES
+    np.testing.assert_array_equal(preds, loop_knn_predict(train, labels, test, 5))
 
 
 def loop_knn_predict(train, labels, test, k, exclude_self=False):
