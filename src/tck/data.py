@@ -12,6 +12,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 
+# Largest magnitude of an observed value: its square is still finite.
+_LARGEST_OBSERVED = np.sqrt(np.finfo(float).max)
+
+
 class FormatError(ValueError):
     """A dataset or label file violates the declared schema."""
 
@@ -45,12 +49,17 @@ class Dataset:
             raise ValueError("series ids must be unique")
         if self.mask.size and not np.isin(self.mask, (0, 1)).all():
             raise ValueError("mask entries must be 0 or 1")
-        bad = np.argwhere(self.mask.astype(bool) & ~np.isfinite(self.values))
+        # One pass: NaN fails the comparison, and so does any value whose
+        # square overflows, which would make the scores of its series -inf.
+        bad = np.argwhere(self.mask.astype(bool)
+                          & ~(np.abs(self.values) <= _LARGEST_OBSERVED))
         if bad.size:
             i, v, t = bad[0]
-            raise ValueError(
-                f"series {self.ids[i]}: non-finite value {self.values[i, v, t]} in "
-                f"observed cell (attribute {v + 1}, time {t + 1})")
+            x = self.values[i, v, t]
+            cell = f"{x} in observed cell (attribute {v + 1}, time {t + 1})"
+            if not np.isfinite(x):
+                raise ValueError(f"series {self.ids[i]}: non-finite value {cell}")
+            raise ValueError(f"series {self.ids[i]}: value {cell}; its square overflows")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.values.shape[0],):

@@ -5,9 +5,11 @@ subset, a random subsample of series and randomly drawn prior hyperparameters,
 and is fitted for one entry of a grid of component counts.  The kernel matrix
 accumulates, over base models, the inner products of l2-normalized posterior
 vectors; out-of-sample columns are obtained by scoring new series under the
-stored per-model parameters.  Training and test posteriors come from one
-blocked pass of a scoring plan over the fitted models, which scores a batch
-of series under a block of models and runs the softmax once per count.
+stored per-model parameters.  One accumulator sums both: the training unit
+rows against themselves, or against the test unit rows of each model.
+Training and test posteriors come from one blocked pass of a scoring plan
+over the fitted models, which scores a batch of series under a block of
+models and runs the softmax once per count.
 """
 from __future__ import annotations
 
@@ -16,14 +18,15 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, asdict
-from typing import NamedTuple
+from dataclasses import dataclass, field, fields, asdict, replace
+from functools import cached_property
 
 import numpy as np
 
 from .data import Dataset
 from .mixture import (HyperParams, MixtureParams, fit_map_em, GAUSSIAN_ONLY,
-                      MIXED_MODE, _component_weights, _masked_arrays)
+                      MIXED_MODE, _component_weights, _masked_arrays,
+                      _normalize_rows)
 from .transform import TransformMatrix, apply_transform
 
 
@@ -153,15 +156,7 @@ class _ScoringPlan:
             np.einsum("nd,gd->ng", grid.take(self.cols[m], axis=1),
                       self.weights[m], out=slab)
         post += np.array([self.consts[m] for m in models])[:, None, :]
-        peak = post.max(axis=2)
-        finite = np.isfinite(peak)
-        if not finite.all():
-            bad = np.argwhere(~finite)[0]
-            raise ValueError(f"posterior underflow for series index {bad[1]}")
-        post -= peak[:, :, None]
-        np.exp(post, out=post)
-        post /= post.sum(axis=2, keepdims=True)
-        return post
+        return _normalize_rows(post)
 
     def block_posteriors(self, values: np.ndarray, mask: np.ndarray):
         """Yield (models, post) for each component-count group of each block
@@ -184,21 +179,12 @@ class _ScoringPlan:
             start = stop
 
 
-class _TrainRows(NamedTuple):
-    """One model's side of the kernel inside an ensemble."""
-
-    rows: np.ndarray               # unit rows if transformed, else posteriors
-    norms: np.ndarray | None       # (N,) row norms of untransformed posteriors
-
-    def unit(self) -> np.ndarray:
-        if self.norms is None:
-            return self.rows
-        return self.rows / self.norms[:, None]
-
-
 @dataclass
 class TrainedEnsemble:
-    """Per-model specs, fitted parameters and training posteriors."""
+    """Per-model specs, fitted parameters and training posteriors.
+
+    The scoring plan and the training rows are cached on first use (never
+    persisted), so the fields must not change once the ensemble is used."""
 
     config: EnsembleConfig
     n_series: int
@@ -209,33 +195,24 @@ class TrainedEnsemble:
     posteriors: list                              # (N, q2) raw responsibilities
     transforms: list | None = None                # TransformMatrix per success
     failed: list = field(default_factory=list)    # (q1, q2, reason)
-    # Scoring state derived on first use from the fields above, which are
-    # therefore not to change once the ensemble is used; never persisted.
-    _plan: _ScoringPlan | None = field(default=None, init=False, repr=False,
-                                       compare=False)
-    _train_rows: list | None = field(default=None, init=False, repr=False,
-                                     compare=False)
 
     @property
     def model_count(self) -> int:
         return len(self.specs)
 
-    def _scoring_plan(self) -> _ScoringPlan:
-        if self._plan is None:
-            self._plan = _ScoringPlan(self.specs, self.params,
-                                      self.n_attributes, self.length)
-        return self._plan
+    @cached_property
+    def _plan(self) -> _ScoringPlan:
+        return _ScoringPlan(self.specs, self.params, self.n_attributes,
+                            self.length)
 
-    def _model_train_rows(self) -> list:
-        if self._train_rows is None:
-            if self.transforms is None:
-                self._train_rows = [_TrainRows(post, _row_norms(post))
-                                    for post in self.posteriors]
-            else:
-                self._train_rows = [
-                    _TrainRows(_unit_rows(apply_transform(tm, post)), None)
-                    for tm, post in zip(self.transforms, self.posteriors)]
-        return self._train_rows
+    @cached_property
+    def _train_rows(self) -> list:
+        """Each model's side of the kernel: (unit rows, None) if transformed,
+        else (posteriors, their row norms)."""
+        if self.transforms is None:
+            return [(post, _row_norms(post)) for post in self.posteriors]
+        return [(_unit_rows(apply_transform(tm, post)), None)
+                for tm, post in zip(self.transforms, self.posteriors)]
 
 
 def _row_norms(post: np.ndarray) -> np.ndarray:
@@ -377,8 +354,8 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig,
             posts.update(zip(models.tolist(), post))
     except ValueError:
         # A model whose fit returned can still score a series outside its
-        # subsample to underflow (an observed value whose square overflows);
-        # scoring each model alone finds which.
+        # subsample to underflow (an observed value so large that a score
+        # overflows); scoring each model alone finds which.
         grid = plan.grid(data.values, data.mask)
         for m, i in enumerate(fitted):
             try:
@@ -396,16 +373,24 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig,
     ens = TrainedEnsemble(cfg, data.n, data.n_attributes, data.length,
                           [plan.specs[m] for m in kept], [plan.params[m] for m in kept],
                           [posts[m] for m in kept], failed=failed)
-    return ens, _train_kernel(ens)
+    return ens, _accumulate(ens, ens.n_series)
 
 
-def _train_kernel(ens: TrainedEnsemble) -> KernelMatrix:
-    total = np.zeros((ens.n_series, ens.n_series))
-    for rows in ens._model_train_rows():
-        unit = rows.unit()
-        gram = unit @ unit.T
-        np.fill_diagonal(gram, 1.0)     # self-similarity is 1 by definition
-        total += 0.5 * (gram + gram.T)  # exact symmetry
+def _accumulate(ens: TrainedEnsemble, n: int, columns=None) -> KernelMatrix:
+    """The (N, n) kernel: over models in order, the sum of each model's
+    training unit rows times the unit rows that ``columns`` yields for it.
+
+    Without ``columns`` this is the train kernel: each model adds ``u @ u.T``,
+    which BLAS (syrk) returns exactly symmetric, and the diagonal, a
+    self-similarity of 1 per model, is set to the model count at the end.
+    """
+    total = np.zeros((ens.n_series, n))
+    if n:                   # an empty batch has no columns to score
+        for rows, norms in ens._train_rows:
+            unit = rows if norms is None else rows / norms[:, None]
+            total += unit @ (unit if columns is None else next(columns)).T
+    if columns is None:
+        np.fill_diagonal(total, ens.model_count)
     if ens.config.normalize_by_models and ens.model_count:
         total /= ens.model_count
     return KernelMatrix(total, ens.model_count)
@@ -420,13 +405,31 @@ def apply_posterior_transform(ens: TrainedEnsemble,
     posteriors and parameters and returns a TransformMatrix; posteriors are
     mapped through it before normalization, in the training and test kernels.
     """
-    transforms = [transform_factory(post, params)
-                  for post, params in zip(ens.posteriors, ens.params)]
-    out = TrainedEnsemble(ens.config, ens.n_series, ens.n_attributes,
-                          ens.length, ens.specs, ens.params, ens.posteriors,
-                          transforms, ens.failed)
-    out._plan = ens._scoring_plan()
-    return out, _train_kernel(out)
+    out = replace(ens, transforms=[transform_factory(post, params) for post, params
+                                   in zip(ens.posteriors, ens.params)])
+    out._plan = ens._plan
+    return out, _accumulate(out, out.n_series)
+
+
+def _test_units(ens: TrainedEnsemble, test: Dataset):
+    """Yield the (n, G) unit rows of the test series under each model, in
+    model order.
+
+    Models are scored in blocks of consecutive models. In a block the
+    softmax, transform and norms run once per component count; per model
+    there remain the feature gather and the score einsum. The batch itself
+    is never split, because BLAS takes gemv for one series and GEMM for
+    more, and the two differ in the last bits.
+    """
+    units, done = {}, 0
+    for models, post in ens._plan.block_posteriors(test.values, test.mask):
+        if ens.transforms is not None:
+            post = post @ np.array([ens.transforms[m].weights for m in models])
+        post /= _row_norms(post)[:, :, None]
+        units.update(zip(models.tolist(), post))
+        while done in units:
+            yield units.pop(done)
+            done += 1
 
 
 def kernel_test(ens: TrainedEnsemble, test: Dataset) -> KernelMatrix:
@@ -435,35 +438,15 @@ def kernel_test(ens: TrainedEnsemble, test: Dataset) -> KernelMatrix:
     The test data must be preprocessed with the training statistics and share
     the training schema. Failed base models are skipped, matching training.
 
-    Models are scored in blocks of consecutive models. In a block the
-    softmax, transform and norms run once per component count; per model
-    there remain the feature gather, the score einsum and the kernel GEMM
-    (and, without transforms, the division of the training rows by their
-    norms). The kernel is accumulated in model order, so every column has
-    the bits of scoring the batch one model at a time. The batch itself is
-    never split, because BLAS takes gemv for one series and GEMM for more,
-    and the two differ in the last bits.
+    The columns come from the accumulator of the train kernel, fed with the
+    test unit rows of each model in model order, so every column has the
+    bits of scoring the batch one model at a time.
     """
     if test.n_attributes != ens.n_attributes or test.length != ens.length:
         raise ValueError(
             f"test schema (V={test.n_attributes}, T={test.length}) does not match "
             f"training schema (V={ens.n_attributes}, T={ens.length})")
-    total = np.zeros((ens.n_series, test.n))
-    if test.n and ens.model_count:
-        train, units, done = ens._model_train_rows(), {}, 0
-        for models, post in ens._scoring_plan().block_posteriors(test.values,
-                                                                 test.mask):
-            if ens.transforms is not None:
-                post = post @ np.array([ens.transforms[m].weights
-                                        for m in models])
-            post /= _row_norms(post)[:, :, None]
-            units.update(zip(models.tolist(), post))
-            while done in units:
-                total += train[done].unit() @ units.pop(done).T
-                done += 1
-    if ens.config.normalize_by_models and ens.model_count:
-        total /= ens.model_count
-    return KernelMatrix(total, ens.model_count)
+    return _accumulate(ens, test.n, _test_units(ens, test))
 
 
 # ------------------------------------------------------------

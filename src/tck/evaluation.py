@@ -75,29 +75,23 @@ def kpca(kernel, d: int = 10, center: bool = True) -> tuple[Embedding, KernelPro
     return Embedding(coords, top), projector
 
 
-def knn_predict(train_emb, train_labels, test_emb, k: int = 1,
-                exclude_self: bool = False) -> np.ndarray:
+def knn_predict(train_emb, train_labels, test_emb, k: int = 1) -> np.ndarray:
     """Majority vote among the k nearest training points (Euclidean).
 
     Vote ties break toward the tied class with the smallest mean neighbor
-    distance, then toward the lowest class index. ``exclude_self`` masks the
-    diagonal for train-on-train scoring.
+    distance, then toward the lowest class index.
     """
     x_train = train_emb.coords if isinstance(train_emb, Embedding) else np.asarray(train_emb)
     x_test = test_emb.coords if isinstance(test_emb, Embedding) else np.asarray(test_emb)
     labels = np.asarray(train_labels, dtype=np.int64)
     n_train = x_train.shape[0]
-    if not (1 <= k <= n_train - (1 if exclude_self else 0)):
+    if not (1 <= k <= n_train):
         raise ValueError(f"k must lie in [1, {n_train}]")
     d2 = np.empty((len(x_test), n_train))
     step = max(1, _KNN_BLOCK_BYTES // max(1, 8 * x_train.size))
     for i in range(0, len(x_test), step):
         d2[i:i + step] = ((x_test[i:i + step, None] - x_train) ** 2).sum(axis=2)
     dist = np.sqrt(np.maximum(d2, 0.0))
-    if exclude_self:
-        if x_test.shape[0] != n_train:
-            raise ValueError("exclude_self requires test set == training set")
-        np.fill_diagonal(dist, np.inf)
 
     order = np.argsort(dist, axis=1, kind="stable")[:, :k]
     neigh_dist = np.take_along_axis(dist, order, axis=1)      # (M, k)
@@ -171,7 +165,7 @@ def select_k(train_emb, train_labels, grid=(1, 3, 5, 7, 9), folds: int = 5,
     labels = np.asarray(train_labels, dtype=np.int64)
     rng = np.random.default_rng(seed)
     folds = min(folds, len(labels))
-    fold_idx = _stratified_folds(labels, len(labels), folds, rng)
+    fold_idx = _stratified_folds(labels, folds, rng)
     best_k, best_acc = None, -1.0
     for k in grid:
         hits = total = 0
@@ -200,14 +194,10 @@ class KFoldResult:
     se: dict
 
 
-def _stratified_folds(labels, n, folds, rng) -> list[np.ndarray]:
-    """Round-robin assignment of shuffled indices, per class when labeled."""
-    assignment = np.empty(n, dtype=np.int64)
-    if labels is None:
-        pools = [np.arange(n)]
-    else:
-        labels = np.asarray(labels)
-        pools = [np.nonzero(labels == c)[0] for c in np.unique(labels)]
+def _stratified_folds(labels: np.ndarray, folds, rng) -> list[np.ndarray]:
+    """Round-robin assignment of shuffled indices, class by class."""
+    assignment = np.empty(len(labels), dtype=np.int64)
+    pools = [np.nonzero(labels == c)[0] for c in np.unique(labels)]
     slot = 0
     for pool in pools:
         pool = rng.permutation(pool)
@@ -232,7 +222,7 @@ def kfold_evaluate(data: Dataset, pipeline, folds: int = 5, seed: int = 0,
     if data.labels is None:
         raise ValueError("cross-validation requires labels")
     rng = np.random.default_rng(seed)
-    fold_idx = _stratified_folds(data.labels, data.n, folds, rng)
+    fold_idx = _stratified_folds(data.labels, folds, rng)
     per_fold = []
     for f in range(folds):
         test_rows = fold_idx[f]

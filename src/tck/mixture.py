@@ -194,14 +194,17 @@ def _log_component_scores(params: MixtureParams, feats: np.ndarray) -> np.ndarra
 
 
 def _normalize_rows(scores: np.ndarray) -> np.ndarray:
-    """Softmax per row via log-sum-exp; rows sum to 1 exactly up to fp."""
-    peak = scores.max(axis=1)
-    bad = np.nonzero(~np.isfinite(peak))[0]
-    if bad.size:
-        raise ValueError(f"posterior underflow for series index {bad[0]}")
-    post = np.exp(scores - peak[:, None])
-    post /= post.sum(axis=1, keepdims=True)
-    return post
+    """Softmax over the last axis via log-sum-exp, in place, on any leading
+    shape; the second-to-last axis indexes series. Returns ``scores``."""
+    peak = scores.max(axis=-1, keepdims=True)
+    finite = np.isfinite(peak)
+    if not finite.all():
+        bad = np.argwhere(~finite)[0]
+        raise ValueError(f"posterior underflow for series index {bad[-2]}")
+    scores -= peak
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def e_step(params: MixtureParams, data: Dataset) -> np.ndarray:

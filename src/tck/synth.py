@@ -185,7 +185,7 @@ def _sample_rates(kind: str, labels: np.ndarray, v: int, strength: float,
         width = 0.4
     elif kind == "rate_mnar":
         lo = np.where(signs[None, :] < 0, 0.7 - shift, 0.3 + shift)
-        width = np.where(signs[None, :] < 0, 0.3, 0.3)
+        width = 0.3
     else:
         raise ValueError(f"unknown injector kind {kind!r}")
     rates = np.clip(lo + width * u, 0.0, 1.0)

@@ -214,3 +214,29 @@ class TestNonFiniteObservedValues:
         write_csv(path, "# N=2,V=1,T=3,N_c=0", [(1, 1, 1, 0.5), (2, 1, 3, "nan")])
         with pytest.raises(ValueError, match=r"series 2: .*attribute 1, time 3"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("big", [1.35e154, -1e160, np.finfo(float).max])
+    def test_value_whose_square_overflows_rejected(self, big):
+        values = np.zeros((3, 2, 4))
+        values[2, 0, 3] = big
+        with pytest.raises(ValueError, match=r"series 30: value .* \(attribute 1, "
+                                             r"time 4\); its square overflows"):
+            Dataset(values, np.ones((3, 2, 4), dtype=np.uint8), None, 0,
+                    np.array([10, 20, 30]))
+
+    def test_largest_value_whose_square_is_finite_accepted(self):
+        largest = np.sqrt(np.finfo(float).max)
+        assert np.isfinite(largest ** 2)
+        values = np.zeros((2, 1, 3))
+        values[:, 0, 1] = largest, -largest
+        mask = np.ones((2, 1, 3), dtype=np.uint8)
+        mask[0, 0, 2] = 0
+        values[0, 0, 2] = 1e300             # unobserved: never read
+        Dataset(values, mask, None, 0, np.array([1, 2]))
+
+    def test_value_whose_square_overflows_fails_at_load(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, "# N=2,V=2,T=3,N_c=0", [(1, 1, 1, 0.5), (2, 2, 3, "1e160")])
+        with pytest.raises(ValueError, match=r"series 2: value 1e\+160 .*attribute 2, "
+                                             r"time 3\); its square overflows"):
+            load_dataset(path)

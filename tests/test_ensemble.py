@@ -251,14 +251,14 @@ class TestFailureHandling:
 
     def test_model_that_fits_but_cannot_score_a_series_is_recorded(self):
         """A series outside a model's subsample is scored only after the fit;
-        an observed value whose square overflows makes every component score
-        of it -inf. Only that model is skipped, with the reason."""
+        an observed value that Dataset accepts (its square is finite) can
+        still make every component score of it -inf under a model with a
+        small variance. Only that model is skipped, with the reason."""
         data = blob_dataset(seed=0, n=30, t=20)
-        data.values[5, 0, 0] = 1e160
+        data.values[5, 0, 0] = 1e154
         cfg = EnsembleConfig(n_init=20, component_counts=(2,), t_min=4,
                              t_max=4, n_min=15, seed=21)
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            ens, km = train_ensemble(data, cfg)
+        ens, km = train_ensemble(data, cfg)
         assert ens.failed == [(18, 2, "posterior underflow for series index 5")]
         unscored = sample_configs(cfg, data.n, data.n_attributes, data.length,
                                   ids=data.ids)[17]

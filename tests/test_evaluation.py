@@ -85,12 +85,6 @@ class TestKnn:
         preds = knn_predict(train, labels, np.array([[0.0]]), k=2)
         assert preds.tolist() == [1]
 
-    def test_exclude_self(self):
-        train = np.array([[0.0], [0.1], [9.0]])
-        labels = np.array([1, 2, 2])
-        preds = knn_predict(train, labels, train, k=1, exclude_self=True)
-        assert preds.tolist() == [2, 1, 2]
-
     def test_bad_k(self):
         with pytest.raises(ValueError):
             knn_predict(np.zeros((3, 1)), [1, 1, 2], np.zeros((1, 1)), k=4)
@@ -104,9 +98,6 @@ class TestKnn:
             test = rng.normal(size=(60, dim))
             np.testing.assert_array_equal(knn_predict(train, labels, test, k=k),
                                           loop_knn_predict(train, labels, test, k))
-            np.testing.assert_array_equal(
-                knn_predict(train, labels, train, k=k, exclude_self=True),
-                loop_knn_predict(train, labels, train, k, exclude_self=True))
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
     def test_matches_per_row_loop_on_constructed_ties(self, k):
@@ -147,13 +138,11 @@ def test_knn_memory_is_bounded_by_the_block():
     np.testing.assert_array_equal(preds, loop_knn_predict(train, labels, test, 5))
 
 
-def loop_knn_predict(train, labels, test, k, exclude_self=False):
+def loop_knn_predict(train, labels, test, k):
     """Reference kNN: one stable argsort and one vote per test row."""
     labels = np.asarray(labels, dtype=np.int64)
     dist = np.sqrt(np.maximum(
         ((test[:, None, :] - train[None, :, :]) ** 2).sum(axis=2), 0.0))
-    if exclude_self:
-        np.fill_diagonal(dist, np.inf)
     preds = np.empty(test.shape[0], dtype=np.int64)
     for m in range(test.shape[0]):
         order = np.argsort(dist[m], kind="stable")[:k]

@@ -1,0 +1,139 @@
+"""Property tests of the train and test kernels over random small datasets.
+
+Hypothesis draws the data (size, attributes, length, missing rate), the
+component family, the label transform and kernel normalization; each example
+trains a small ensemble. Examples are derandomized, so every run checks the
+same cases.
+"""
+from dataclasses import dataclass, replace
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from tck.data import Dataset, labels_to_onehot
+from tck.ensemble import (EnsembleConfig, apply_posterior_transform,
+                          kernel_test, train_ensemble)
+from tck.mixture import GAUSSIAN_ONLY, MIXED_MODE
+from tck.transform import make_semisupervised_factory, make_supervised_factory
+
+from poison import poison_missing
+
+CHECK = settings(derandomize=True, database=None, deadline=None, max_examples=25,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+@dataclass
+class Case:
+    train: Dataset
+    test: Dataset
+    cfg: EnsembleConfig
+    transform: str | None
+    rng: np.random.Generator
+
+
+@st.composite
+def cases(draw, n_init=2):
+    n, m = draw(st.integers(8, 14)), draw(st.integers(2, 5))
+    v, t = draw(st.integers(1, 3)), draw(st.integers(6, 9))
+    seed = draw(st.integers(0, 2 ** 16))
+    missing = draw(st.sampled_from([0.0, 0.25, 0.5]))
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n + m) % 2 + 1
+    values = (rng.normal(size=(n + m, v, t))
+              + np.where(labels == 1, 1.5, -1.5)[:, None, None])
+    mask = (rng.random((n + m, v, t)) >= missing).astype(np.uint8)
+    mask[:, :, 0] = 1                   # every attribute observed somewhere
+    data = Dataset(values, mask, labels, 2, rng.permutation(n + m) + 100)
+    cfg = EnsembleConfig(n_init=n_init, component_counts=(2, 3), t_min=4,
+                         seed=seed, em_max_iter=10,
+                         mode=draw(st.sampled_from([GAUSSIAN_ONLY, MIXED_MODE])),
+                         normalize_by_models=draw(st.booleans()))
+    transform = draw(st.sampled_from([None, "supervised", "semisupervised"]))
+    return Case(data.take(np.arange(n)), data.take(np.arange(n, n + m)), cfg,
+                transform, rng)
+
+
+def fit(case: Case, train: Dataset | None = None, cfg: EnsembleConfig | None = None):
+    """(ensemble, train kernel) of the case's variant on ``train``."""
+    train = case.train if train is None else train
+    ens, km = train_ensemble(train, case.cfg if cfg is None else cfg)
+    if case.transform is None:
+        return ens, km
+    onehot = labels_to_onehot(train.labels, train.n_classes)
+    if case.transform == "supervised":
+        return apply_posterior_transform(ens, make_supervised_factory(onehot))
+    onehot[::3] = 0                     # every third series unlabeled
+    return apply_posterior_transform(ens, make_semisupervised_factory(onehot))
+
+
+@CHECK
+@given(cases())
+def test_train_kernel_is_symmetric_psd_with_model_count_diagonal(case):
+    ens, km = fit(case)
+    k = km.values
+    assert km.model_count == ens.model_count > 0
+    assert np.array_equal(k, k.T)
+    diagonal = 1.0 if case.cfg.normalize_by_models else km.model_count
+    assert (np.diag(k) == diagonal).all()
+    eigenvalues = np.linalg.eigvalsh(k)
+    assert eigenvalues[0] >= -1e-9 * max(1.0, eigenvalues[-1])
+
+
+@CHECK
+@given(cases())
+def test_kernels_are_row_permutation_equivariant(case):
+    """Subsamples are keyed by series id, so permuted rows fit the same
+    models; only the order of sums over rows (label transforms) moves."""
+    p = case.rng.permutation(case.train.n)
+    q = case.rng.permutation(case.test.n)
+    ens, km = fit(case)
+    p_ens, p_km = fit(case, case.train.take(p))
+    np.testing.assert_allclose(p_km.values, km.values[np.ix_(p, p)],
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(kernel_test(p_ens, case.test.take(q)).values,
+                               kernel_test(ens, case.test).values[np.ix_(p, q)],
+                               rtol=1e-12, atol=1e-12)
+
+
+@CHECK
+@given(cases())
+def test_single_series_column_matches_bulk_column(case):
+    ens, _ = fit(case)
+    bulk = kernel_test(ens, case.test).values
+    for j in range(case.test.n):
+        column = kernel_test(ens, case.test.take([j])).values
+        np.testing.assert_allclose(column[:, 0], bulk[:, j], rtol=1e-12)
+
+
+@CHECK
+@given(cases(), st.sampled_from([np.nan, np.inf]))
+def test_values_in_masked_cells_never_reach_the_kernels(case, poison):
+    ens, km = fit(case)
+    p_ens, p_km = fit(case, poison_missing(case.train, poison))
+    assert np.array_equal(p_km.values, km.values)
+    assert np.array_equal(kernel_test(p_ens, poison_missing(case.test, poison)).values,
+                          kernel_test(ens, case.test).values)
+
+
+@CHECK
+@given(cases(n_init=3), st.integers(1, 2))
+def test_fewer_restarts_give_the_prefix_of_the_ensemble(case, fewer):
+    """Each spec is keyed by (seed, q1, q2), so the ensemble of Q' restarts is
+    the q1 <= Q' part of the ensemble of Q restarts, bit for bit."""
+    full, _ = fit(case)
+    part, _ = fit(case, cfg=replace(case.cfg, n_init=fewer))
+    keep = [i for i, s in enumerate(full.specs) if s.q1 <= fewer]
+    assert [(s.q1, s.q2) for s in part.specs] == [(full.specs[i].q1, full.specs[i].q2)
+                                                   for i in keep]
+    assert part.failed == [f for f in full.failed if f[0] <= fewer]
+    for mine, i in zip(range(part.model_count), keep):
+        assert np.array_equal(part.posteriors[mine], full.posteriors[i])
+        for name in ("theta", "mu", "sigma2"):
+            assert np.array_equal(getattr(part.params[mine], name),
+                                  getattr(full.params[i], name))
+    prefix = replace(full, specs=part.specs, params=[full.params[i] for i in keep],
+                     posteriors=[full.posteriors[i] for i in keep],
+                     transforms=(None if full.transforms is None
+                                 else [full.transforms[i] for i in keep]))
+    assert np.array_equal(kernel_test(prefix, case.test).values,
+                          kernel_test(part, case.test).values)
