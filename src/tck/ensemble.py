@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import Dataset
 from .mixture import (HyperParams, MixtureParams, fit_map_em, GAUSSIAN_ONLY,
-                      MIXED_MODE, _component_weights, _masked_arrays,
+                      MIXED_MODE, _component_weights, _feature_grid,
                       _normalize_rows)
 from .transform import TransformMatrix, apply_transform
 
@@ -90,56 +90,30 @@ _BLOCK_BYTES = 1 << 20
 class _ScoringPlan:
     """How to score a batch of series under each base model of an ensemble.
 
-    A batch is scored from one feature grid: the masked cells [x0 | r] of
-    the whole (V, T) grid, then sum_t x0^2 and sum_t r of every attribute
-    over every distinct model window. Each model keeps the grid columns
-    that form its ``_feature_rows`` layout, its weight rows and its
-    constants; they are built on the first ``grid`` call. The plan depends
-    on specs and parameters only, so ensembles that share a model's
-    parameters share the plan.
+    A batch is scored from one ``_feature_grid`` over every distinct model
+    window. Each model keeps the grid columns that are its ``_features``
+    on its attributes and window, its weight rows and its constants. The
+    plan depends on specs and parameters only, so ensembles that share a
+    model's parameters share the plan.
     """
 
     def __init__(self, specs: list, params: list, n_attributes: int,
                  length: int):
         self.specs, self.params = specs, params
-        self.n_attributes, self.length = n_attributes, length
         self.q2 = np.array([s.q2 for s in specs], dtype=np.int64)
-        self.cols = None
-
-    def _build(self) -> None:
-        v_dim, t_dim = self.n_attributes, self.length
-        self.windows = sorted({(s.t_start, s.t_stop) for s in self.specs})
+        self.windows = sorted({(s.t_start, s.t_stop) for s in specs})
         window_col = {w: i for i, w in enumerate(self.windows)}
+        v_dim, t_dim, n_win = n_attributes, length, len(self.windows)
         self.cols = []
-        for s in self.specs:
+        for s in specs:
             a = s.attributes
             cells = (a[:, None] * t_dim + np.arange(s.t_start, s.t_stop)).ravel()
-            sums = (2 * v_dim * t_dim + a * len(self.windows)
-                    + window_col[s.t_start, s.t_stop])
+            sums = 2 * v_dim * t_dim + a * n_win + window_col[s.t_start, s.t_stop]
             self.cols.append(np.concatenate([cells, v_dim * t_dim + cells, sums,
-                                             sums + v_dim * len(self.windows)]))
-        weights = [_component_weights(p) for p in self.params]
+                                             sums + v_dim * n_win]))
+        weights = [_component_weights(p) for p in params]
         self.weights = [w for w, _ in weights]
         self.consts = [c for _, c in weights]
-
-    def grid(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """(n, 2VT + 2VW) feature grid of n series, W the distinct windows.
-
-        Each window sum reduces a slice whose last axis is contiguous, so it
-        adds up the same cells in the same order as ``_feature_rows`` on the
-        model's window.
-        """
-        if self.cols is None:
-            self._build()
-        cells = np.concatenate(_masked_arrays(values, mask), axis=1)  # (n, 2V, T)
-        n, two_v, t_dim = cells.shape
-        grid = np.empty((n, two_v * (t_dim + len(self.windows))))
-        grid[:, :two_v * t_dim] = cells.reshape(n, -1)
-        cells[:, :two_v // 2] **= 2                                   # [x0^2 | r]
-        sums = grid[:, two_v * t_dim:].reshape(n, two_v, len(self.windows))
-        for w, (t_start, t_stop) in enumerate(self.windows):
-            cells[:, :, t_start:t_stop].sum(axis=2, out=sums[:, :, w])
-        return grid
 
     def posteriors(self, grid: np.ndarray, models) -> np.ndarray:
         """(k, n, G) posteriors of the grid's series under k models that
@@ -165,7 +139,7 @@ class _ScoringPlan:
         indices are ``models``. A block is the longest run of models whose
         (n, G) score buffers hold at most ``_BLOCK_BYTES`` together, or a
         single model."""
-        grid = self.grid(values, mask)
+        grid = _feature_grid(values, mask, self.windows)
         ends = np.cumsum(self.q2) * (8 * len(grid))     # bytes through each model
         start = 0
         while start < len(ends):
@@ -228,16 +202,22 @@ def _unit_rows(post: np.ndarray) -> np.ndarray:
 
 
 def sample_configs(cfg: EnsembleConfig, n: int, v: int, t: int,
-                   ids=None) -> list[BaseModelSpec]:
+                   ids) -> list[BaseModelSpec]:
     """Draw one BaseModelSpec per (restart, component count) pair.
 
     Each pair gets its own RNG stream keyed by (seed, q1, q2), so the list is
-    deterministic and independent of iteration order.  When series ids are
-    supplied, subsampling is keyed by sorted id rather than by position.
+    deterministic and independent of iteration order. Subsampling is keyed
+    by the sorted series ids, not by position. A config that gives no base
+    model, or a model without components, fails here, before any fit.
     """
     counts = cfg.component_counts
     if counts is None:
         raise ValueError("component_counts must be resolved before sampling")
+    if cfg.n_init < 1:
+        raise ValueError(f"n_init must be at least 1, got {cfg.n_init}")
+    if not counts or min(counts) < 1:
+        raise ValueError(f"component_counts must be a nonempty list of counts "
+                         f">= 1, got {tuple(counts)}")
     t_min = cfg.t_min
     if t < t_min:
         raise ValueError(
@@ -252,7 +232,7 @@ def sample_configs(cfg: EnsembleConfig, n: int, v: int, t: int,
         raise ValueError("attribute bounds must satisfy 1 <= v_min <= v_max <= V")
     if not (1 <= n_min <= n):
         raise ValueError("subsample bound must satisfy 1 <= n_min <= N")
-    sorted_ids = np.sort(np.asarray(ids)) if ids is not None else np.arange(n)
+    sorted_ids = np.sort(np.asarray(ids))
 
     specs = []
     for q1 in range(1, cfg.n_init + 1):
@@ -329,12 +309,12 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig,
     transforms are attached afterwards with ``apply_posterior_transform``.
     """
     cfg = _resolve_counts(cfg, data)
+    specs = sample_configs(cfg, data.n, data.n_attributes, data.length,
+                           ids=data.ids)
     if data.n < max(cfg.component_counts):
         raise ValueError(
             f"dataset has {data.n} series but the largest base model needs "
             f"{max(cfg.component_counts)}; shrink component_counts or add data")
-    specs = sample_configs(cfg, data.n, data.n_attributes, data.length,
-                           ids=data.ids)
     row_of_id = {int(i): r for r, i in enumerate(data.ids)}
 
     if n_jobs > 1:      # forked workers, whatever the platform default
@@ -356,7 +336,7 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig,
         # A model whose fit returned can still score a series outside its
         # subsample to underflow (an observed value so large that a score
         # overflows); scoring each model alone finds which.
-        grid = plan.grid(data.values, data.mask)
+        grid = _feature_grid(data.values, data.mask, plan.windows)
         for m, i in enumerate(fitted):
             try:
                 posts[m] = plan.posteriors(grid, [m])[0]

@@ -28,26 +28,26 @@ class KernelProjector:
 
     eigvecs: np.ndarray       # (N, d)
     eigenvalues: np.ndarray   # (d,)
-    centered: bool
     col_means: np.ndarray     # (N,) per-row mean of the training kernel
     grand_mean: float
 
     def transform(self, kernel) -> np.ndarray:
-        """Embed test columns; ``kernel`` is (N_train, M)."""
+        """Embed test columns, centred like the training kernel; ``kernel``
+        is (N_train, M)."""
         k = kernel.values if isinstance(kernel, KernelMatrix) else np.asarray(kernel)
-        if self.centered:
-            k = (k - k.mean(axis=0, keepdims=True)
-                 - self.col_means[:, None] + self.grand_mean)
+        k = (k - k.mean(axis=0, keepdims=True)
+             - self.col_means[:, None] + self.grand_mean)
         safe = np.where(self.eigenvalues > 0, self.eigenvalues, np.inf)
         return k.T @ (self.eigvecs / np.sqrt(safe)[None, :])
 
 
-def kpca(kernel, d: int = 10, center: bool = True) -> tuple[Embedding, KernelProjector]:
+def kpca(kernel, d: int = 10) -> tuple[Embedding, KernelProjector]:
     """Embed a symmetric PSD-up-to-tolerance kernel into d dimensions.
 
-    Coordinates are eigenvectors scaled by sqrt(eigenvalue); eigenvalues in
-    the negative tolerance band are clamped to 0. Asking for more dimensions
-    than there are nonnegative eigenvalues warns and truncates.
+    Coordinates are eigenvectors of the kernel centred in feature space,
+    scaled by sqrt(eigenvalue); eigenvalues in the negative tolerance band
+    are clamped to 0. Asking for more dimensions than there are nonnegative
+    eigenvalues warns and truncates.
     """
     k = kernel.values if isinstance(kernel, KernelMatrix) else np.asarray(kernel, dtype=float)
     n = k.shape[0]
@@ -57,9 +57,8 @@ def kpca(kernel, d: int = 10, center: bool = True) -> tuple[Embedding, KernelPro
         raise ValueError("embedding dimension cannot exceed the number of series")
     col_means = k.mean(axis=1)
     grand_mean = float(k.mean())
-    if center:
-        k = k - col_means[None, :] - col_means[:, None] + grand_mean
-        k = 0.5 * (k + k.T)
+    k = k - col_means[None, :] - col_means[:, None] + grand_mean
+    k = 0.5 * (k + k.T)
     eigenvalues, eigvecs = np.linalg.eigh(k)
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues, eigvecs = eigenvalues[order], eigvecs[:, order]
@@ -71,7 +70,7 @@ def kpca(kernel, d: int = 10, center: bool = True) -> tuple[Embedding, KernelPro
         d = nonneg
     top = np.maximum(eigenvalues[:d], 0.0)
     coords = eigvecs[:, :d] * np.sqrt(top)[None, :]
-    projector = KernelProjector(eigvecs[:, :d], top, center, col_means, grand_mean)
+    projector = KernelProjector(eigvecs[:, :d], top, col_means, grand_mean)
     return Embedding(coords, top), projector
 
 
@@ -155,19 +154,19 @@ def classification_metrics(pred, truth, positive_class=None) -> Metrics:
     return Metrics(accuracy, f1, sensitivity, specificity, tp, fp, tn, fn)
 
 
-def select_k(train_emb, train_labels, grid=(1, 3, 5, 7, 9), folds: int = 5,
-             seed: int = 0) -> int:
-    """Pick a neighbor count from a grid by cross-validating on the embedding.
+def select_k(train_emb, train_labels, seed: int = 0) -> int:
+    """Pick a neighbor count from {1, 3, 5, 7, 9} by 5-fold cross-validation
+    on the embedding.
 
     Ties on accuracy resolve toward the smaller k.
     """
     coords = train_emb.coords if isinstance(train_emb, Embedding) else np.asarray(train_emb)
     labels = np.asarray(train_labels, dtype=np.int64)
     rng = np.random.default_rng(seed)
-    folds = min(folds, len(labels))
+    folds = min(5, len(labels))
     fold_idx = _stratified_folds(labels, folds, rng)
     best_k, best_acc = None, -1.0
-    for k in grid:
+    for k in (1, 3, 5, 7, 9):
         hits = total = 0
         for f in range(folds):
             test_rows = fold_idx[f]

@@ -17,6 +17,10 @@ Gaussian parameters) with EM.  Priors: ``mu_gv ~ N(m_v, S_v)`` with
 ``S_v = s_v * Kmat`` and ``Kmat_tt' = b0 * exp(-a0 (t - t')^2)``, plus an
 inverse-Gamma-type penalty ``sigma_gv^{-N0} exp(-N0 s_v^2 / (2 sigma_gv^2))``
 that shrinks small clusters toward the dataset scale.
+
+Scores and M-step statistics are linear in per-series feature rows. One
+function, ``_feature_grid``, builds them for fits, ``e_step`` and the
+ensemble's scoring plan alike.
 """
 from __future__ import annotations
 
@@ -138,21 +142,28 @@ def build_prior(data: Dataset, hp: HyperParams) -> PriorSpec:
 # Per-fit features and component scores
 # ------------------------------------------------------------
 
-def _feature_rows(x0: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """(N, 2VT + 2V) feature rows [x0 | r | sum_t x0^2 | sum_t r].
+def _feature_grid(values: np.ndarray, mask: np.ndarray, windows) -> np.ndarray:
+    """(N, 2VT + 2VW) feature rows [x0 | r | sum_t x0^2 | sum_t r], each sum
+    per attribute over each of the W ``(t_start, t_stop)`` windows.
 
-    x0 holds the values with zeros in unobserved cells and r the float mask
-    (see ``_masked_arrays``); both may be windows of a larger masked grid.
-    Component scores and all M-step statistics are linear in these rows, so
-    a fit builds them once and reuses them in every sweep.
+    x0 is the values with zeros in unobserved cells and r the float mask.
+    Component scores and all M-step statistics are linear in one window's
+    columns. Each sum reduces a slice whose last axis is contiguous, so a
+    window's columns carry the bits of ``_features`` of that window alone.
     """
-    n, v_dim, t_dim = x0.shape
-    return np.concatenate([x0.reshape(n, v_dim * t_dim), r.reshape(n, v_dim * t_dim),
-                           (x0 ** 2).sum(axis=2), r.sum(axis=2)], axis=1)
+    cells = np.concatenate(_masked_arrays(values, mask), axis=1)  # (N, 2V, T)
+    n, two_v, t_dim = cells.shape
+    grid = np.empty((n, two_v * (t_dim + len(windows))))
+    grid[:, :two_v * t_dim] = cells.reshape(n, -1)
+    cells[:, :two_v // 2] **= 2                                   # [x0^2 | r]
+    sums = grid[:, two_v * t_dim:].reshape(n, two_v, len(windows))
+    for w, (t_start, t_stop) in enumerate(windows):
+        cells[:, :, t_start:t_stop].sum(axis=2, out=sums[:, :, w])
+    return grid
 
 
 def _features(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return _feature_rows(*_masked_arrays(values, mask))
+    return _feature_grid(values, mask, [(0, values.shape[2])])
 
 
 def _component_weights(params: MixtureParams) -> tuple[np.ndarray, np.ndarray]:

@@ -49,7 +49,6 @@ class Var1Params:
     classes: tuple[Var1ClassParams, ...]
     length: int = 50
     n_per_class: int = 100
-    noise_std: float = 1.0
 
 
 def default_var1_params() -> Var1Params:
@@ -70,26 +69,23 @@ def _noise_correlation(cls: Var1ClassParams) -> float:
     return float(corr)
 
 
-def _stationary_cov(cls: Var1ClassParams, noise_std: float) -> np.ndarray:
-    """Solve Gamma = A Gamma A' + Sigma_xi for diagonal A."""
+def _stationary_cov(cls: Var1ClassParams) -> np.ndarray:
+    """Solve Gamma = A Gamma A' + Sigma_xi for diagonal A and unit noise."""
     ar1, ar2 = cls.ar
     c = _noise_correlation(cls)
-    s2 = noise_std**2
     return np.array([
-        [s2 / (1 - ar1**2), c * s2 / (1 - ar1 * ar2)],
-        [c * s2 / (1 - ar1 * ar2), s2 / (1 - ar2**2)],
+        [1 / (1 - ar1**2), c / (1 - ar1 * ar2)],
+        [c / (1 - ar1 * ar2), 1 / (1 - ar2**2)],
     ])
 
 
 def simulate_var1_chain(cls: Var1ClassParams, length: int,
-                        rng: np.random.Generator,
-                        noise_std: float = 1.0) -> np.ndarray:
-    """One (2, length) chain started at the stationary distribution."""
+                        rng: np.random.Generator) -> np.ndarray:
+    """One (2, length) chain with unit-variance noise, started at the
+    stationary distribution."""
     c = _noise_correlation(cls)
-    s2 = noise_std**2
-    noise_cov = np.array([[s2, c * s2], [c * s2, s2]])
-    chol = np.linalg.cholesky(noise_cov)
-    start_chol = np.linalg.cholesky(_stationary_cov(cls, noise_std))
+    chol = np.linalg.cholesky(np.array([[1.0, c], [c, 1.0]]))
+    start_chol = np.linalg.cholesky(_stationary_cov(cls))
     alpha = cls.intercept
     a = np.asarray(cls.ar)
     x = np.empty((2, length))
@@ -107,8 +103,7 @@ def _gen_split(params: Var1Params, rng: np.random.Generator) -> Dataset:
     i = 0
     for label, cls in enumerate(params.classes, start=1):
         for _ in range(params.n_per_class):
-            values[i] = simulate_var1_chain(cls, params.length, rng,
-                                            params.noise_std)
+            values[i] = simulate_var1_chain(cls, params.length, rng)
             labels[i] = label
             i += 1
     mask = np.ones((n, 2, params.length), dtype=np.uint8)
@@ -144,18 +139,17 @@ def _require_labels(data: Dataset) -> np.ndarray:
     return data.labels
 
 
-def inject_var1_mnar(data: Dataset, p_class=(0.9, 0.8), threshold: float = -1.0,
-                     seed: int = 0, return_report: bool = False):
+def inject_var1_mnar(data: Dataset, seed: int = 0, return_report: bool = False):
     """Drop cells above a value threshold with class-dependent probability.
 
-    Cell (v, t) of a series with label y is removed independently with
-    probability ``p_class[y-1]`` whenever its value exceeds ``threshold``.
-    Only mask bits flip; values and labels stay untouched.
+    Cell (v, t) of a two-class series with label y is removed independently
+    with probability 0.9 (y = 1) or 0.8 (y = 2) whenever its value exceeds
+    -1. Only mask bits flip; values and labels stay untouched.
     """
     labels = _require_labels(data)
     rng = np.random.default_rng(seed)
-    p = np.asarray(p_class, dtype=float)[labels - 1]          # (N,)
-    eligible = data.mask.astype(bool) & (data.values > threshold)
+    p = np.array([0.9, 0.8])[labels - 1]                      # (N,)
+    eligible = data.mask.astype(bool) & (data.values > -1.0)
     u = rng.random(data.values.shape)
     drop = eligible & (u < p[:, None, None])
     mask = np.where(drop, 0, data.mask).astype(np.uint8)
@@ -265,14 +259,14 @@ def _label_rate_correlation(kind: str, labels: np.ndarray, v: int,
 
 
 def tune_informativeness(data: Dataset, kind: str, target_corr: float,
-                         seed: int = 0, replicates: int = 20,
-                         tol: float = 0.02, max_strength: float = 2.0) -> float:
-    """Find the strength E whose rate/label correlation matches a target.
+                         seed: int = 0) -> float:
+    """Find the strength E in [0, 2] whose rate/label correlation, averaged
+    over 20 replicates, matches a target to within 0.01.
 
     The achieved correlation rises with E until rate clamping saturates and
     then falls, so the search first brackets the peak (ternary search) and
-    then bisects the rising branch. Raises when the peak falls short of the
-    target, reporting the achievable maximum.
+    then bisects the rising branch. Raises when the peak falls more than
+    0.02 short of the target, reporting the achievable maximum.
     """
     if not (0.0 <= target_corr < 1.0):
         raise ValueError("target correlation must lie in [0, 1)")
@@ -284,9 +278,9 @@ def tune_informativeness(data: Dataset, kind: str, target_corr: float,
 
     def achieved(strength: float) -> float:
         return _label_rate_correlation(kind, labels, data.n_attributes,
-                                       strength, seed, replicates)
+                                       strength, seed, 20)
 
-    lo, hi = 0.0, max_strength
+    lo, hi = 0.0, 2.0
     for _ in range(40):
         third = (hi - lo) / 3.0
         if achieved(lo + third) < achieved(hi - third):
@@ -295,7 +289,7 @@ def tune_informativeness(data: Dataset, kind: str, target_corr: float,
             hi = hi - third
     peak = 0.5 * (lo + hi)
     top = achieved(peak)
-    if top < target_corr - tol:
+    if top < target_corr - 0.02:
         raise ValueError(
             f"target correlation {target_corr} unreachable; clamping caps the "
             f"achievable value at about {top:.3f}")
@@ -304,7 +298,7 @@ def tune_informativeness(data: Dataset, kind: str, target_corr: float,
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         value = achieved(mid)
-        if abs(value - target_corr) <= 0.5 * tol:
+        if abs(value - target_corr) <= 0.01:
             return mid
         if value < target_corr:
             lo = mid

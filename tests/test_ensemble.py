@@ -13,8 +13,7 @@ from tck.ensemble import (EnsembleConfig, apply_posterior_transform,
                           sample_configs, save_ensemble, save_kernel,
                           train_ensemble)
 from tck.mixture import (GAUSSIAN_ONLY, MIXED_MODE, _component_weights,
-                         _feature_rows, _masked_arrays, _normalize_rows,
-                         _score_rows, e_step)
+                         _features, _normalize_rows, _score_rows, e_step)
 from tck.transform import (apply_transform, make_semisupervised_factory,
                            make_supervised_factory)
 from tck.data import labels_to_onehot
@@ -51,18 +50,18 @@ class TestSampleConfigs:
     def test_grid_size(self):
         cfg = EnsembleConfig(n_init=30, component_counts=tuple(range(2, 23)),
                              seed=0)
-        specs = sample_configs(cfg, n=200, v=2, t=50)
+        specs = sample_configs(cfg, n=200, v=2, t=50, ids=np.arange(200))
         assert len(specs) == 630
 
     def test_single_cell_grid(self):
         cfg = EnsembleConfig(n_init=1, component_counts=(1,), t_min=2, seed=0)
-        specs = sample_configs(cfg, n=10, v=1, t=5)
+        specs = sample_configs(cfg, n=10, v=1, t=5, ids=np.arange(10))
         assert len(specs) == 1 and specs[0].q2 == 1
 
     def test_deterministic(self):
         cfg = small_config(seed=9)
-        a = sample_configs(cfg, 40, 3, 12)
-        b = sample_configs(cfg, 40, 3, 12)
+        a = sample_configs(cfg, 40, 3, 12, ids=np.arange(40))
+        b = sample_configs(cfg, 40, 3, 12, ids=np.arange(40))
         for s, u in zip(a, b):
             assert s.hp == u.hp and s.sub_seed == u.sub_seed
             assert np.array_equal(s.subsample_ids, u.subsample_ids)
@@ -72,7 +71,7 @@ class TestSampleConfigs:
     def test_bounds_respected(self):
         cfg = EnsembleConfig(n_init=20, component_counts=(2,), t_min=3,
                              seed=1)
-        specs = sample_configs(cfg, n=25, v=4, t=9)
+        specs = sample_configs(cfg, n=25, v=4, t=9, ids=np.arange(25))
         for s in specs:
             assert 3 <= s.t_stop - s.t_start <= 9
             assert 0 <= s.t_start and s.t_stop <= 9
@@ -85,7 +84,7 @@ class TestSampleConfigs:
     def test_short_series_error_mentions_t_min(self):
         cfg = small_config()
         with pytest.raises(ValueError, match="lower t_min"):
-            sample_configs(cfg, n=10, v=2, t=3)
+            sample_configs(cfg, n=10, v=2, t=3, ids=np.arange(10))
 
 
 def cosine(post_a, post_b):
@@ -162,6 +161,20 @@ class TestTrainKernel:
         cfg = small_config(counts=(12,))
         with pytest.raises(ValueError, match="shrink"):
             train_ensemble(data, cfg)
+
+    @pytest.mark.parametrize("change,name", [
+        ({"n_init": 0}, "n_init"),
+        ({"counts": ()}, "component_counts"),
+        ({"counts": (0, 2)}, "component_counts"),
+    ], ids=["no-restarts", "no-counts", "zero-count"])
+    def test_config_without_a_base_model_fails_before_any_fit(
+            self, change, name, monkeypatch):
+        def no_fit(*a, **kw):
+            raise AssertionError("a base model was fitted")
+
+        monkeypatch.setattr(ens_mod, "fit_map_em", no_fit)
+        with pytest.raises(ValueError, match=name):
+            train_ensemble(blob_dataset(seed=8), small_config(**change))
 
     def test_schema_mismatch_rejected(self):
         data = blob_dataset(seed=9)
@@ -507,11 +520,10 @@ def per_model_kernel_test(ens, test):
     replaced, and which it must match bit for bit."""
     total = np.zeros((ens.n_series, test.n))
     if test.n:
-        x0, r = _masked_arrays(test.values, test.mask)
         for i, (spec, params) in enumerate(zip(ens.specs, ens.params)):
             a, w = spec.attributes, slice(spec.t_start, spec.t_stop)
-            post = _normalize_rows(_score_rows(_feature_rows(x0[:, a, w], r[:, a, w]),
-                                               *_component_weights(params)))
+            feats = _features(test.values[:, a, w], test.mask[:, a, w])
+            post = _normalize_rows(_score_rows(feats, *_component_weights(params)))
             train = ens.posteriors[i]
             if ens.transforms is not None:
                 train = apply_transform(ens.transforms[i], train)

@@ -13,9 +13,16 @@ def pairwise_distances(coords):
     return np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
 
 
+def centred(kernel):
+    """H K H with H = I - 11'/n: the kernel of the mean-centred features."""
+    h = np.eye(len(kernel)) - 1.0 / len(kernel)
+    return h @ kernel @ h
+
+
 class TestKpca:
     def test_identity_kernel_has_equidistant_embedding(self):
-        emb, _ = kpca(np.eye(4), d=4, center=False)
+        # Centring keeps feature-space distances; rank drops by one.
+        emb, _ = kpca(np.eye(4), d=3)
         np.testing.assert_allclose(emb.eigenvalues, 1.0)
         dist = pairwise_distances(emb.coords)
         off = dist[~np.eye(4, dtype=bool)]
@@ -23,38 +30,42 @@ class TestKpca:
 
     def test_rank_one_kernel(self):
         v = np.array([1.0, 2.0, 3.0])
-        emb, _ = kpca(np.outer(v, v), d=3, center=False)
-        assert emb.eigenvalues[0] == pytest.approx(v @ v)
+        emb, _ = kpca(np.outer(v, v), d=3)
+        centred_v = v - v.mean()
+        assert emb.eigenvalues[0] == pytest.approx(centred_v @ centred_v)
         assert np.abs(emb.eigenvalues[1:]).max() < 1e-12
 
-    def test_full_rank_reconstruction(self):
+    def test_reconstruction_of_the_centred_kernel(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(6, 6))
         kernel = a @ a.T
-        emb, _ = kpca(kernel, d=6, center=False)
+        emb, _ = kpca(kernel, d=5)
         recon = emb.coords @ emb.coords.T
-        np.testing.assert_allclose(recon, kernel, atol=1e-8)
+        np.testing.assert_allclose(recon, centred(kernel), atol=1e-8)
 
     def test_projector_reproduces_training_coordinates(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(8, 5))
         kernel = a @ a.T
-        for center in (True, False):
-            emb, proj = kpca(kernel, d=4, center=center)
-            again = proj.transform(kernel)
-            np.testing.assert_allclose(again, emb.coords, atol=1e-8)
+        emb, proj = kpca(kernel, d=4)
+        again = proj.transform(kernel)
+        np.testing.assert_allclose(again, emb.coords, atol=1e-8)
 
     def test_truncation_warning_on_indefinite_input(self):
-        kernel = np.array([[0.0, 1.0], [1.0, 0.0]])  # eigenvalues +-1
+        kernel = np.array([[0.0, 1.0], [1.0, 0.0]])  # centred eigenvalues 0, -1
         with pytest.warns(UserWarning, match="truncating"):
-            emb, _ = kpca(kernel, d=2, center=False)
+            emb, _ = kpca(kernel, d=2)
         assert emb.coords.shape[1] == 1
 
     def test_negative_band_clamped(self):
-        kernel = np.eye(3)
-        kernel[0, 0] = -1e-12  # numerically PSD
-        emb, _ = kpca(kernel, d=3, center=False)
+        # Centred already, with eigenvalues 1, 0 and -1e-12 (numerically PSD).
+        u = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        w = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
+        kernel = np.outer(u, u) - 1e-12 * np.outer(w, w)
+        assert np.linalg.eigvalsh(centred(kernel))[0] < 0
+        emb, _ = kpca(kernel, d=3)
         assert (emb.eigenvalues >= 0).all()
+        assert emb.eigenvalues[-1] == 0.0
 
 
 class TestKnn:

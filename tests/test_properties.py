@@ -2,18 +2,22 @@
 
 Hypothesis draws the data (size, attributes, length, missing rate), the
 component family, the label transform and kernel normalization; each example
-trains a small ensemble. Examples are derandomized, so every run checks the
-same cases.
+trains a small ensemble. Further properties cover single fits over the
+ensemble's whole hyperparameter ranges and the scoring plan's feature
+columns. Examples are derandomized, so every run checks the same cases.
 """
+import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tck.data import Dataset, labels_to_onehot
-from tck.ensemble import (EnsembleConfig, apply_posterior_transform,
-                          kernel_test, train_ensemble)
-from tck.mixture import GAUSSIAN_ONLY, MIXED_MODE
+from tck.ensemble import (BaseModelSpec, EnsembleConfig, _ScoringPlan,
+                          apply_posterior_transform, kernel_test, load_ensemble,
+                          save_ensemble, train_ensemble)
+from tck.mixture import (GAUSSIAN_ONLY, MIXED_MODE, HyperParams, MixtureParams,
+                         _feature_grid, _features, fit_map_em)
 from tck.transform import make_semisupervised_factory, make_supervised_factory
 
 from poison import poison_missing
@@ -62,7 +66,7 @@ def fit(case: Case, train: Dataset | None = None, cfg: EnsembleConfig | None = N
     onehot = labels_to_onehot(train.labels, train.n_classes)
     if case.transform == "supervised":
         return apply_posterior_transform(ens, make_supervised_factory(onehot))
-    onehot[::3] = 0                     # every third series unlabeled
+    onehot[train.ids % 3 == 0] = 0      # a third unlabeled, by id, not by row
     return apply_posterior_transform(ens, make_semisupervised_factory(onehot))
 
 
@@ -137,3 +141,89 @@ def test_fewer_restarts_give_the_prefix_of_the_ensemble(case, fewer):
                                  else [full.transforms[i] for i in keep]))
     assert np.array_equal(kernel_test(prefix, case.test).values,
                           kernel_test(part, case.test).values)
+
+
+def assert_same_ensemble(a, b):
+    assert [(s.q1, s.q2) for s in a.specs] == [(s.q1, s.q2) for s in b.specs]
+    assert a.failed == b.failed
+    for pa, pb, qa, qb in zip(a.params, b.params, a.posteriors, b.posteriors):
+        assert np.array_equal(qa, qb)
+        for name in ("theta", "mu", "sigma2"):
+            assert np.array_equal(getattr(pa, name), getattr(pb, name))
+
+
+@settings(CHECK, max_examples=10)
+@given(cases())
+def test_saved_and_loaded_ensemble_scores_the_same_bits(case):
+    ens, _ = fit(case)
+    with tempfile.TemporaryDirectory() as directory:
+        save_ensemble(ens, directory)
+        loaded = load_ensemble(directory)
+    assert_same_ensemble(loaded, ens)
+    assert np.array_equal(kernel_test(loaded, case.test).values,
+                          kernel_test(ens, case.test).values)
+
+
+@settings(CHECK, max_examples=3)
+@given(cases())
+def test_pooled_fits_give_the_serial_ensemble_bit_for_bit(case):
+    serial, km = train_ensemble(case.train, case.cfg)
+    pooled, p_km = train_ensemble(case.train, case.cfg, n_jobs=2)
+    assert_same_ensemble(pooled, serial)
+    assert np.array_equal(p_km.values, km.values)
+    assert np.array_equal(kernel_test(pooled, case.test).values,
+                          kernel_test(serial, case.test).values)
+
+
+@settings(CHECK, max_examples=150)
+@given(st.integers(0, 2 ** 16), st.sampled_from([GAUSSIAN_ONLY, MIXED_MODE]),
+       st.floats(-4.0, 0.0), st.floats(0.05, 0.8), st.floats(0.001, 0.2),
+       st.integers(1, 4))
+def test_em_objective_never_decreases_over_the_sampled_ranges(seed, mode, log_a0,
+                                                             b0, n0, g):
+    """a0 log-uniform on [1e-4, 1] reaches prior covariances far worse
+    conditioned than the ensemble's own range [1e-3, 1]."""
+    rng = np.random.default_rng(seed)
+    n, v, t = (int(rng.integers(lo, hi)) for lo, hi in ((g + 4, 30), (1, 3), (6, 51)))
+    mask = (rng.random((n, v, t)) >= 0.3).astype(np.uint8)
+    mask[:, :, 0] = 1
+    data = Dataset(rng.normal(size=(n, v, t)), mask, None, 0, np.arange(n))
+    trace = []
+    fit_map_em(data, g, HyperParams(10.0 ** log_a0, b0, n0), seed, mode=mode,
+               callback=trace.append)
+    trace = np.array(trace)
+    assert (np.diff(trace) >= -1e-8 * np.abs(trace[:-1])).all()
+
+
+@st.composite
+def model_views(draw):
+    """(values, mask, specs): a batch and base models with random windows
+    and attribute subsets of its (V, T) grid."""
+    n, v, t = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    values = rng.normal(size=(n, v, t)) * 10.0 ** draw(st.integers(-3, 3))
+    missing = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    mask = (rng.random((n, v, t)) >= missing).astype(np.uint8)
+    specs = []
+    for _ in range(draw(st.integers(1, 6))):
+        t_start = draw(st.integers(0, t - 1))
+        t_stop = draw(st.integers(t_start + 1, t))
+        attributes = np.array(sorted(draw(st.sets(st.integers(0, v - 1), min_size=1))))
+        specs.append(BaseModelSpec(1, 1, HyperParams(1.0, 1.0, 1.0), t_start, t_stop,
+                                   attributes, np.arange(n), 0))
+    return values, mask, specs
+
+
+@settings(CHECK, max_examples=100)
+@given(model_views())
+def test_plan_columns_are_the_features_of_each_model_view(view):
+    values, mask, specs = view
+    params = [MixtureParams(GAUSSIAN_ONLY, np.ones(1),
+                            np.zeros((1, len(s.attributes), s.t_stop - s.t_start)),
+                            np.ones((1, len(s.attributes))), None) for s in specs]
+    plan = _ScoringPlan(specs, params, values.shape[1], values.shape[2])
+    grid = _feature_grid(values, mask, plan.windows)
+    for spec, cols in zip(specs, plan.cols):
+        a, w = spec.attributes, slice(spec.t_start, spec.t_stop)
+        assert np.array_equal(grid.take(cols, axis=1),
+                              _features(values[:, a, w], mask[:, a, w]))
