@@ -30,14 +30,14 @@ for strength in (0.0, 0.05, 0.1, 0.2, 0.3, 0.5):
 print("\ntuning E for the standard targets:")
 for target in (0.2, 0.4, 0.6, 0.8):
     strength = tune_informativeness(data, "rate_mar", target, seed=2)
-    out, info = inject_rate_mar(data, strength, seed=3, return_report=True)
+    out, info = inject_rate_mar(data, strength, seed=3)
     achieved = np.mean([abs(np.corrcoef(info.rates[:, v], data.labels)[0, 1])
                         for v in range(2)])
     print(f"  target {target}: E = {strength:.4f}, achieved |corr| = "
           f"{achieved:.3f}, overall missing = {info.missing_fraction:.3f}")
 
 print("\nthe value-dependent variant only ever removes above-average cells:")
-out, info = inject_rate_mnar(data, 0.05, seed=4, return_report=True)
+out, info = inject_rate_mnar(data, 0.05, seed=4)
 dropped = (data.mask == 1) & (out.mask == 0)
 means = data.values.mean(axis=(0, 2))
 above = data.values[dropped] > means[np.nonzero(dropped)[1]]

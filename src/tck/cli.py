@@ -227,8 +227,7 @@ def cmd_generate(args, out_dir: str):
             strength = tune_informativeness(base, args.recipe, args.target_corr,
                                             seed=_derive_seed(seed, 21))
         injector = inject_rate_mar if args.recipe == "rate_mar" else inject_rate_mnar
-        injected, report = injector(base, strength, seed=_derive_seed(seed, 22),
-                                    return_report=True)
+        injected, report = injector(base, strength, seed=_derive_seed(seed, 22))
         dt.save_dataset(injected, os.path.join(out_dir, "injected.csv"),
                         os.path.join(out_dir, "injected_labels.csv"))
         outputs += ["injected.csv", "injected_labels.csv"]
@@ -269,7 +268,7 @@ def cmd_train(args, out_dir: str):
         "h": args.h,
         "n_labeled": args.n_labeled,
         "ensemble": {"n_init": cfg.n_init,
-                     "component_counts": list(ens.config.component_counts or ()),
+                     "component_counts": list(ens.config.component_counts),
                      "mode": cfg.mode},
         "standardization": _stats_to_dict(stats),
         "train_labels": None if raw.labels is None else raw.labels.tolist(),

@@ -39,7 +39,11 @@ class Dataset:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        self.mask = np.asarray(self.mask, dtype=np.uint8)
+        # Checked before the cast, which would turn 0.5 or 256 into 0 or 1.
+        mask = np.asarray(self.mask)
+        if not ((mask == 0) | (mask == 1)).all():
+            raise ValueError("mask entries must be 0 or 1")
+        self.mask = mask.astype(np.uint8, copy=False)
         self.ids = np.asarray(self.ids, dtype=np.int64)
         if self.values.ndim != 3 or self.values.shape != self.mask.shape:
             raise ValueError("values and mask must both have shape (N, V, T)")
@@ -47,8 +51,6 @@ class Dataset:
             raise ValueError("ids must have one entry per series")
         if len(np.unique(self.ids)) != len(self.ids):
             raise ValueError("series ids must be unique")
-        if self.mask.size and not np.isin(self.mask, (0, 1)).all():
-            raise ValueError("mask entries must be 0 or 1")
         # One pass: NaN fails the comparison, and so does any value whose
         # square overflows, which would make the scores of its series -inf.
         bad = np.argwhere(self.mask.astype(bool)

@@ -77,10 +77,6 @@ class KernelMatrix:
     values: np.ndarray
     model_count: int
 
-    @property
-    def shape(self):
-        return self.values.shape
-
 
 # Upper bound on the score buffers (and so on the test unit rows) that a
 # scoring pass keeps for one block of consecutive base models.
@@ -93,13 +89,12 @@ class _ScoringPlan:
     A batch is scored from one ``_feature_grid`` over every distinct model
     window. Each model keeps the grid columns that are its ``_features``
     on its attributes and window, its weight rows and its constants. The
-    plan depends on specs and parameters only, so ensembles that share a
-    model's parameters share the plan.
+    plan is derived from specs and parameters, which it does not keep, so
+    ensembles that share a model's parameters share the plan.
     """
 
     def __init__(self, specs: list, params: list, n_attributes: int,
                  length: int):
-        self.specs, self.params = specs, params
         self.q2 = np.array([s.q2 for s in specs], dtype=np.int64)
         self.windows = sorted({(s.t_start, s.t_stop) for s in specs})
         window_col = {w: i for i, w in enumerate(self.windows)}
@@ -157,8 +152,9 @@ class _ScoringPlan:
 class TrainedEnsemble:
     """Per-model specs, fitted parameters and training posteriors.
 
-    The scoring plan and the training rows are cached on first use (never
-    persisted), so the fields must not change once the ensemble is used."""
+    The scoring plan (handed over by ``train_ensemble`` or built on first
+    use) and the training rows are cached, never persisted, so the fields
+    must not change once the ensemble is used."""
 
     config: EnsembleConfig
     n_series: int
@@ -201,14 +197,15 @@ def _unit_rows(post: np.ndarray) -> np.ndarray:
     return post / _row_norms(post)[:, None]
 
 
-def sample_configs(cfg: EnsembleConfig, n: int, v: int, t: int,
+def sample_configs(cfg: EnsembleConfig, v: int, t: int,
                    ids) -> list[BaseModelSpec]:
     """Draw one BaseModelSpec per (restart, component count) pair.
 
     Each pair gets its own RNG stream keyed by (seed, q1, q2), so the list is
-    deterministic and independent of iteration order. Subsampling is keyed
-    by the sorted series ids, not by position. A config that gives no base
-    model, or a model without components, fails here, before any fit.
+    deterministic and independent of iteration order. Subsamples are drawn
+    from the N = len(ids) series ids, keyed by the sorted ids, not by
+    position. A config that gives no base model, or a model without
+    components, fails here, before any fit.
     """
     counts = cfg.component_counts
     if counts is None:
@@ -218,6 +215,8 @@ def sample_configs(cfg: EnsembleConfig, n: int, v: int, t: int,
     if not counts or min(counts) < 1:
         raise ValueError(f"component_counts must be a nonempty list of counts "
                          f">= 1, got {tuple(counts)}")
+    sorted_ids = np.sort(np.asarray(ids))
+    n = len(sorted_ids)
     t_min = cfg.t_min
     if t < t_min:
         raise ValueError(
@@ -232,7 +231,6 @@ def sample_configs(cfg: EnsembleConfig, n: int, v: int, t: int,
         raise ValueError("attribute bounds must satisfy 1 <= v_min <= v_max <= V")
     if not (1 <= n_min <= n):
         raise ValueError("subsample bound must satisfy 1 <= n_min <= N")
-    sorted_ids = np.sort(np.asarray(ids))
 
     specs = []
     for q1 in range(1, cfg.n_init + 1):
@@ -258,8 +256,7 @@ def _resolve_counts(cfg: EnsembleConfig, data: Dataset) -> EnsembleConfig:
     if cfg.component_counts is not None:
         return cfg
     base = max(2, data.n_classes)
-    counts = tuple(range(base, base + 21))
-    return EnsembleConfig(**{**asdict_config(cfg), "component_counts": counts})
+    return replace(cfg, component_counts=tuple(range(base, base + 21)))
 
 
 def asdict_config(cfg: EnsembleConfig) -> dict:
@@ -278,8 +275,9 @@ def _fit_one(spec: BaseModelSpec, data: Dataset, cfg: EnsembleConfig,
     """
     try:
         rows = np.array([row_of_id[i] for i in spec.subsample_ids])
-        window = (spec.t_start, spec.t_stop)
-        sub = data.take(rows).restrict(attributes=spec.attributes, time=window)
+        cells = (slice(None), spec.attributes, slice(spec.t_start, spec.t_stop))
+        sub = Dataset(data.values[rows][cells], data.mask[rows][cells], None,
+                      data.n_classes, spec.subsample_ids)
         params, _ = fit_map_em(sub, spec.q2, spec.hp, spec.sub_seed,
                                mode=cfg.mode, max_iter=cfg.em_max_iter,
                                tol=cfg.em_tol)
@@ -309,8 +307,7 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig,
     transforms are attached afterwards with ``apply_posterior_transform``.
     """
     cfg = _resolve_counts(cfg, data)
-    specs = sample_configs(cfg, data.n, data.n_attributes, data.length,
-                           ids=data.ids)
+    specs = sample_configs(cfg, data.n_attributes, data.length, ids=data.ids)
     if data.n < max(cfg.component_counts):
         raise ValueError(
             f"dataset has {data.n} series but the largest base model needs "
@@ -326,8 +323,8 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig,
         outcomes = [_fit_one(spec, data, cfg, row_of_id) for spec in specs]
 
     fitted = [i for i, (status, _) in enumerate(outcomes) if status == "ok"]
-    plan = _ScoringPlan([specs[i] for i in fitted], [outcomes[i][1] for i in fitted],
-                        data.n_attributes, data.length)
+    fit_specs, fit_params = [specs[i] for i in fitted], [outcomes[i][1] for i in fitted]
+    plan = _ScoringPlan(fit_specs, fit_params, data.n_attributes, data.length)
     posts = {}
     try:
         for models, post in plan.block_posteriors(data.values, data.mask):
@@ -351,8 +348,10 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig,
 
     kept = sorted(posts)
     ens = TrainedEnsemble(cfg, data.n, data.n_attributes, data.length,
-                          [plan.specs[m] for m in kept], [plan.params[m] for m in kept],
+                          [fit_specs[m] for m in kept], [fit_params[m] for m in kept],
                           [posts[m] for m in kept], failed=failed)
+    if len(kept) == len(fitted):    # else the lazy plan covers only the kept
+        ens._plan = plan
     return ens, _accumulate(ens, ens.n_series)
 
 
@@ -475,7 +474,8 @@ def save_ensemble(ens: TrainedEnsemble, directory) -> None:
     """Write the ensemble as a fixed set of files, whatever its model count.
 
     * ``manifest.json``: config, dimensions, each model's spec scalars (q1,
-      q2, hp, window, attributes, subsample size, seeds), the posterior
+      q2, hp, window, attributes, subsample size, sub_seed, and seed, the
+      same integer, which keeps the manifest's layout), the posterior
       offsets and the failed models;
     * ``params.npy``: theta | mu | sigma2 | beta (mixed mode only) of every
       model, raveled and concatenated in model order;
@@ -514,8 +514,8 @@ def save_ensemble(ens: TrainedEnsemble, directory) -> None:
             "attributes": [int(a) for a in spec.attributes],
             "n_subsample": len(spec.subsample_ids),
             "sub_seed": spec.sub_seed,
-            "seed": params.seed,
-        } for spec, params in zip(ens.specs, ens.params)],
+            "seed": spec.sub_seed,
+        } for spec in ens.specs],
         "posterior_offsets": np.cumsum(
             [0] + [p.shape[1] for p in ens.posteriors]).tolist(),
         "has_transforms": ens.transforms is not None,
@@ -609,14 +609,13 @@ def _ensemble_from_manifest(directory, path: str, manifest: dict) -> TrainedEnse
 
     specs, fitted = [], []
     for m in models:
-        spec = BaseModelSpec(m["q1"], m["q2"], HyperParams(**m["hp"]),
-                             m["t_start"], m["t_stop"],
-                             np.asarray(m["attributes"]), next(ids), m["sub_seed"])
+        specs.append(BaseModelSpec(m["q1"], m["q2"], HyperParams(**m["hp"]),
+                                   m["t_start"], m["t_stop"],
+                                   np.asarray(m["attributes"]), next(ids),
+                                   m["sub_seed"]))
         theta, mu, sigma2 = next(params), next(params), next(params)
         beta = next(params) if cfg.mode == MIXED_MODE else None
-        specs.append(spec)
-        fitted.append(MixtureParams(cfg.mode, theta, mu, sigma2, beta,
-                                    seed=m["seed"], hp=spec.hp))
+        fitted.append(MixtureParams(cfg.mode, theta, mu, sigma2, beta))
     posts = [stacked[:, a:b] for a, b in zip(offsets, offsets[1:])]
     return TrainedEnsemble(cfg, manifest["n_series"], manifest["n_attributes"],
                            manifest["length"], specs, fitted, posts, transforms,

@@ -74,14 +74,14 @@ def kpca(kernel, d: int = 10) -> tuple[Embedding, KernelProjector]:
     return Embedding(coords, top), projector
 
 
-def knn_predict(train_emb, train_labels, test_emb, k: int = 1) -> np.ndarray:
-    """Majority vote among the k nearest training points (Euclidean).
+def knn_predict(train_coords, train_labels, test_coords, k: int = 1) -> np.ndarray:
+    """Majority vote among the k nearest training points (Euclidean); the
+    coordinates are (N, d) and (M, d) arrays.
 
     Vote ties break toward the tied class with the smallest mean neighbor
     distance, then toward the lowest class index.
     """
-    x_train = train_emb.coords if isinstance(train_emb, Embedding) else np.asarray(train_emb)
-    x_test = test_emb.coords if isinstance(test_emb, Embedding) else np.asarray(test_emb)
+    x_train, x_test = np.asarray(train_coords), np.asarray(test_coords)
     labels = np.asarray(train_labels, dtype=np.int64)
     n_train = x_train.shape[0]
     if not (1 <= k <= n_train):
@@ -154,13 +154,13 @@ def classification_metrics(pred, truth, positive_class=None) -> Metrics:
     return Metrics(accuracy, f1, sensitivity, specificity, tp, fp, tn, fn)
 
 
-def select_k(train_emb, train_labels, seed: int = 0) -> int:
+def select_k(train_coords, train_labels, seed: int = 0) -> int:
     """Pick a neighbor count from {1, 3, 5, 7, 9} by 5-fold cross-validation
-    on the embedding.
+    on the (N, d) embedding coordinates.
 
     Ties on accuracy resolve toward the smaller k.
     """
-    coords = train_emb.coords if isinstance(train_emb, Embedding) else np.asarray(train_emb)
+    coords = np.asarray(train_coords)
     labels = np.asarray(train_labels, dtype=np.int64)
     rng = np.random.default_rng(seed)
     folds = min(5, len(labels))

@@ -75,8 +75,6 @@ class MixtureParams:
     mu: np.ndarray               # (G, V, T) component mean curves
     sigma2: np.ndarray           # (G, V) time-constant variances
     beta: np.ndarray | None     # (G, V, T) Bernoulli rates, mixed mode only
-    seed: int | None = None
-    hp: HyperParams | None = None
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -272,8 +270,7 @@ def _m_step(post: np.ndarray, feats: np.ndarray, prior: PriorSpec,
         beta = diag_w / (weight[:, None, None] + DENOM_EPS)
         beta = np.clip(beta, BETA_EPS, 1.0 - BETA_EPS)
 
-    return MixtureParams(params_in.mode, theta, mu, sigma2, beta,
-                         seed=params_in.seed, hp=params_in.hp)
+    return MixtureParams(params_in.mode, theta, mu, sigma2, beta)
 
 
 def m_step(post: np.ndarray, data: Dataset, prior: PriorSpec, hp: HyperParams,
@@ -372,8 +369,6 @@ def fit_map_em(data: Dataset, n_components: int, hp: HyperParams, seed: int,
         if previous is not None and abs(objective - previous) < tol * (abs(previous) + DENOM_EPS):
             break
         previous = objective
-    params.seed = seed
-    params.hp = hp
     return params, _normalize_rows(scores)
 
 

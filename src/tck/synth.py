@@ -186,14 +186,14 @@ def _sample_rates(kind: str, labels: np.ndarray, v: int, strength: float,
     return rates, signs
 
 
-def inject_rate_mar(data: Dataset, strength: float, seed: int = 0,
-                    return_report: bool = False):
+def inject_rate_mar(data: Dataset, strength: float,
+                    seed: int = 0) -> tuple[Dataset, InjectionReport]:
     """Label-shifted per-series missing rates, independent of the values.
 
     Rates come from U[0.3 + E*c_v*(y-1), 0.7 + E*c_v*(y-1)] clamped to [0, 1],
     where E is the informativeness ``strength`` and c_v a random sign per
     attribute; every cell of (series, attribute) is dropped independently with
-    that rate.
+    that rate. Returns the injected dataset and the sampled rates and signs.
     """
     labels = _require_labels(data)
     rng = np.random.default_rng(seed)
@@ -202,19 +202,18 @@ def inject_rate_mar(data: Dataset, strength: float, seed: int = 0,
     drop = data.mask.astype(bool) & (u < rates[:, :, None])
     mask = np.where(drop, 0, data.mask).astype(np.uint8)
     out = replace(data, values=data.values.copy(), mask=mask)
-    if return_report:
-        return out, InjectionReport(rates, signs, float(1.0 - mask.mean()))
-    return out
+    return out, InjectionReport(rates, signs, float(1.0 - mask.mean()))
 
 
-def inject_rate_mnar(data: Dataset, strength: float, seed: int = 0,
-                     return_report: bool = False):
+def inject_rate_mnar(data: Dataset, strength: float,
+                     seed: int = 0) -> tuple[Dataset, InjectionReport]:
     """Label-shifted rates applied only to cells above their attribute mean.
 
     Negative-direction attributes draw rates from U[0.7 - E(y-1), 1 - E(y-1)],
     positive ones from U[0.3 + E(y-1), 0.6 + E(y-1)] (clamped); a cell is only
     eligible for dropping when its value exceeds the attribute's dataset mean,
     so within each class the mechanism depends on the removed values.
+    Returns the injected dataset and the sampled rates and signs.
     """
     labels = _require_labels(data)
     rng = np.random.default_rng(seed)
@@ -227,9 +226,7 @@ def inject_rate_mnar(data: Dataset, strength: float, seed: int = 0,
     drop = eligible & (u < rates[:, :, None])
     mask = np.where(drop, 0, data.mask).astype(np.uint8)
     out = replace(data, values=data.values.copy(), mask=mask)
-    if return_report:
-        return out, InjectionReport(rates, signs, float(1.0 - mask.mean()))
-    return out
+    return out, InjectionReport(rates, signs, float(1.0 - mask.mean()))
 
 
 # ------------------------------------------------------------

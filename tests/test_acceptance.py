@@ -71,8 +71,7 @@ def test_rate_injector_calibration():
         strength = tune_informativeness(data, "rate_mar", target, seed=80)
         achieved, missing = [], []
         for rep in range(10):
-            out, info = inject_rate_mar(data, strength, seed=800 + rep,
-                                        return_report=True)
+            out, info = inject_rate_mar(data, strength, seed=800 + rep)
             per_attr = [abs(np.corrcoef(info.rates[:, v], data.labels)[0, 1])
                         for v in range(2)]
             achieved.append(np.mean(per_attr))

@@ -240,3 +240,24 @@ class TestNonFiniteObservedValues:
         with pytest.raises(ValueError, match=r"series 2: value 1e\+160 .*attribute 2, "
                                              r"time 3\); its square overflows"):
             load_dataset(path)
+
+
+class TestMaskEntries:
+    """The mask is checked as given, before the cast to uint8, which would
+    wrap 256 to 0 and truncate 0.5 to 0 and 1.7 to 1."""
+
+    @pytest.mark.parametrize("bad", [0.5, 1.7, 256, np.nan, -1],
+                             ids=["half", "1.7", "256", "nan", "minus-one"])
+    def test_non_binary_entry_rejected(self, bad):
+        mask = np.array([[[1.0, 0.0, 1.0]]])
+        mask[0, 0, 1] = bad
+        with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
+            make_dataset(np.zeros((1, 1, 3)), mask)
+
+    @pytest.mark.parametrize("mask", [np.array([[[True, False, True]]]),
+                                      np.array([[[1.0, 0.0, 1.0]]])],
+                             ids=["bool", "float"])
+    def test_binary_entries_of_any_dtype_accepted(self, mask):
+        ds = make_dataset(np.zeros((1, 1, 3)), mask)
+        assert ds.mask.dtype == np.uint8
+        assert ds.mask.tolist() == [[[1, 0, 1]]]

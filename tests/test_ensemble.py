@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import tracemalloc
@@ -50,18 +51,18 @@ class TestSampleConfigs:
     def test_grid_size(self):
         cfg = EnsembleConfig(n_init=30, component_counts=tuple(range(2, 23)),
                              seed=0)
-        specs = sample_configs(cfg, n=200, v=2, t=50, ids=np.arange(200))
+        specs = sample_configs(cfg, v=2, t=50, ids=np.arange(200))
         assert len(specs) == 630
 
     def test_single_cell_grid(self):
         cfg = EnsembleConfig(n_init=1, component_counts=(1,), t_min=2, seed=0)
-        specs = sample_configs(cfg, n=10, v=1, t=5, ids=np.arange(10))
+        specs = sample_configs(cfg, v=1, t=5, ids=np.arange(10))
         assert len(specs) == 1 and specs[0].q2 == 1
 
     def test_deterministic(self):
         cfg = small_config(seed=9)
-        a = sample_configs(cfg, 40, 3, 12, ids=np.arange(40))
-        b = sample_configs(cfg, 40, 3, 12, ids=np.arange(40))
+        a = sample_configs(cfg, 3, 12, ids=np.arange(40))
+        b = sample_configs(cfg, 3, 12, ids=np.arange(40))
         for s, u in zip(a, b):
             assert s.hp == u.hp and s.sub_seed == u.sub_seed
             assert np.array_equal(s.subsample_ids, u.subsample_ids)
@@ -69,22 +70,24 @@ class TestSampleConfigs:
             assert (s.t_start, s.t_stop) == (u.t_start, u.t_stop)
 
     def test_bounds_respected(self):
+        """The subsample bound follows from the number of ids."""
         cfg = EnsembleConfig(n_init=20, component_counts=(2,), t_min=3,
                              seed=1)
-        specs = sample_configs(cfg, n=25, v=4, t=9, ids=np.arange(25))
-        for s in specs:
-            assert 3 <= s.t_stop - s.t_start <= 9
-            assert 0 <= s.t_start and s.t_stop <= 9
-            assert 2 <= len(s.attributes) <= 4
-            assert int(np.ceil(0.8 * 25)) <= len(s.subsample_ids) <= 25
-            assert 0.001 <= s.hp.a0 <= 1.0
-            assert 0.05 <= s.hp.b0 <= 0.8
-            assert 0.001 <= s.hp.n0 <= 0.2
+        for ids in (np.arange(25), np.array([40, 3, 17, 8, 91, 5, 66]), np.array([12])):
+            for s in sample_configs(cfg, v=4, t=9, ids=ids):
+                assert 3 <= s.t_stop - s.t_start <= 9
+                assert 0 <= s.t_start and s.t_stop <= 9
+                assert 2 <= len(s.attributes) <= 4
+                assert math.ceil(0.8 * len(ids)) <= len(s.subsample_ids) <= len(ids)
+                assert set(s.subsample_ids) <= set(ids)
+                assert 0.001 <= s.hp.a0 <= 1.0
+                assert 0.05 <= s.hp.b0 <= 0.8
+                assert 0.001 <= s.hp.n0 <= 0.2
 
     def test_short_series_error_mentions_t_min(self):
         cfg = small_config()
         with pytest.raises(ValueError, match="lower t_min"):
-            sample_configs(cfg, n=10, v=2, t=3, ids=np.arange(10))
+            sample_configs(cfg, v=2, t=3, ids=np.arange(10))
 
 
 def cosine(post_a, post_b):
@@ -273,7 +276,7 @@ class TestFailureHandling:
                              t_max=4, n_min=15, seed=21)
         ens, km = train_ensemble(data, cfg)
         assert ens.failed == [(18, 2, "posterior underflow for series index 5")]
-        unscored = sample_configs(cfg, data.n, data.n_attributes, data.length,
+        unscored = sample_configs(cfg, data.n_attributes, data.length,
                                   ids=data.ids)[17]
         assert unscored.t_start == 0 and 6 not in unscored.subsample_ids
         assert ens.model_count == 19
@@ -281,6 +284,43 @@ class TestFailureHandling:
             np.testing.assert_array_equal(
                 ens.posteriors[i], e_step(ens.params[i], model_view(data, spec)))
         np.testing.assert_allclose(np.diag(km.values), 19, atol=1e-9)
+
+    def test_model_dropped_at_scoring_leaves_no_trace_in_kernel_test(self):
+        """The data of the test above: the ensemble's scoring plan covers
+        exactly its 19 models, and its test columns are those of the
+        per-model loop, on the training series and on new ones."""
+        data = blob_dataset(seed=0, n=30, t=20)
+        data.values[5, 0, 0] = 1e154
+        cfg = EnsembleConfig(n_init=20, component_counts=(2,), t_min=4,
+                             t_max=4, n_min=15, seed=21)
+        ens, _ = train_ensemble(data, cfg)
+        assert len(ens._plan.cols) == ens.model_count == 19
+        for test in (data, blob_dataset(seed=26, n=7, t=20)):
+            np.testing.assert_array_equal(kernel_test(ens, test).values,
+                                          per_model_kernel_test(ens, test))
+
+    @pytest.mark.parametrize("failing", [(), (0, 4)], ids=["none", "fits-failed"])
+    def test_one_scoring_plan_per_train_and_its_kernel_tests(self, failing,
+                                                             monkeypatch):
+        """With every fitted model scoring the training series, the plan
+        train_ensemble scored them with serves the returned ensemble, its
+        transformed sibling and their kernel_test calls."""
+        built = []
+        init = ens_mod._ScoringPlan.__init__
+
+        def counted(plan, *args):
+            built.append(len(args[0]))
+            init(plan, *args)
+
+        monkeypatch.setattr(ens_mod._ScoringPlan, "__init__", counted)
+        self.inject_failures(monkeypatch, failing)
+        data = blob_dataset(seed=12)
+        ens, _ = train_ensemble(data, small_config(seed=12, n_init=20, counts=(2,)))
+        sibling, _ = apply_posterior_transform(
+            ens, make_supervised_factory(labels_to_onehot(data.labels, 2)))
+        for model in (ens, sibling):
+            kernel_test(model, held_out(seed=27))
+        assert built == [20 - len(failing)] == [ens.model_count]
 
     def test_too_many_failures_abort(self, monkeypatch):
         data = blob_dataset(seed=13)
@@ -343,6 +383,10 @@ class TestEnsembleFiles:
         ens, _ = train_supervised(data, small_config(seed=18, n_init=2))
         save_ensemble(ens, tmp_path / "ens")
         return tmp_path / "ens"
+
+    def test_manifest_seed_repeats_sub_seed(self, saved):
+        models = json.loads((saved / "manifest.json").read_text())["models"]
+        assert models and all(m["seed"] == m["sub_seed"] for m in models)
 
     def test_file_set_does_not_grow_with_models(self, saved, tmp_path):
         data = blob_dataset(seed=18)
@@ -446,7 +490,7 @@ class TestKernelTestPath:
         from the scoring pass, to e_step on the model's view bit for bit."""
         data, test = blob_dataset(seed=20), held_out(seed=21)
         cfg = small_config(seed=20, mode=mode, n_init=10)
-        specs = sample_configs(cfg, data.n, data.n_attributes, data.length,
+        specs = sample_configs(cfg, data.n_attributes, data.length,
                                ids=data.ids)
         with monkeypatch.context() as patch:
             bad = {specs[i].sub_seed for i in failing}

@@ -3,8 +3,9 @@
 Hypothesis draws the data (size, attributes, length, missing rate), the
 component family, the label transform and kernel normalization; each example
 trains a small ensemble. Further properties cover single fits over the
-ensemble's whole hyperparameter ranges and the scoring plan's feature
-columns. Examples are derandomized, so every run checks the same cases.
+ensemble's whole hyperparameter ranges, the scoring plan's feature columns
+and the dataset file round trip. Examples are derandomized, so every run
+checks the same cases.
 """
 import tempfile
 from dataclasses import dataclass, replace
@@ -12,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tck.data import Dataset, labels_to_onehot
+from tck.data import Dataset, labels_to_onehot, load_dataset, save_dataset
 from tck.ensemble import (BaseModelSpec, EnsembleConfig, _ScoringPlan,
                           apply_posterior_transform, kernel_test, load_ensemble,
                           save_ensemble, train_ensemble)
@@ -227,3 +228,40 @@ def test_plan_columns_are_the_features_of_each_model_view(view):
         a, w = spec.attributes, slice(spec.t_start, spec.t_stop)
         assert np.array_equal(grid.take(cols, axis=1),
                               _features(values[:, a, w], mask[:, a, w]))
+
+
+@st.composite
+def stored_datasets(draw):
+    """A dataset as ``save_dataset`` may meet it: any shape, series with no
+    observed cell, unlabeled series, ids in any order, and observed values
+    from -0.0 and subnormals up to magnitudes of 1e150."""
+    n, v, t = draw(st.integers(0, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    mask = (rng.random((n, v, t)) < draw(st.sampled_from([0.0, 0.3, 0.8, 1.0])))
+    if n:
+        mask[draw(st.integers(0, n - 1))] = False   # one series never observed
+    special = st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 1e150, -1e150])
+    cell = st.one_of(special, st.floats(-1e150, 1e150, allow_nan=False))
+    values = np.array(draw(st.lists(cell, min_size=n * v * t, max_size=n * v * t)),
+                      dtype=float).reshape(n, v, t)
+    n_classes = draw(st.integers(0, 3))
+    labels = rng.integers(0, n_classes + 1, size=n)
+    ids = rng.permutation(n) * draw(st.integers(1, 3)) + draw(st.integers(-5, 5))
+    return Dataset(values, mask, labels, n_classes, ids)
+
+
+@settings(CHECK, max_examples=60)
+@given(stored_datasets())
+def test_saved_and_loaded_dataset_is_the_dataset_in_id_order(data):
+    with tempfile.TemporaryDirectory() as directory:
+        paths = (f"{directory}/d.csv", f"{directory}/l.csv")
+        save_dataset(data, *paths)
+        back = load_dataset(*paths)
+    expected = data.take(np.argsort(data.ids))
+    assert np.array_equal(back.ids, np.arange(1, data.n + 1))
+    assert back.n_classes == data.n_classes
+    assert np.array_equal(back.labels, expected.labels)
+    assert np.array_equal(back.mask, expected.mask)
+    observed = expected.mask.astype(bool)
+    assert np.array_equal(back.values[observed].view(np.int64),
+                          expected.values[observed].view(np.int64))

@@ -87,7 +87,7 @@ class TestThresholdInjector:
 class TestRateInjectors:
     def test_uninformative_strength_is_half_missing_and_label_free(self):
         data = labeled_noise(n=4000, seed=1)
-        out, report = inject_rate_mar(data, 0.0, seed=10, return_report=True)
+        out, report = inject_rate_mar(data, 0.0, seed=10)
         assert abs(report.missing_fraction - 0.5) < 0.02
         rate_1 = 1.0 - out.mask[data.labels == 1].mean()
         rate_2 = 1.0 - out.mask[data.labels == 2].mean()
@@ -98,7 +98,7 @@ class TestRateInjectors:
 
     def test_saturated_rate_blanks_an_attribute(self):
         data = labeled_noise(n=200, seed=2)
-        out, report = inject_rate_mar(data, 10.0, seed=11, return_report=True)
+        out, report = inject_rate_mar(data, 10.0, seed=11)
         plus = np.nonzero(report.directions > 0)[0][0]
         class2 = data.labels == 2
         assert report.rates[class2, plus].min() == 1.0
@@ -106,7 +106,7 @@ class TestRateInjectors:
 
     def test_mnar_spares_below_average_cells(self):
         data = labeled_noise(n=400, seed=3)
-        out = inject_rate_mnar(data, 0.05, seed=12)
+        out, _ = inject_rate_mnar(data, 0.05, seed=12)
         dropped = (data.mask == 1) & (out.mask == 0)
         means = data.values.mean(axis=(0, 2))
         assert (data.values[dropped] > means[np.nonzero(dropped)[1]]).all()
@@ -115,20 +115,20 @@ class TestRateInjectors:
         # 3 attributes, 8 classes, symmetric marginals
         data = labeled_noise(n=800, v=3, n_classes=8, seed=4)
         strength = tune_informativeness(data, "rate_mnar", 0.8, seed=13)
-        _, report = inject_rate_mnar(data, strength, seed=14, return_report=True)
+        _, report = inject_rate_mnar(data, strength, seed=14)
         assert abs(report.missing_fraction - 0.32) < 0.04
 
     def test_mnar_missing_rate_on_skewed_stand_in(self):
         # left-skewed marginals put ~69% of cells above the attribute mean
         data = labeled_noise(n=800, v=3, n_classes=20, seed=5, skew=True)
         strength = tune_informativeness(data, "rate_mnar", 0.8, seed=15)
-        _, report = inject_rate_mnar(data, strength, seed=16, return_report=True)
+        _, report = inject_rate_mnar(data, strength, seed=16)
         assert abs(report.missing_fraction - 0.45) < 0.04
 
     def test_injectors_only_clear_mask_bits(self):
         data = labeled_noise(n=100, seed=6)
         for injector, strength in ((inject_rate_mar, 0.2), (inject_rate_mnar, 0.05)):
-            out = injector(data, strength, seed=17)
+            out, _ = injector(data, strength, seed=17)
             assert np.array_equal(out.values, data.values)
             assert not ((data.mask == 0) & (out.mask == 1)).any()
 
