@@ -181,8 +181,7 @@ def _stats_to_dict(stats: StandardizationStats) -> dict:
 
 
 def _stats_from_dict(d: dict) -> StandardizationStats:
-    return StandardizationStats(np.asarray(d["mean"]), np.asarray(d["std"]),
-                                np.asarray(d["constant"], dtype=bool))
+    return StandardizationStats(np.asarray(d["mean"]), np.asarray(d["std"]))
 
 
 # ------------------------------------------------------------

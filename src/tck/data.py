@@ -248,7 +248,10 @@ class StandardizationStats:
 
     mean: np.ndarray      # (V,)
     std: np.ndarray       # (V,) sample standard deviation; 0 for constants
-    constant: np.ndarray  # (V,) bool, attribute had no spread
+
+    @property
+    def constant(self) -> np.ndarray:  # (V,) bool, attribute had no spread
+        return self.std == 0
 
     def apply(self, data: Dataset) -> Dataset:
         """Transform observed cells; cells under mask=0 are left untouched."""
@@ -257,9 +260,9 @@ class StandardizationStats:
                 f"schema mismatch: statistics cover {len(self.mean)} attributes "
                 f"but the dataset has {data.n_attributes}")
         mean = self.mean[None, :, None]
-        std = np.where(self.std > 0, self.std, 1.0)[None, :, None]
-        scaled = (data.values - mean) / std
-        scaled = np.where(self.constant[None, :, None], 0.0, scaled)
+        spread = (self.std > 0)[None, :, None]
+        scaled = (data.values - mean) / np.where(spread, self.std[None, :, None], 1.0)
+        scaled = np.where(spread, scaled, 0.0)
         new_values = np.where(data.mask.astype(bool), scaled, data.values)
         return replace(data, values=new_values, mask=data.mask.copy())
 
@@ -274,18 +277,14 @@ def standardize(data: Dataset) -> tuple[Dataset, StandardizationStats]:
     v_dim = data.n_attributes
     mean = np.zeros(v_dim)
     std = np.zeros(v_dim)
-    constant = np.zeros(v_dim, dtype=bool)
     obs = data.mask.astype(bool)
     for v in range(v_dim):
         cells = data.values[:, v, :][obs[:, v, :]]
         if cells.size == 0:
             raise ValueError(f"attribute {v + 1} has no observed entries")
         mean[v] = cells.mean()
-        sd = cells.std(ddof=1) if cells.size > 1 else 0.0
-        if sd == 0.0:
-            constant[v] = True
-        std[v] = sd
-    stats = StandardizationStats(mean, std, constant)
+        std[v] = cells.std(ddof=1) if cells.size > 1 else 0.0
+    stats = StandardizationStats(mean, std)
     return stats.apply(data), stats
 
 

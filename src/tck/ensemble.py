@@ -117,15 +117,16 @@ class _ScoringPlan:
 
         Each score einsum reads C-contiguous feature rows and writes one
         C-contiguous slab, and the softmax reduces the contiguous last axis,
-        so a slab carries the bits ``_normalize_rows(_score_rows(...))``
-        gives for that model alone.
+        so a slab carries the bits that ``_log_component_scores`` and
+        ``_normalize_rows`` give for that model alone.
         """
         post = np.empty((len(models), len(grid), self.q2[models[0]]))
-        for slab, m in zip(post, models):      # the einsum of _score_rows
+        for slab, m in zip(post, models):  # the einsum of _log_component_scores
             np.einsum("nd,gd->ng", grid.take(self.cols[m], axis=1),
                       self.weights[m], out=slab)
         post += np.array([self.consts[m] for m in models])[:, None, :]
-        return _normalize_rows(post)
+        _normalize_rows(post)
+        return post
 
     def block_posteriors(self, values: np.ndarray, mask: np.ndarray):
         """Yield (models, post) for each component-count group of each block

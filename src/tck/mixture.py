@@ -60,10 +60,10 @@ class PriorSpec:
 
     mean: np.ndarray        # (V, T) per-time-step empirical means
     scale: np.ndarray       # (V,) empirical std per attribute
-    kernel: np.ndarray      # (T, T) squared-exponential kernel
-    cov: np.ndarray         # (V, T, T) prior covariance scale_v * kernel + jitter
-    cov_inv: np.ndarray     # (V, T, T)
-    cov_logdet: np.ndarray  # (V,)
+    kernel: np.ndarray        # (T, T) squared-exponential kernel
+    cov_inv: np.ndarray       # (V, T, T) inverse of scale_v * (kernel + jitter)
+    cov_logdet: np.ndarray    # (V,)
+    natural_mean: np.ndarray  # (V, T) cov_inv_v @ mean_v, fixed for the fit
 
 
 @dataclass
@@ -133,7 +133,8 @@ def build_prior(data: Dataset, hp: HyperParams) -> PriorSpec:
     sign, cov_logdet = np.linalg.slogdet(cov)
     if not (sign > 0).all():
         raise np.linalg.LinAlgError("prior covariance is not positive definite")
-    return PriorSpec(mean, scale, kernel, cov, cov_inv, cov_logdet)
+    return PriorSpec(mean, scale, kernel, cov_inv, cov_logdet,
+                     np.einsum("vij,vj->vi", cov_inv, mean))
 
 
 # ------------------------------------------------------------
@@ -187,24 +188,21 @@ def _component_weights(params: MixtureParams) -> tuple[np.ndarray, np.ndarray]:
     return weights, const
 
 
-def _score_rows(feats: np.ndarray, weights: np.ndarray,
-                const: np.ndarray) -> np.ndarray:
+def _log_component_scores(params: MixtureParams, feats: np.ndarray) -> np.ndarray:
     """(N, G) array of log(theta_g) + log-likelihood of each series under g.
 
     The contraction is an einsum, not a BLAS GEMM: GEMM blocking changes the
     last bits of a row with the batch size, and a series must score the same
     alone as inside its training set.
     """
+    weights, const = _component_weights(params)
     return np.einsum("nd,gd->ng", feats, weights) + const[None, :]
 
 
-def _log_component_scores(params: MixtureParams, feats: np.ndarray) -> np.ndarray:
-    return _score_rows(feats, *_component_weights(params))
-
-
-def _normalize_rows(scores: np.ndarray) -> np.ndarray:
+def _normalize_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Softmax over the last axis via log-sum-exp, in place, on any leading
-    shape; the second-to-last axis indexes series. Returns ``scores``."""
+    shape; the second-to-last axis indexes series. Returns the (..., 1) row
+    maxima and exp-sums: a row's log normalizer is ``peak + log(sums)``."""
     peak = scores.max(axis=-1, keepdims=True)
     finite = np.isfinite(peak)
     if not finite.all():
@@ -212,28 +210,24 @@ def _normalize_rows(scores: np.ndarray) -> np.ndarray:
         raise ValueError(f"posterior underflow for series index {bad[-2]}")
     scores -= peak
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return scores
+    sums = scores.sum(axis=-1, keepdims=True)
+    scores /= sums
+    return peak, sums
 
 
 def e_step(params: MixtureParams, data: Dataset) -> np.ndarray:
     """Component responsibilities, one simplex row per series."""
-    return _normalize_rows(
-        _log_component_scores(params, _features(data.values, data.mask)))
+    post = _log_component_scores(params, _features(data.values, data.mask))
+    _normalize_rows(post)
+    return post
 
 
 # ------------------------------------------------------------
 # M-step and objective
 # ------------------------------------------------------------
 
-def _prior_natural_mean(prior: PriorSpec) -> np.ndarray:
-    """(V, T) array S_v^-1 m_v, fixed for the whole fit."""
-    return np.einsum("vij,vj->vi", prior.cov_inv, prior.mean)
-
-
 def _m_step(post: np.ndarray, feats: np.ndarray, prior: PriorSpec,
-            prior_nat: np.ndarray, hp: HyperParams,
-            params_in: MixtureParams) -> MixtureParams:
+            hp: HyperParams, params_in: MixtureParams) -> MixtureParams:
     g_dim, v_dim, t_dim = params_in.mu.shape
     vt = v_dim * t_dim
     weight = post.sum(axis=0)                                  # (G,)
@@ -258,7 +252,7 @@ def _m_step(post: np.ndarray, feats: np.ndarray, prior: PriorSpec,
     systems = np.broadcast_to(prior.cov_inv[None], (g_dim,) + prior.cov_inv.shape).copy()
     idx = np.arange(t_dim)
     systems[:, :, idx, idx] += inv_s2[:, :, None] * diag_w
-    rhs = prior_nat[None] + inv_s2[:, :, None] * rhs_data
+    rhs = prior.natural_mean[None] + inv_s2[:, :, None] * rhs_data
     mu = np.linalg.solve(systems, rhs[..., None])[..., 0]
     untouched = weighted_obs == 0                              # (G, V)
     if untouched.any():
@@ -281,14 +275,13 @@ def m_step(post: np.ndarray, data: Dataset, prior: PriorSpec, hp: HyperParams,
     the fresh sigma^2, then the Bernoulli rates. Components with no weighted
     observations for an attribute fall back to the prior mean exactly.
     """
-    return _m_step(post, _features(data.values, data.mask), prior,
-                   _prior_natural_mean(prior), hp, params_in)
+    return _m_step(post, _features(data.values, data.mask), prior, hp, params_in)
 
 
-def _objective(scores: np.ndarray, params: MixtureParams, prior: PriorSpec,
-               hp: HyperParams) -> float:
-    peak = scores.max(axis=1)
-    loglik = float(np.sum(peak + np.log(np.exp(scores - peak[:, None]).sum(axis=1))))
+def _objective(peak: np.ndarray, sums: np.ndarray, params: MixtureParams,
+               prior: PriorSpec, hp: HyperParams) -> float:
+    """The MAP objective, given the softmax of the parameters' scores."""
+    loglik = float(np.sum(peak + np.log(sums)))
 
     diff = (params.mu - prior.mean[None]).transpose(1, 0, 2)  # (V, G, T)
     quad = ((diff @ prior.cov_inv) * diff).sum(axis=2)         # (V, G)
@@ -311,7 +304,7 @@ def map_objective(params: MixtureParams, data: Dataset, prior: PriorSpec,
     form, so values are comparable within a run but not across n0.
     """
     scores = _log_component_scores(params, _features(data.values, data.mask))
-    return _objective(scores, params, prior, hp)
+    return _objective(*_normalize_rows(scores), params, prior, hp)
 
 
 # ------------------------------------------------------------
@@ -355,21 +348,21 @@ def fit_map_em(data: Dataset, n_components: int, hp: HyperParams, seed: int,
     prior = build_prior(data, hp)
     params = _init_params(data, n_components, prior, mode, rng)
     feats = _features(data.values, data.mask)
-    prior_nat = _prior_natural_mean(prior)
-    # The scores of each new parameter set give both its objective and the
-    # responsibilities of the next sweep (or the returned ones).
-    scores = _log_component_scores(params, feats)
+    post = _log_component_scores(params, feats)
+    _normalize_rows(post)
     previous = None
     for _ in range(max_iter):
-        params = _m_step(_normalize_rows(scores), feats, prior, prior_nat, hp, params)
-        scores = _log_component_scores(params, feats)
-        objective = _objective(scores, params, prior, hp)
+        params = _m_step(post, feats, prior, hp, params)
+        # One softmax of the new scores gives both the objective and the
+        # responsibilities of the next sweep (or the returned ones).
+        post = _log_component_scores(params, feats)
+        objective = _objective(*_normalize_rows(post), params, prior, hp)
         if callback is not None:
             callback(objective)
         if previous is not None and abs(objective - previous) < tol * (abs(previous) + DENOM_EPS):
             break
         previous = objective
-    return params, _normalize_rows(scores)
+    return params, post
 
 
 # ------------------------------------------------------------

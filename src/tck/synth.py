@@ -139,6 +139,13 @@ def _require_labels(data: Dataset) -> np.ndarray:
     return data.labels
 
 
+def _drop_cells(data: Dataset, drop: np.ndarray) -> tuple[Dataset, float]:
+    """A copy of ``data`` with the ``drop`` cells unobserved, and its missing fraction."""
+    mask = np.where(drop, 0, data.mask).astype(np.uint8)
+    frac = 1.0 - mask.mean() if mask.size else 0.0
+    return replace(data, values=data.values.copy(), mask=mask), float(frac)
+
+
 def inject_var1_mnar(data: Dataset, seed: int = 0, return_report: bool = False):
     """Drop cells above a value threshold with class-dependent probability.
 
@@ -151,12 +158,9 @@ def inject_var1_mnar(data: Dataset, seed: int = 0, return_report: bool = False):
     p = np.array([0.9, 0.8])[labels - 1]                      # (N,)
     eligible = data.mask.astype(bool) & (data.values > -1.0)
     u = rng.random(data.values.shape)
-    drop = eligible & (u < p[:, None, None])
-    mask = np.where(drop, 0, data.mask).astype(np.uint8)
-    out = replace(data, values=data.values.copy(), mask=mask)
+    out, frac = _drop_cells(data, eligible & (u < p[:, None, None]))
     if return_report:
-        frac = 1.0 - mask.mean() if mask.size else 0.0
-        return out, InjectionReport(None, None, float(frac))
+        return out, InjectionReport(None, None, frac)
     return out
 
 
@@ -186,6 +190,23 @@ def _sample_rates(kind: str, labels: np.ndarray, v: int, strength: float,
     return rates, signs
 
 
+def _inject_rates(kind: str, data: Dataset, strength: float,
+                  seed: int) -> tuple[Dataset, InjectionReport]:
+    """The rate injector ``kind``; under ``rate_mnar`` only cells above their
+    attribute's dataset mean are eligible."""
+    labels = _require_labels(data)
+    rng = np.random.default_rng(seed)
+    rates, signs = _sample_rates(kind, labels, data.n_attributes, strength, rng)
+    eligible = data.mask.astype(bool)
+    if kind == "rate_mnar":
+        safe = np.where(eligible, data.values, 0.0)
+        attr_mean = safe.sum(axis=(0, 2)) / np.maximum(eligible.sum(axis=(0, 2)), 1)
+        eligible &= data.values > attr_mean[None, :, None]
+    u = rng.random(data.values.shape)
+    out, frac = _drop_cells(data, eligible & (u < rates[:, :, None]))
+    return out, InjectionReport(rates, signs, frac)
+
+
 def inject_rate_mar(data: Dataset, strength: float,
                     seed: int = 0) -> tuple[Dataset, InjectionReport]:
     """Label-shifted per-series missing rates, independent of the values.
@@ -195,14 +216,7 @@ def inject_rate_mar(data: Dataset, strength: float,
     attribute; every cell of (series, attribute) is dropped independently with
     that rate. Returns the injected dataset and the sampled rates and signs.
     """
-    labels = _require_labels(data)
-    rng = np.random.default_rng(seed)
-    rates, signs = _sample_rates("rate_mar", labels, data.n_attributes, strength, rng)
-    u = rng.random(data.values.shape)
-    drop = data.mask.astype(bool) & (u < rates[:, :, None])
-    mask = np.where(drop, 0, data.mask).astype(np.uint8)
-    out = replace(data, values=data.values.copy(), mask=mask)
-    return out, InjectionReport(rates, signs, float(1.0 - mask.mean()))
+    return _inject_rates("rate_mar", data, strength, seed)
 
 
 def inject_rate_mnar(data: Dataset, strength: float,
@@ -215,18 +229,7 @@ def inject_rate_mnar(data: Dataset, strength: float,
     so within each class the mechanism depends on the removed values.
     Returns the injected dataset and the sampled rates and signs.
     """
-    labels = _require_labels(data)
-    rng = np.random.default_rng(seed)
-    rates, signs = _sample_rates("rate_mnar", labels, data.n_attributes, strength, rng)
-    obs = data.mask.astype(bool)
-    safe = np.where(obs, data.values, 0.0)
-    attr_mean = safe.sum(axis=(0, 2)) / np.maximum(obs.sum(axis=(0, 2)), 1)
-    eligible = obs & (data.values > attr_mean[None, :, None])
-    u = rng.random(data.values.shape)
-    drop = eligible & (u < rates[:, :, None])
-    mask = np.where(drop, 0, data.mask).astype(np.uint8)
-    out = replace(data, values=data.values.copy(), mask=mask)
-    return out, InjectionReport(rates, signs, float(1.0 - mask.mean()))
+    return _inject_rates("rate_mnar", data, strength, seed)
 
 
 # ------------------------------------------------------------

@@ -13,8 +13,8 @@ from tck.ensemble import (EnsembleConfig, apply_posterior_transform,
                           kernel_test, load_ensemble, load_kernel,
                           sample_configs, save_ensemble, save_kernel,
                           train_ensemble)
-from tck.mixture import (GAUSSIAN_ONLY, MIXED_MODE, _component_weights,
-                         _features, _normalize_rows, _score_rows, e_step)
+from tck.mixture import (GAUSSIAN_ONLY, MIXED_MODE, _features,
+                         _log_component_scores, _normalize_rows, e_step)
 from tck.transform import (apply_transform, make_semisupervised_factory,
                            make_supervised_factory)
 from tck.data import labels_to_onehot
@@ -567,7 +567,8 @@ def per_model_kernel_test(ens, test):
         for i, (spec, params) in enumerate(zip(ens.specs, ens.params)):
             a, w = spec.attributes, slice(spec.t_start, spec.t_stop)
             feats = _features(test.values[:, a, w], test.mask[:, a, w])
-            post = _normalize_rows(_score_rows(feats, *_component_weights(params)))
+            post = _log_component_scores(params, feats)
+            _normalize_rows(post)
             train = ens.posteriors[i]
             if ens.transforms is not None:
                 train = apply_transform(ens.transforms[i], train)

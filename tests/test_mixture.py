@@ -1,13 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from tck.data import Dataset
-from tck.mixture import (BETA_EPS, GAUSSIAN_ONLY, MIXED_MODE, HyperParams,
-                         MixtureParams, build_prior, component_kl, e_step,
-                         _symmetric_kls, fit_map_em, m_step, map_objective,
-                         symmetric_kl)
+from tck.mixture import (BETA_EPS, COV_JITTER, GAUSSIAN_ONLY, MIXED_MODE,
+                         HyperParams, MixtureParams, build_prior, component_kl,
+                         e_step, _symmetric_kls, fit_map_em, m_step,
+                         map_objective, symmetric_kl)
 from tck.ensemble import (BaseModelSpec, EnsembleConfig, TrainedEnsemble,
                           load_ensemble, save_ensemble)
 from tck.transform import TransformMatrix
@@ -37,6 +38,12 @@ def random_params(rng, g, v, t, mode):
     sigma2 = rng.uniform(0.5, 2.0, size=(g, v))
     beta = rng.uniform(0.2, 0.8, size=(g, v, t)) if mode == MIXED_MODE else None
     return MixtureParams(mode, theta, mu, sigma2, beta)
+
+
+def prior_cov(prior, v):
+    """Attribute v's prior covariance, by the expression ``build_prior`` uses."""
+    t_dim = prior.kernel.shape[0]
+    return prior.scale[v] * (prior.kernel + COV_JITTER * np.eye(t_dim))
 
 
 def naive_responsibilities(params, values, mask):
@@ -231,7 +238,7 @@ class TestMStep:
                 if d.sum() == 0:
                     mu = prior.mean[v]
                 else:
-                    s_inv = np.linalg.inv(prior.cov[v])
+                    s_inv = np.linalg.inv(prior_cov(prior, v))
                     rhs = s_inv @ prior.mean[v] + (w * x).sum(axis=0) / sigma2
                     mu = np.linalg.solve(s_inv + np.diag(d) / sigma2, rhs)
                 np.testing.assert_allclose(out.mu[g, v], mu, rtol=1e-10)
@@ -263,8 +270,8 @@ class TestObjective:
         prior_term = 0.0
         for v in range(ds.n_attributes):
             diff = params.mu[0, v] - prior.mean[v]
-            quad = diff @ np.linalg.solve(prior.cov[v], diff)
-            _, logdet = np.linalg.slogdet(prior.cov[v])
+            quad = diff @ np.linalg.solve(prior_cov(prior, v), diff)
+            _, logdet = np.linalg.slogdet(prior_cov(prior, v))
             prior_term += -0.5 * (ds.length * math.log(2 * math.pi) + logdet + quad)
             s2 = params.sigma2[0, v]
             prior_term += (-0.5 * HP.n0 * math.log(s2)
@@ -285,12 +292,24 @@ class TestObjective:
         extra = 0.0
         for v in range(ds.n_attributes):
             diff = one.mu[0, v] - prior.mean[v]
-            quad = diff @ np.linalg.solve(prior.cov[v], diff)
-            _, logdet = np.linalg.slogdet(prior.cov[v])
+            quad = diff @ np.linalg.solve(prior_cov(prior, v), diff)
+            _, logdet = np.linalg.slogdet(prior_cov(prior, v))
             extra += -0.5 * (ds.length * math.log(2 * math.pi) + logdet + quad)
             extra += (-0.5 * HP.n0 * math.log(one.sigma2[0, v])
                       - HP.n0 * prior.scale[v] ** 2 / (2 * one.sigma2[0, v]))
         np.testing.assert_allclose(b - a, extra, rtol=1e-9)
+
+    def test_underflowing_series_is_named_without_warnings(self):
+        values = np.random.default_rng(25).normal(size=(3, 1, 2))
+        values[1, 0, 1] = 1e150
+        ds = make_dataset(values, np.ones_like(values))
+        params = MixtureParams(GAUSSIAN_ONLY, np.array([0.5, 0.5]),
+                               np.zeros((2, 1, 2)), np.full((2, 1), 1e-10), None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="^posterior underflow for series index 1$"):
+                map_objective(params, ds, build_prior(ds, HP), HP)
 
     def test_scaling_variances_changes_objective(self):
         rng = np.random.default_rng(14)
@@ -351,12 +370,12 @@ class TestFit:
         for _ in range(max_iter):
             ref = m_step(e_step(ref, ds), ds, prior, HP, ref)
             expected.append(map_objective(ref, ds, prior, HP))
-        np.testing.assert_allclose(trace, expected, rtol=1e-10)
+        np.testing.assert_array_equal(trace, expected)
         fields = ("theta", "mu", "sigma2") + (("beta",) if mode == MIXED_MODE else ())
         for field in fields:
-            np.testing.assert_allclose(getattr(params, field), getattr(ref, field),
-                                       rtol=1e-10, err_msg=field)
-        np.testing.assert_allclose(post, e_step(ref, ds), rtol=1e-10)
+            np.testing.assert_array_equal(getattr(params, field), getattr(ref, field),
+                                          err_msg=field)
+        np.testing.assert_array_equal(post, e_step(ref, ds))
 
     def test_deterministic_given_seed(self):
         ds = random_instance(np.random.default_rng(18))
