@@ -1,0 +1,98 @@
+"""Compare the CLI output bytes of two checkouts.
+
+Run from anywhere:
+
+    python3 bench/cli_diff.py DIR_A DIR_B
+
+Each checkout's ``src`` runs the same tiny commands: ``generate --recipe
+var1``, ``train`` for all eight variants, and ``eval --k 1`` and ``eval --k
+cv`` against each trained run. The checkouts run in turn at the same output
+path, because manifests record absolute paths, and each one's outputs are
+then moved aside. Every output file whose bytes differ, or that exists on one
+side only, is listed; the exit status is 1 if there is any, else 0.
+"""
+from __future__ import annotations
+
+import filecmp
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+VARIANTS = ("tck", "sstck", "stck", "tck_im", "sstck_im", "stck_im",
+            "tck_b", "tck_0")
+SMALL = ["--q", "2", "--components", "2,3", "--t-min", "4", "--threads", "1"]
+
+# Runs each argv of a JSON list through tck.cli.main; stops at a failure.
+RUNNER = """
+import json, sys
+from tck.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"tck {' '.join(argv)} failed")
+"""
+
+
+def commands(out: str) -> list:
+    """The argv lists, writing under ``out``."""
+    gen = os.path.join(out, "generate")
+    data = ["--data", os.path.join(gen, "train.csv"),
+            "--labels", os.path.join(gen, "train_labels.csv")]
+    test = ["--data", os.path.join(gen, "test.csv"),
+            "--labels", os.path.join(gen, "test_labels.csv")]
+    argvs = [["generate", "--recipe", "var1", "--seed", "7", "--out", gen]]
+    for variant in VARIANTS:
+        train = os.path.join(out, f"train_{variant}")
+        argvs.append(["train", *data, "--variant", variant, "--seed", "2",
+                      "--out", train, *SMALL])
+        for k in ("1", "cv"):
+            argvs.append(["eval", "--train-dir", train, *test, "--k", k,
+                          "--out", os.path.join(out, f"eval_{variant}_k{k}")])
+    return argvs
+
+
+def run_checkout(checkout: str, out: str) -> None:
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
+    subprocess.run([sys.executable, "-c", RUNNER, json.dumps(commands(out))],
+                   env=env, check=True)
+
+
+def files(root: str) -> set:
+    return {os.path.relpath(os.path.join(d, f), root)
+            for d, _, names in os.walk(root) for f in names}
+
+
+def differences(a: str, b: str) -> list:
+    """Lines naming each file that differs or exists on one side only."""
+    fa, fb = files(a), files(b)
+    lines = [f"only in A: {p}" for p in sorted(fa - fb)]
+    lines += [f"only in B: {p}" for p in sorted(fb - fa)]
+    lines += [f"differs: {p}" for p in sorted(fa & fb)
+              if not filecmp.cmp(os.path.join(a, p), os.path.join(b, p),
+                                 shallow=False)]
+    return lines
+
+
+def main(argv: list) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as work:
+        out = os.path.join(work, "out")
+        sides = []
+        for side, checkout in zip("AB", argv):
+            run_checkout(checkout, out)
+            os.rename(out, os.path.join(work, side))
+            sides.append(os.path.join(work, side))
+        lines = differences(*sides)
+        same = len(files(sides[0]) & files(sides[1])) - sum(
+            ln.startswith("differs") for ln in lines)
+    for line in lines:
+        print(line)
+    print(f"# {same} files identical, {len(lines)} not")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

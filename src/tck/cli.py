@@ -19,7 +19,7 @@ import numpy as np
 from . import data as dt
 from .data import Dataset, StandardizationStats
 from .ensemble import (EnsembleConfig, apply_posterior_transform, kernel_test,
-                       load_ensemble, save_ensemble, save_kernel, load_kernel,
+                       load_ensemble, save_ensemble, save_kernel,
                        train_ensemble)
 from .evaluation import (classification_metrics, kfold_evaluate, knn_predict,
                          kpca, select_k)
@@ -259,6 +259,7 @@ def cmd_train(args, out_dir: str):
                                        args.n_labeled, args.seed, args.threads)
     save_ensemble(ens, os.path.join(out_dir, "ensemble"))
     save_kernel(kernel, os.path.join(out_dir, "kernel_train.csv"))
+    np.save(os.path.join(out_dir, "kernel_train.npy"), kernel.values)
     resolved = {
         "variant": args.variant,
         "data": os.path.abspath(args.data),
@@ -274,7 +275,7 @@ def cmd_train(args, out_dir: str):
         "model_count": kernel.model_count,
         "failed_models": len(ens.failed),
     }
-    return resolved, ["ensemble", "kernel_train.csv"]
+    return resolved, ["ensemble", "kernel_train.csv", "kernel_train.npy"]
 
 
 # ------------------------------------------------------------
@@ -301,6 +302,22 @@ def _write_embedding_csv(path, embedding_coords, labels, ids, roles) -> None:
             fh.write(f"{role},{sid},{label},{row[0]:.17g},{pc2:.17g}\n")
 
 
+def _load_train_kernel(train_dir: str, n: int) -> np.ndarray:
+    """The (n, n) float64 train kernel that `tck train` saved as .npy."""
+    path = os.path.join(train_dir, "kernel_train.npy")
+    try:
+        values = np.load(path, allow_pickle=False)
+    except FileNotFoundError:
+        raise ValueError(f"{path} is missing; {train_dir} was written by an "
+                         f"older tck or is incomplete; retrain it") from None
+    except (ValueError, EOFError) as exc:   # damaged, or not an .npy file
+        raise ValueError(f"{path}: {exc}") from None
+    if values.dtype != np.float64 or values.shape != (n, n):
+        raise ValueError(f"{path}: expected a float64 ({n}, {n}) train kernel, "
+                         f"found {values.dtype} {values.shape}")
+    return values
+
+
 def cmd_eval(args, out_dir: str):
     if args.folds:
         return _eval_cross_validated(args, out_dir)
@@ -320,7 +337,10 @@ def cmd_eval(args, out_dir: str):
         raise ValueError("training run had no labels; cannot classify")
     train_labels = np.asarray(stored, dtype=np.int64)
     ens = load_ensemble(os.path.join(args.train_dir, "ensemble"))
-    kernel_train = load_kernel(os.path.join(args.train_dir, "kernel_train.csv"))
+    if ens.n_series != len(train_labels):
+        raise ValueError(f"{path} stores {len(train_labels)} train labels but "
+                         f"the ensemble was trained on {ens.n_series} series")
+    kernel_train = _load_train_kernel(args.train_dir, ens.n_series)
 
     test_raw = dt.load_dataset(args.data, args.labels)
     test_prepared = prepare_eval_data(test_raw, variant, stats)

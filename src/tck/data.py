@@ -7,6 +7,7 @@ Datasets bundle N such series with optional integer class labels
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -124,6 +125,11 @@ def labels_to_onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 _DATA_HEADER = "series_id,attribute,time,value"
 _LABEL_HEADER = "series_id,label"
+# The metadata keys, each with its smallest allowed value.
+_METADATA_MIN = {"N": 0, "V": 1, "T": 1, "N_c": 0}
+# One data row as the fast reader parses it.
+_CELL_DTYPE = [("series_id", np.int64), ("attribute", np.int64),
+               ("time", np.int64), ("value", np.float64)]
 
 
 def _parse_metadata(line: str, path) -> dict:
@@ -136,9 +142,14 @@ def _parse_metadata(line: str, path) -> dict:
         key, _, value = item.partition("=")
         meta[key.strip()] = value.strip()
     try:
-        return {k: int(meta[k]) for k in ("N", "V", "T", "N_c")}
+        dims = {k: int(meta[k]) for k in _METADATA_MIN}
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: metadata must declare integer N, V, T, N_c") from exc
+    for key, least in _METADATA_MIN.items():
+        if dims[key] < least:
+            raise FormatError(f"{path}: metadata {key}={dims[key]} must be at "
+                              f"least {least}")
+    return dims
 
 
 def load_dataset(path, label_path=None) -> Dataset:
@@ -148,19 +159,70 @@ def load_dataset(path, label_path=None) -> Dataset:
     with 1-based integer indices; cells without a row are missing. The first
     line is a comment declaring the dataset dimensions, e.g.
     ``# N=400,V=2,T=50,N_c=2``.
+
+    The data rows are read in one C-level pass when they are plainly well
+    formed; any other file goes through a line-by-line reader, which accepts
+    the same files, reads the same values and names the line at fault.
     """
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines:
+        text = fh.read()
+    if not text:
         raise FormatError(f"{path}: empty file, expected a metadata header")
-    meta = _parse_metadata(lines[0], path)
+    first, _, rest = text.partition("\n")
+    meta = _parse_metadata(first, path)
     n, v_dim, t_dim, n_classes = meta["N"], meta["V"], meta["T"], meta["N_c"]
-    if len(lines) < 2 or lines[1].strip() != _DATA_HEADER:
+    header, _, body = rest.partition("\n")
+    if header.strip() != _DATA_HEADER:
         raise FormatError(f"{path}: expected header '{_DATA_HEADER}'")
 
+    cells = _read_cells_fast(body, n, v_dim, t_dim)
+    values, mask = cells or _read_cells(body.split("\n"), path, n, v_dim, t_dim)
+    labels = None if label_path is None else _read_labels(label_path, n, n_classes)
+    return Dataset(values, mask, labels, n_classes, np.arange(1, n + 1))
+
+
+def _read_cells_fast(body: str, n: int, v_dim: int, t_dim: int):
+    """(values, mask) of the data rows from one ``np.loadtxt`` call, or None
+    when the rows are not plainly well formed: a field loadtxt cannot read,
+    an index out of range or a duplicate cell. loadtxt skips empty lines,
+    as ``_read_cells`` does.
+
+    Non-ASCII text also returns None, as do the ASCII separators
+    0x1c-0x1f: loadtxt reads some non-ASCII digits as other numbers than
+    ``int`` does (U+0968, a two, as 2360) and strips those separators as
+    whitespace, where ``int`` and ``float`` reject the field. On everything
+    else the two agree, value for value.
+    """
+    if (not body.strip() or not body.isascii()
+            or any(c in body for c in "\x1c\x1d\x1e\x1f")):
+        return None
+    try:
+        rows = np.loadtxt(io.StringIO(body), dtype=_CELL_DTYPE, delimiter=",",
+                          comments=None, ndmin=1)
+    except ValueError:
+        return None
+    sid, attr, t = rows["series_id"], rows["attribute"], rows["time"]
+    if ((sid < 1) | (sid > n) | (attr < 1) | (attr > v_dim)
+            | (t < 1) | (t > t_dim)).any():
+        return None
+    cell = ((sid - 1) * v_dim + attr - 1) * t_dim + t - 1
+    mask = np.zeros(n * v_dim * t_dim, dtype=np.uint8)
+    mask[cell] = 1
+    if np.count_nonzero(mask) != len(cell):
+        return None                     # a duplicate cell
+    values = np.zeros(n * v_dim * t_dim)
+    values[cell] = rows["value"]
+    shape = (n, v_dim, t_dim)
+    return values.reshape(shape), mask.reshape(shape)
+
+
+def _read_cells(lines: list, path, n: int, v_dim: int, t_dim: int):
+    """(values, mask) of the data rows, read one line at a time; the first
+    line is line 3 of the file. This is the reference reader, and it words
+    every error."""
     values = np.zeros((n, v_dim, t_dim))
     mask = np.zeros((n, v_dim, t_dim), dtype=np.uint8)
-    for ln_no, raw in enumerate(lines[2:], start=3):
+    for ln_no, raw in enumerate(lines, start=3):
         if not raw.strip():
             continue
         parts = raw.split(",")
@@ -181,39 +243,46 @@ def load_dataset(path, label_path=None) -> Dataset:
             raise FormatError(f"{path}:{ln_no}: duplicate cell ({sid},{attr},{t})")
         values[sid - 1, attr - 1, t - 1] = val
         mask[sid - 1, attr - 1, t - 1] = 1
+    return values, mask
 
-    labels = None
-    if label_path is not None:
-        labels = np.zeros(n, dtype=np.int64)
-        with open(label_path) as fh:
-            label_lines = [ln.rstrip("\n") for ln in fh]
-        if not label_lines or label_lines[0].strip() != _LABEL_HEADER:
-            raise FormatError(f"{label_path}: expected header '{_LABEL_HEADER}'")
-        for ln_no, raw in enumerate(label_lines[1:], start=2):
-            if not raw.strip():
-                continue
-            parts = raw.split(",")
-            if len(parts) != 2:
-                raise FormatError(f"{label_path}:{ln_no}: expected 2 fields")
-            try:
-                sid = int(parts[0])
-            except ValueError as exc:
-                raise FormatError(f"{label_path}:{ln_no}: bad series_id") from exc
-            if not (1 <= sid <= n):
-                raise FormatError(f"{label_path}:{ln_no}: series_id {sid} outside [1, {n}]")
-            text = parts[1].strip()
-            if not text:
-                continue  # unlabeled
-            try:
-                label = int(text)
-            except ValueError as exc:
-                raise FormatError(f"{label_path}:{ln_no}: bad label {text!r}") from exc
-            if not (1 <= label <= n_classes):
-                raise FormatError(
-                    f"{label_path}:{ln_no}: label {label} outside [1, {n_classes}]")
-            labels[sid - 1] = label
 
-    return Dataset(values, mask, labels, n_classes, np.arange(1, n + 1))
+def _read_labels(path, n: int, n_classes: int) -> np.ndarray:
+    """(n,) labels from a label CSV; series without a row or with an empty
+    label field are unlabeled (0)."""
+    labels = np.zeros(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh]
+    if not lines or lines[0].strip() != _LABEL_HEADER:
+        raise FormatError(f"{path}: expected header '{_LABEL_HEADER}'")
+    for ln_no, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        parts = raw.split(",")
+        if len(parts) != 2:
+            raise FormatError(f"{path}:{ln_no}: expected 2 fields")
+        try:
+            sid = int(parts[0])
+        except ValueError as exc:
+            raise FormatError(f"{path}:{ln_no}: bad series_id") from exc
+        if not (1 <= sid <= n):
+            raise FormatError(f"{path}:{ln_no}: series_id {sid} outside [1, {n}]")
+        if seen[sid - 1]:
+            raise FormatError(f"{path}:{ln_no}: duplicate label row for "
+                              f"series_id {sid}")
+        seen[sid - 1] = True
+        text = parts[1].strip()
+        if not text:
+            continue  # unlabeled
+        try:
+            label = int(text)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{ln_no}: bad label {text!r}") from exc
+        if not (1 <= label <= n_classes):
+            raise FormatError(
+                f"{path}:{ln_no}: label {label} outside [1, {n_classes}]")
+        labels[sid - 1] = label
+    return labels
 
 
 def save_dataset(data: Dataset, path, label_path=None) -> None:

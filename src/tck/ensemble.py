@@ -13,6 +13,7 @@ models and runs the softmax once per count.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import multiprocessing
@@ -444,16 +445,56 @@ def save_kernel(km: KernelMatrix, path) -> None:
 
 
 def load_kernel(path) -> KernelMatrix:
+    """Read a file written by ``save_kernel``, of any shape.
+
+    Raises ValueError naming the path, and the line where it is known, when
+    a header line is wrong, when the file ends inside a row, when it holds
+    more or fewer rows than it declares, or when a row is not m numbers.
+    """
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "n,m,model_count":
-            raise ValueError(f"{path}: expected kernel header 'n,m,model_count'")
-        n, m, count = (int(x) for x in fh.readline().split(","))
-        values = np.array([[float(x) for x in fh.readline().split(",")]
-                           for _ in range(n)])
-    if values.shape != (n, m):
-        raise ValueError(f"{path}: kernel shape mismatch")
+        header, dims, body = fh.readline(), fh.readline(), fh.read()
+    if header.strip() != "n,m,model_count":
+        raise ValueError(f"{path}: expected kernel header 'n,m,model_count'")
+    try:
+        n, m, count = (int(x) for x in dims.split(","))
+    except ValueError:
+        raise ValueError(f"{path}:2: expected three integers n,m,model_count, "
+                         f"found {dims.strip()!r}") from None
+    if min(n, m, count) < 0:
+        raise ValueError(f"{path}:2: negative kernel dimension in {dims.strip()!r}")
+    rows = body.count("\n")
+    if body and not body.endswith("\n"):
+        raise ValueError(f"{path}:{rows + 3}: truncated kernel row")
+    if rows != n:
+        raise ValueError(f"{path}: declares {n} kernel rows, holds {rows}")
+    if n == 0 or m == 0:
+        if body.strip():
+            raise ValueError(f"{path}: declares an empty {n} x {m} kernel, "
+                             f"holds values")
+        return KernelMatrix(np.zeros((n, m)), count)
+    try:
+        values = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2,
+                            comments=None)
+    except ValueError:
+        values = None
+    if values is None or values.shape != (n, m):
+        raise _kernel_row_error(path, body.split("\n")[:n], m)
     return KernelMatrix(values, count)
+
+
+def _kernel_row_error(path, lines: list, m: int) -> ValueError:
+    """The error for the first of a kernel's row lines that is not m numbers."""
+    for ln_no, line in enumerate(lines, start=3):
+        fields = line.split(",")
+        if len(fields) != m:
+            return ValueError(f"{path}:{ln_no}: expected {m} kernel values, "
+                              f"found {len(fields)}")
+        try:
+            list(map(float, fields))
+        except ValueError:
+            return ValueError(f"{path}:{ln_no}: malformed kernel row")
+    return ValueError(f"{path}: kernel rows are not {len(lines)} rows of {m} "
+                      f"numbers")
 
 
 def _param_shapes(q2: int, v: int, t: int, mode: str) -> list:
@@ -536,7 +577,7 @@ def _load_array(directory, name: str, shape: tuple) -> np.ndarray:
     except FileNotFoundError:
         raise ValueError(f"{path} is missing; the ensemble directory is "
                          f"incomplete") from None
-    except ValueError as exc:           # truncated or not an .npy file
+    except (ValueError, EOFError) as exc:   # truncated or not an .npy file
         raise ValueError(f"{path}: {exc}") from exc
     if array.shape != shape:
         raise ValueError(f"{path}: manifest.json implies shape {shape}, "

@@ -138,7 +138,8 @@ class TestTrain:
             assert code == 0
             outs.append(out)
         a, b = outs
-        assert (a / "kernel_train.csv").read_bytes() == (b / "kernel_train.csv").read_bytes()
+        for name in ("kernel_train.csv", "kernel_train.npy"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
         names = sorted(p.name for p in (a / "ensemble").iterdir())
         assert names == sorted(p.name for p in (b / "ensemble").iterdir())
         assert {"manifest.json", "posteriors.npy"} <= set(names)
@@ -146,6 +147,21 @@ class TestTrain:
         for name in names:
             assert (a / "ensemble" / name).read_bytes() == \
                    (b / "ensemble" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("variant", ["tck", "sstck", "stck", "tck_im",
+                                         "sstck_im", "stck_im", "tck_b", "tck_0"])
+    def test_binary_kernel_equals_the_csv(self, tmp_path, var1_dir, variant):
+        out = tmp_path / variant
+        code = run(["train", "--data", var1_dir / "train.csv",
+                    "--labels", var1_dir / "train_labels.csv",
+                    "--variant", variant, "--seed", "4", "--out", out, *SMALL])
+        assert code == 0
+        binary = np.load(out / "kernel_train.npy", allow_pickle=False)
+        text = load_kernel(out / "kernel_train.csv").values
+        assert binary.dtype == text.dtype and binary.shape == text.shape
+        assert binary.tobytes() == text.tobytes()
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert outputs == ["ensemble", "kernel_train.csv", "kernel_train.npy"]
 
     def test_supervised_variant_requires_labels(self, tmp_path, var1_dir, capsys):
         code = run(["train", "--data", var1_dir / "train.csv",
@@ -325,6 +341,35 @@ class TestBadTrainDir:
         path.write_text(json.dumps(manifest))
         err = self.eval_fails(run_dir, var1_dir, tmp_path, capsys)
         assert str(path) in err and f"'{key}'" in err
+
+    def test_train_labels_disagreeing_with_the_ensemble(self, tmp_path, var1_dir,
+                                                        trained_dir, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(trained_dir, run_dir)
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["train_labels"].pop()
+        path.write_text(json.dumps(manifest))
+        err = self.eval_fails(run_dir, var1_dir, tmp_path, capsys)
+        assert str(path) in err and "train labels" in err
+
+    @pytest.mark.parametrize("damage, error", [
+        pytest.param(lambda p: p.unlink(), "is missing", id="missing"),
+        pytest.param(lambda p: np.save(p, np.load(p)[:, :-1]),
+                     "found float64 (", id="wrong-shape"),
+        pytest.param(lambda p: np.save(p, np.load(p).astype(np.float32)),
+                     "found float32 (", id="wrong-dtype"),
+        pytest.param(lambda p: p.write_bytes(b""), "No data left in file",
+                     id="empty"),
+    ])
+    def test_damaged_binary_train_kernel(self, tmp_path, var1_dir, trained_dir,
+                                         capsys, damage, error):
+        run_dir = tmp_path / "run"
+        shutil.copytree(trained_dir, run_dir)
+        path = run_dir / "kernel_train.npy"
+        damage(path)
+        err = self.eval_fails(run_dir, var1_dir, tmp_path, capsys)
+        assert str(path) in err and error in err
 
 
 class TestReproduce:

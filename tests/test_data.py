@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tck.data
 from tck.data import (Dataset, FormatError, concat_mask, load_dataset,
                       save_dataset, standardize, zero_impute)
 
@@ -94,6 +95,130 @@ class TestLoad:
         assert np.array_equal(back.labels, ds.labels)
         obs = ds.mask.astype(bool)
         assert np.array_equal(back.values[obs], ds.values[obs])
+
+
+def read_both_ways(monkeypatch, path, label_path=None):
+    """load_dataset with the fast pass, and with the line loop forced."""
+    fast = load_dataset(path, label_path)
+    with monkeypatch.context() as m:
+        m.setattr(tck.data, "_read_cells_fast", lambda *args: None)
+        slow = load_dataset(path, label_path)
+    return fast, slow
+
+
+def assert_same_dataset(a, b):
+    for name in ("values", "mask", "labels", "ids"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert a.n_classes == b.n_classes
+
+
+class TestReader:
+    """The fast pass and the line loop accept the same files and read the
+    same bits; the line loop words every error."""
+
+    # (data rows after the header, line and message of the error) with
+    # "# N=1,V=2,T=3,N_c=0" declared.
+    BAD = {
+        "field-count": ("1,1,1,0.5\n1,1,2\n", "4: expected 4 fields, got 3"),
+        "non-integer-id": ("1.5,1,1,0.5\n", "3: malformed row '1.5,1,1,0.5'"),
+        "series-range": ("1,1,1,0.5\n2,1,1,0.5\n",
+                         "4: series_id 2 outside [1, 1]"),
+        "attribute-range": ("1,3,1,0.5\n", "3: attribute 3 outside [1, 2]"),
+        "time-range": ("1,1,0,0.5\n", "3: time 0 outside [1, 3]"),
+        "duplicate-cell": ("1,1,1,0.5\n1,2,1,0.5\n1,1,1,0.7\n",
+                           "5: duplicate cell (1,1,1)"),
+        # loadtxt strips 0x1c-0x1f as whitespace; float() does not
+        "separator-char": ("1,1,1,0.5\x1c\n", "3: malformed row '1,1,1,0.5\\x1c'"),
+    }
+
+    @pytest.mark.parametrize("body, error", BAD.values(), ids=BAD.keys())
+    def test_bad_rows_are_named(self, tmp_path, body, error):
+        path = tmp_path / "d.csv"
+        path.write_text("# N=1,V=2,T=3,N_c=0\nseries_id,attribute,time,value\n"
+                        + body)
+        with pytest.raises(FormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}:{error}"
+
+    # Irregular files that the line loop accepts, some of which loadtxt
+    # rejects; each holds the cells (1,1,1)=0.5 and (1,2,3)=10.
+    GOOD = {
+        "blank-line": "1,1,1,0.5\n\n1,2,3,10\n",
+        "crlf": "1,1,1,0.5\r\n1,2,3,10\r\n",
+        "space-padded": " 1 , 1,1 ,0.5\n1, 2, 3 , 10 \n",
+        "underscore": "1,1,1,0.5\n1,2,3,1_0\n",
+        "arabic-indic-digit": "\u0661,1,1,0.5\n1,2,3,10\n",
+        "no-final-newline": "1,1,1,0.5\n1,2,3,10",
+    }
+
+    @pytest.mark.parametrize("body", GOOD.values(), ids=GOOD.keys())
+    def test_irregular_files_still_load(self, tmp_path, monkeypatch, body):
+        path = tmp_path / "d.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write("# N=1,V=2,T=3,N_c=0\nseries_id,attribute,time,value\n"
+                     + body)
+        fast, slow = read_both_ways(monkeypatch, path)
+        assert_same_dataset(fast, slow)
+        assert fast.mask.tolist() == [[[1, 0, 0], [0, 0, 1]]]
+        assert fast.values[0, 0, 0] == 0.5 and fast.values[0, 1, 2] == 10.0
+
+    def test_non_ascii_digit_reads_as_int_reads_it(self, tmp_path, monkeypatch):
+        # int() reads U+0968 (Devanagari two) as 2; loadtxt as 2360.
+        path = tmp_path / "d.csv"
+        path.write_text("# N=2360,V=1,T=1,N_c=0\nseries_id,attribute,time,value\n"
+                        "\u0968,1,1,0.5\n")
+        fast, slow = read_both_ways(monkeypatch, path)
+        assert_same_dataset(fast, slow)
+        assert np.flatnonzero(fast.mask).tolist() == [1]
+
+    def test_large_file_reads_identically_both_ways(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(11)
+        n, v, t = 300, 3, 40
+        scale = 10.0 ** rng.integers(-150, 150, (n, v, t))
+        values = rng.normal(size=(n, v, t)) * scale
+        values[rng.random((n, v, t)) < 0.1] = 5e-324        # subnormal
+        mask = (rng.random((n, v, t)) < 0.4).astype(np.uint8)
+        labels = rng.integers(0, 4, n)
+        save_dataset(make_dataset(values, mask, labels, n_classes=3),
+                     tmp_path / "d.csv", tmp_path / "l.csv")
+        # Shortest repr of some values, and rows out of order.
+        lines = (tmp_path / "d.csv").read_text().splitlines()
+        body = lines[2:]
+        rng.shuffle(body)
+        for i in range(0, len(body), 2):
+            cell, _, x = body[i].rpartition(",")
+            body[i] = f"{cell},{float(x)!r}"
+        (tmp_path / "d.csv").write_text("\n".join(lines[:2] + body) + "\n")
+        assert tck.data._read_cells_fast("\n".join(body), n, v, t) is not None
+        fast, slow = read_both_ways(monkeypatch, tmp_path / "d.csv",
+                                    tmp_path / "l.csv")
+        assert_same_dataset(fast, slow)
+        obs = mask.astype(bool)
+        assert np.array_equal(fast.mask, mask)
+        assert fast.values[obs].tobytes() == values[obs].tobytes()
+
+    @pytest.mark.parametrize("meta, key", [
+        ("N=-1,V=2,T=3,N_c=0", "N=-1"), ("N=1,V=0,T=3,N_c=0", "V=0"),
+        ("N=1,V=2,T=0,N_c=0", "T=0"), ("N=1,V=2,T=3,N_c=-1", "N_c=-1"),
+    ], ids=["N", "V", "T", "N_c"])
+    def test_metadata_out_of_range_rejected(self, tmp_path, meta, key):
+        path = tmp_path / "d.csv"
+        write_csv(path, "# " + meta, [])
+        with pytest.raises(FormatError) as info:
+            load_dataset(path)
+        least = 1 if key[0] in "VT" else 0
+        assert str(info.value) == f"{path}: metadata {key} must be at least {least}"
+
+    def test_duplicate_label_row_rejected(self, tmp_path):
+        path, lpath = tmp_path / "d.csv", tmp_path / "l.csv"
+        write_csv(path, "# N=1,V=1,T=1,N_c=2", [(1, 1, 1, 0.5)])
+        lpath.write_text("series_id,label\n1,1\n1,2\n")
+        with pytest.raises(FormatError) as info:
+            load_dataset(path, lpath)
+        assert str(info.value) == f"{lpath}:3: duplicate label row for series_id 1"
 
 
 class TestStandardize:

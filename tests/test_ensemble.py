@@ -9,10 +9,10 @@ import pytest
 
 import tck.ensemble as ens_mod
 from tck.data import Dataset, standardize
-from tck.ensemble import (EnsembleConfig, apply_posterior_transform,
-                          kernel_test, load_ensemble, load_kernel,
-                          sample_configs, save_ensemble, save_kernel,
-                          train_ensemble)
+from tck.ensemble import (EnsembleConfig, KernelMatrix,
+                          apply_posterior_transform, kernel_test,
+                          load_ensemble, load_kernel, sample_configs,
+                          save_ensemble, save_kernel, train_ensemble)
 from tck.mixture import (GAUSSIAN_ONLY, MIXED_MODE, _features,
                          _log_component_scores, _normalize_rows, e_step)
 from tck.transform import (apply_transform, make_semisupervised_factory,
@@ -356,12 +356,53 @@ class TestTransformsInEnsemble:
 class TestPersistence:
     def test_kernel_csv_round_trip(self, tmp_path):
         data = blob_dataset(seed=16)
-        _, km = train_ensemble(data, small_config(seed=16, n_init=2))
+        ens, km = train_ensemble(data, small_config(seed=16, n_init=2))
+        empty_batch = kernel_test(ens, data.take(np.zeros(0, dtype=int)))
+        assert empty_batch.values.shape == (data.n, 0)
+        rng = np.random.default_rng(0)
+        others = [KernelMatrix(rng.normal(size=shape), 3)
+                  for shape in ((0, 3), (0, 0), (3, 1), (1, 4))]
         path = tmp_path / "k.csv"
-        save_kernel(km, path)
-        back = load_kernel(path)
-        assert back.model_count == km.model_count
-        assert np.array_equal(back.values, km.values)
+        for kernel in (km, empty_batch, *others):
+            save_kernel(kernel, path)
+            back = load_kernel(path)
+            assert back.model_count == kernel.model_count
+            assert back.values.shape == kernel.values.shape
+            assert back.values.tobytes() == kernel.values.tobytes()
+
+    # (damage to the text of a saved 3 x 2 kernel, error after the path)
+    DAMAGED = {
+        "header": (lambda s: s.replace("n,m", "n;m"),
+                   ": expected kernel header 'n,m,model_count'"),
+        "dims": (lambda s: s.replace("3,2,5", "3,2"),
+                 ":2: expected three integers n,m,model_count, found '3,2'"),
+        "negative-dims": (lambda s: s.replace("3,2,5", "3,-2,5"),
+                          ":2: negative kernel dimension in '3,-2,5'"),
+        "truncated": (lambda s: s[:-3], ":5: truncated kernel row"),
+        "missing-row": (lambda s: s[:s.rindex("\n", 0, -1) + 1],
+                        ": declares 3 kernel rows, holds 2"),
+        "extra-row": (lambda s: s + "6,7\n", ": declares 3 kernel rows, holds 4"),
+        "ragged": (lambda s: s.replace("\n2,3\n", "\n2\n"),
+                   ":4: expected 2 kernel values, found 1"),
+        "three-values": (lambda s: s.replace("\n2,3\n", "\n2,3,3\n"),
+                         ":4: expected 2 kernel values, found 3"),
+        "bad-number": (lambda s: s.replace("\n2,3\n", "\n2,x\n"),
+                       ":4: malformed kernel row"),
+        "blank-row": (lambda s: s.replace("\n2,3\n", "\n\n"),
+                      ":4: expected 2 kernel values, found 1"),
+        "values-in-empty": (lambda s: s.replace("3,2,5", "3,0,5"),
+                            ": declares an empty 3 x 0 kernel, holds values"),
+    }
+
+    @pytest.mark.parametrize("damage, error", DAMAGED.values(), ids=DAMAGED.keys())
+    def test_damaged_kernel_file_is_named(self, tmp_path, damage, error):
+        path = tmp_path / "k.csv"
+        save_kernel(KernelMatrix(np.array([[0.5, 1], [2, 3], [4, 5]]), 5), path)
+        assert path.read_text().endswith("\n2,3\n4,5\n")
+        path.write_text(damage(path.read_text()))
+        with pytest.raises(ValueError) as info:
+            load_kernel(path)
+        assert str(info.value) == f"{path}{error}"
 
     def test_ensemble_directory_round_trip(self, tmp_path):
         data = blob_dataset(seed=17)
@@ -407,6 +448,11 @@ class TestEnsembleFiles:
     def test_partly_written_params_rejected(self, saved):
         raw = (saved / "params.npy").read_bytes()
         (saved / "params.npy").write_bytes(raw[:-40])
+        with pytest.raises(ValueError, match=r"params\.npy"):
+            load_ensemble(saved)
+
+    def test_empty_params_file_rejected(self, saved):
+        (saved / "params.npy").write_bytes(b"")
         with pytest.raises(ValueError, match=r"params\.npy"):
             load_ensemble(saved)
 
