@@ -7,13 +7,16 @@ Run from the repository root:
 
 Each argument is ``[DIR=]N``: the checkout in DIR (default: this repository)
 is recorded as ``bench/BENCH_<N>.json`` here. Every checkout runs
-``perfbench/run.py --seconds 25`` for the fit, eval and score workloads on
-seeds 0, 1 and 2. The runs alternate between the checkouts, and each
-(workload, seed) starts with the next one, so drift of the host's speed
-falls on all of them. A file holds, per workload, the median over the seeds
-of the six end-to-end metrics of BENCHMARK.json, then every run's metrics,
-the commit the checkout was at and the machine: CPU model, Python, numpy
-and BLAS.
+``perfbench/run.py --seconds 25`` for the fit and eval workloads on seeds
+0, 1 and 2, and for the score workload on seeds 0 to 8: score's
+``op_tail_ms`` spreads about 2x between seeds of one commit, so a median
+over three of them can move by more than the metric's bound. The runs
+alternate between the checkouts, and each (workload, seed) starts with the
+next one, so drift of the host's speed falls on all of them. A file holds
+the seeds of each workload, per workload the median over its seeds of the
+six end-to-end metrics of BENCHMARK.json, then every run's metrics, the
+commit the checkout was at and the machine: CPU model, Python, numpy and
+BLAS.
 """
 from __future__ import annotations
 
@@ -30,8 +33,7 @@ import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ("fit", "eval", "score")
-SEEDS = (0, 1, 2)
+SEEDS = {"fit": (0, 1, 2), "eval": (0, 1, 2), "score": tuple(range(9))}
 SECONDS = 25
 
 
@@ -85,8 +87,8 @@ def record(checkouts: list, seconds: float = SECONDS, seeds=SEEDS) -> dict:
         metrics = [m["name"] for m in json.load(fh)["end_to_end"]]
     runs = {n: [] for _, n in checkouts}
     turn = 0
-    for workload in WORKLOADS:
-        for seed in seeds:
+    for workload, workload_seeds in seeds.items():
+        for seed in workload_seeds:
             for k in range(len(checkouts)):
                 root, number = checkouts[(turn + k) % len(checkouts)]
                 result = run(root, workload, seed, seconds)
@@ -105,10 +107,10 @@ def record(checkouts: list, seconds: float = SECONDS, seeds=SEEDS) -> dict:
         **source(root),
         "machine": host,
         "command": f"perfbench/run.py --seconds {seconds:g}",
-        "seeds": list(seeds),
+        "seeds": {w: list(s) for w, s in seeds.items()},
         "medians": {w: {m: statistics.median(r["metrics"][m] for r in runs[number]
                                               if r["workload"] == w)
-                        for m in metrics} for w in WORKLOADS},
+                        for m in metrics} for w in seeds},
         "runs": runs[number],
     } for root, number in checkouts}
 

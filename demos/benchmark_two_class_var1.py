@@ -4,7 +4,7 @@ Generates a controlled dataset where the *pattern* of missing values carries
 class information, then compares a Gaussian-only kernel against the
 mixed-mode kernel that models the observation mask, with and without label
 information. Runs at a reduced ensemble size so it finishes in ~20 seconds;
-`tck reproduce --table var1` runs the full-size version.
+`tck reproduce` runs the full-size version.
 """
 from tck.cli import _derive_seed, stratified_label_subset
 from tck.data import labels_to_onehot, standardize

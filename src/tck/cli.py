@@ -18,8 +18,8 @@ import numpy as np
 
 from . import data as dt
 from .data import Dataset, StandardizationStats
-from .ensemble import (EnsembleConfig, apply_posterior_transform, kernel_test,
-                       load_ensemble, save_ensemble, save_kernel,
+from .ensemble import (EnsembleConfig, _load_array, apply_posterior_transform,
+                       kernel_test, load_ensemble, save_ensemble, save_kernel,
                        train_ensemble)
 from .evaluation import (classification_metrics, kfold_evaluate, knn_predict,
                          kpca, select_k)
@@ -176,8 +176,7 @@ def _variant_kernels(variants, train: Dataset, cfg: EnsembleConfig, h: float,
 
 
 def _stats_to_dict(stats: StandardizationStats) -> dict:
-    return {"mean": stats.mean.tolist(), "std": stats.std.tolist(),
-            "constant": stats.constant.astype(int).tolist()}
+    return {"mean": stats.mean.tolist(), "std": stats.std.tolist()}
 
 
 def _stats_from_dict(d: dict) -> StandardizationStats:
@@ -302,22 +301,6 @@ def _write_embedding_csv(path, embedding_coords, labels, ids, roles) -> None:
             fh.write(f"{role},{sid},{label},{row[0]:.17g},{pc2:.17g}\n")
 
 
-def _load_train_kernel(train_dir: str, n: int) -> np.ndarray:
-    """The (n, n) float64 train kernel that `tck train` saved as .npy."""
-    path = os.path.join(train_dir, "kernel_train.npy")
-    try:
-        values = np.load(path, allow_pickle=False)
-    except FileNotFoundError:
-        raise ValueError(f"{path} is missing; {train_dir} was written by an "
-                         f"older tck or is incomplete; retrain it") from None
-    except (ValueError, EOFError) as exc:   # damaged, or not an .npy file
-        raise ValueError(f"{path}: {exc}") from None
-    if values.dtype != np.float64 or values.shape != (n, n):
-        raise ValueError(f"{path}: expected a float64 ({n}, {n}) train kernel, "
-                         f"found {values.dtype} {values.shape}")
-    return values
-
-
 def cmd_eval(args, out_dir: str):
     if args.folds:
         return _eval_cross_validated(args, out_dir)
@@ -340,7 +323,8 @@ def cmd_eval(args, out_dir: str):
     if ens.n_series != len(train_labels):
         raise ValueError(f"{path} stores {len(train_labels)} train labels but "
                          f"the ensemble was trained on {ens.n_series} series")
-    kernel_train = _load_train_kernel(args.train_dir, ens.n_series)
+    kernel_train = _load_array(args.train_dir, "kernel_train.npy",
+                               (ens.n_series, ens.n_series))
 
     test_raw = dt.load_dataset(args.data, args.labels)
     test_prepared = prepare_eval_data(test_raw, variant, stats)
@@ -474,8 +458,6 @@ def reproduce_var1(seed: int = 0, n_init: int = 30, component_counts=None,
 
 
 def cmd_reproduce(args, out_dir: str):
-    if args.table != "var1":            # a --config value skips argparse's choices
-        raise ValueError(f"--table must be var1; got {args.table!r}")
     n_init, counts = _ensemble_size(args)
     report = reproduce_var1(seed=args.seed, n_init=n_init,
                             component_counts=counts,
@@ -497,7 +479,7 @@ def cmd_reproduce(args, out_dir: str):
               f"{'pass' if row['ok'] else 'FAIL'}")
     for check in report["checks"]:
         print(f"{check['check']}: {'pass' if check['ok'] else 'FAIL'}")
-    resolved = {"table": args.table, "seed": args.seed, "q": args.q,
+    resolved = {"seed": args.seed, "q": args.q,
                 "components": args.components, "h": args.h,
                 "n_labeled": args.n_labeled, "replicates": args.replicates}
     return resolved, ["report.csv", "report.json"]
@@ -585,9 +567,8 @@ def build_parser() -> tuple:
                    help="variant to train per fold; with --folds only")
     _add_fit_options(e, note="; with --folds only")
 
-    r = sub.add_parser("reproduce", help="re-run the published benchmark table")
+    r = sub.add_parser("reproduce", help="re-run the published VAR(1) benchmark table")
     _add_common(r)
-    r.add_argument("--table", default="var1", choices=("var1",))
     r.add_argument("--replicates", type=int, default=3,
                    help="benchmark repetitions averaged into the report "
                         "(default %(default)s)")

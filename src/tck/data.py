@@ -87,6 +87,8 @@ class Dataset:
     def take(self, indices) -> "Dataset":
         """Row subset (copies), labels and ids travel with the rows."""
         indices = np.asarray(indices)
+        if indices.size == 0:       # np.asarray([]) is float64
+            indices = indices.astype(np.int64)
         labels = None if self.labels is None else self.labels[indices]
         return Dataset(self.values[indices].copy(), self.mask[indices].copy(),
                        labels, self.n_classes, self.ids[indices].copy())
@@ -318,10 +320,6 @@ class StandardizationStats:
     mean: np.ndarray      # (V,)
     std: np.ndarray       # (V,) sample standard deviation; 0 for constants
 
-    @property
-    def constant(self) -> np.ndarray:  # (V,) bool, attribute had no spread
-        return self.std == 0
-
     def apply(self, data: Dataset) -> Dataset:
         """Transform observed cells; cells under mask=0 are left untouched."""
         if data.n_attributes != len(self.mean):
@@ -339,8 +337,8 @@ class StandardizationStats:
 def standardize(data: Dataset) -> tuple[Dataset, StandardizationStats]:
     """Scale every attribute to zero mean / unit sample std over observed cells.
 
-    Attributes without spread (including single-observation ones) are flagged
-    constant and mapped to 0; an attribute with no observed cell at all is an
+    Attributes without spread (including single-observation ones) get std 0
+    and are mapped to 0; an attribute with no observed cell at all is an
     error.
     """
     v_dim = data.n_attributes

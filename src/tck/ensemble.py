@@ -31,30 +31,30 @@ from .mixture import (HyperParams, MixtureParams, fit_map_em, GAUSSIAN_ONLY,
 from .transform import TransformMatrix, apply_transform
 
 
+# Ranges of the prior hyperparameters a0, b0 and n0 drawn for each base model.
+A0_RANGE = (0.001, 1.0)
+B0_RANGE = (0.05, 0.8)
+N0_RANGE = (0.001, 0.2)
+
+
 @dataclass
 class EnsembleConfig:
-    """Randomization ranges for the ensemble.
+    """What a caller chooses of the ensemble; ``sample_configs`` draws the
+    rest of each base model from fixed rules.
 
-    ``None`` bounds are resolved against the dataset at training time:
-    component_counts -> {base, ..., base + 20} with base = max(2, n_classes),
-    t_max -> T, v_min -> 2 (1 when V = 1), v_max -> V, n_min -> ceil(0.8 N).
+    ``component_counts=None`` resolves against the dataset at training time
+    to {base, ..., base + 20} with base = max(2, n_classes). ``t_min`` is the
+    shortest time segment a base model sees, ``em_max_iter`` the most EM
+    sweeps of one fit.
     """
 
     n_init: int = 30                      # random restarts per component count
     component_counts: tuple | None = None
     t_min: int = 6
-    t_max: int | None = None
-    v_min: int | None = None
-    v_max: int | None = None
-    n_min: int | None = None
-    a0_range: tuple = (0.001, 1.0)
-    b0_range: tuple = (0.05, 0.8)
-    n0_range: tuple = (0.001, 0.2)
     seed: int = 0
     mode: str = GAUSSIAN_ONLY
     normalize_by_models: bool = False
     em_max_iter: int = 30
-    em_tol: float = 1e-6
 
 
 @dataclass
@@ -204,10 +204,14 @@ def sample_configs(cfg: EnsembleConfig, v: int, t: int,
     """Draw one BaseModelSpec per (restart, component count) pair.
 
     Each pair gets its own RNG stream keyed by (seed, q1, q2), so the list is
-    deterministic and independent of iteration order. Subsamples are drawn
-    from the N = len(ids) series ids, keyed by the sorted ids, not by
-    position. A config that gives no base model, or a model without
-    components, fails here, before any fit.
+    deterministic and independent of iteration order. From it a model draws,
+    in this order and uniformly: a0, b0 and n0 from ``A0_RANGE``,
+    ``B0_RANGE`` and ``N0_RANGE``; a segment length in t_min..T and its
+    start; min(2, V)..V attributes; a subsample of ceil(0.8 N)..N of the
+    N = len(ids) series ids, keyed by the sorted ids, not by position; and
+    the seed of its own fit. A config that gives no base model or a model
+    without components, a t_min outside 1..T, and V = 0 or N = 0 fail here,
+    before any fit.
     """
     counts = cfg.component_counts
     if counts is None:
@@ -218,32 +222,26 @@ def sample_configs(cfg: EnsembleConfig, v: int, t: int,
         raise ValueError(f"component_counts must be a nonempty list of counts "
                          f">= 1, got {tuple(counts)}")
     sorted_ids = np.sort(np.asarray(ids))
-    n = len(sorted_ids)
-    t_min = cfg.t_min
+    n, t_min = len(sorted_ids), cfg.t_min
+    if t_min < 1:
+        raise ValueError(f"t_min must be at least 1, got {t_min}")
     if t < t_min:
         raise ValueError(
             f"series length {t} is shorter than t_min={t_min}; lower t_min")
-    t_max = min(cfg.t_max if cfg.t_max is not None else t, t)
-    v_min = cfg.v_min if cfg.v_min is not None else (2 if v >= 2 else 1)
-    v_max = min(cfg.v_max if cfg.v_max is not None else v, v)
-    n_min = cfg.n_min if cfg.n_min is not None else math.ceil(0.8 * n)
-    if not (1 <= t_min <= t_max <= t):
-        raise ValueError("segment bounds must satisfy 1 <= t_min <= t_max <= T")
-    if not (1 <= v_min <= v_max <= v):
-        raise ValueError("attribute bounds must satisfy 1 <= v_min <= v_max <= V")
-    if not (1 <= n_min <= n):
-        raise ValueError("subsample bound must satisfy 1 <= n_min <= N")
+    if v < 1 or n < 1:
+        raise ValueError(f"base models need at least one attribute and one "
+                         f"series, got V={v} and N={n}")
+    v_min, n_min = min(2, v), math.ceil(0.8 * n)
 
     specs = []
     for q1 in range(1, cfg.n_init + 1):
         for q2 in counts:
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, q1, q2)))
-            hp = HyperParams(rng.uniform(*cfg.a0_range),
-                             rng.uniform(*cfg.b0_range),
-                             rng.uniform(*cfg.n0_range))
-            seg_len = int(rng.integers(t_min, t_max + 1))
+            hp = HyperParams(rng.uniform(*A0_RANGE), rng.uniform(*B0_RANGE),
+                             rng.uniform(*N0_RANGE))
+            seg_len = int(rng.integers(t_min, t + 1))
             t_start = int(rng.integers(0, t - seg_len + 1))
-            v_count = int(rng.integers(v_min, v_max + 1))
+            v_count = int(rng.integers(v_min, v + 1))
             attributes = np.sort(rng.choice(v, size=v_count, replace=False))
             n_sub = int(rng.integers(n_min, n + 1))
             subsample = np.sort(rng.choice(sorted_ids, size=n_sub, replace=False))
@@ -281,8 +279,7 @@ def _fit_one(spec: BaseModelSpec, data: Dataset, cfg: EnsembleConfig,
         sub = Dataset(data.values[rows][cells], data.mask[rows][cells], None,
                       data.n_classes, spec.subsample_ids)
         params, _ = fit_map_em(sub, spec.q2, spec.hp, spec.sub_seed,
-                               mode=cfg.mode, max_iter=cfg.em_max_iter,
-                               tol=cfg.em_tol)
+                               mode=cfg.mode, max_iter=cfg.em_max_iter)
         return "ok", params
     except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
         return "failed", str(exc)
@@ -516,9 +513,9 @@ def save_ensemble(ens: TrainedEnsemble, directory) -> None:
     """Write the ensemble as a fixed set of files, whatever its model count.
 
     * ``manifest.json``: config, dimensions, each model's spec scalars (q1,
-      q2, hp, window, attributes, subsample size, sub_seed, and seed, the
-      same integer, which keeps the manifest's layout), the posterior
-      offsets and the failed models;
+      q2, hp, window, attributes, subsample size and sub_seed), whether
+      and with how many classes the ensemble carries transforms, and the
+      failed models;
     * ``params.npy``: theta | mu | sigma2 | beta (mixed mode only) of every
       model, raveled and concatenated in model order;
     * ``subsamples.npy``: every model's subsample ids, concatenated;
@@ -526,8 +523,8 @@ def save_ensemble(ens: TrainedEnsemble, directory) -> None:
       ensemble carries transforms;
     * ``posteriors.npy``: the (N, sum of q2) training posteriors side by side.
 
-    Each model's array shapes follow from its spec, so the flat files need no
-    offsets of their own.
+    Each model's array shapes follow from its spec, so neither the flat files
+    nor the posteriors need offsets of their own.
     """
     os.makedirs(directory, exist_ok=True)
     arrays = {
@@ -556,10 +553,7 @@ def save_ensemble(ens: TrainedEnsemble, directory) -> None:
             "attributes": [int(a) for a in spec.attributes],
             "n_subsample": len(spec.subsample_ids),
             "sub_seed": spec.sub_seed,
-            "seed": spec.sub_seed,
         } for spec in ens.specs],
-        "posterior_offsets": np.cumsum(
-            [0] + [p.shape[1] for p in ens.posteriors]).tolist(),
         "has_transforms": ens.transforms is not None,
         "transform_classes": (ens.transforms[0].weights.shape[1]
                               if ens.transforms else None),
@@ -569,26 +563,30 @@ def save_ensemble(ens: TrainedEnsemble, directory) -> None:
         json.dump(manifest, fh, indent=1)
 
 
-def _load_array(directory, name: str, shape: tuple) -> np.ndarray:
-    """np.load of one ensemble file, which must have the manifest's shape."""
+def _load_array(directory, name: str, shape: tuple,
+                dtype=np.float64) -> np.ndarray:
+    """np.load of one saved array file, which must have the shape and dtype
+    that the manifest.json beside it implies."""
     path = os.path.join(directory, name)
     try:
         array = np.load(path)
     except FileNotFoundError:
-        raise ValueError(f"{path} is missing; the ensemble directory is "
-                         f"incomplete") from None
+        raise ValueError(f"{path} is missing; {directory} is incomplete or "
+                         f"was written by an older tck; retrain it") from None
     except (ValueError, EOFError) as exc:   # truncated or not an .npy file
-        raise ValueError(f"{path}: {exc}") from exc
-    if array.shape != shape:
-        raise ValueError(f"{path}: manifest.json implies shape {shape}, "
-                         f"found {array.shape}")
+        raise ValueError(f"{path}: {exc}") from None
+    if array.shape != shape or array.dtype != dtype:
+        raise ValueError(f"{path}: manifest.json implies shape {shape} and "
+                         f"dtype {np.dtype(dtype)}, found {array.dtype} "
+                         f"{array.shape}")
     return array
 
 
-def _load_parts(directory, name: str, shapes: list):
+def _load_parts(directory, name: str, shapes: list, dtype=np.float64):
     """Iterator over consecutive reshaped views of one flat ensemble file,
     one per shape; the file must hold exactly their total size."""
-    flat = _load_array(directory, name, (sum(math.prod(s) for s in shapes),))
+    flat = _load_array(directory, name, (sum(math.prod(s) for s in shapes),),
+                       dtype)
     parts, pos = [], 0
     for shape in shapes:
         size = math.prod(shape)
@@ -601,9 +599,10 @@ def load_ensemble(directory) -> TrainedEnsemble:
     """Read a directory written by ``save_ensemble``.
 
     Raises ValueError when a file is missing, when the manifest lacks a key
-    or has an unknown config key, when an array's size disagrees with the
-    sizes the manifest's model specs imply, or when the directory was written
-    in the older one-JSON-file-per-model layout.
+    or has an unknown config key, when an array's size or dtype disagrees
+    with what the manifest's model specs imply, or when an older tck wrote
+    the directory (one JSON file per base model, or a manifest that still
+    carries posterior offsets).
     """
     path = os.path.join(directory, "manifest.json")
     try:
@@ -611,9 +610,9 @@ def load_ensemble(directory) -> TrainedEnsemble:
             manifest = json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"{path} is missing; not an ensemble directory") from None
-    if "model_files" in manifest:
-        raise ValueError(f"{directory} was saved by an older tck (one JSON file "
-                         f"per base model) and cannot be read; retrain it")
+    if "model_files" in manifest or "posterior_offsets" in manifest:
+        raise ValueError(f"{path} was written by an older tck and cannot be "
+                         f"read; retrain it")
     try:
         return _ensemble_from_manifest(directory, path, manifest)
     except KeyError as exc:
@@ -625,23 +624,18 @@ def _ensemble_from_manifest(directory, path: str, manifest: dict) -> TrainedEnse
     unknown = sorted(set(cfg_dict) - {f.name for f in fields(EnsembleConfig)})
     if unknown:
         raise ValueError(f"{path}: unknown config key {unknown[0]!r}")
-    for key in ("component_counts", "a0_range", "b0_range", "n0_range"):
-        if cfg_dict.get(key) is not None:
-            cfg_dict[key] = tuple(cfg_dict[key])
+    if cfg_dict.get("component_counts") is not None:
+        cfg_dict["component_counts"] = tuple(cfg_dict["component_counts"])
     cfg = EnsembleConfig(**cfg_dict)
     models = manifest["models"]
-    offsets = manifest["posterior_offsets"]
-    expected = np.cumsum([0] + [m["q2"] for m in models]).tolist()
-    if offsets != expected:
-        raise ValueError(f"{path}: posterior_offsets {offsets} disagree with "
-                         f"the models' component counts, which give {expected}")
+    offsets = np.cumsum([0] + [m["q2"] for m in models]).tolist()
     stacked = _load_array(directory, "posteriors.npy",
                           (manifest["n_series"], offsets[-1]))
     params = _load_parts(directory, "params.npy", [
         s for m in models for s in _param_shapes(
             m["q2"], len(m["attributes"]), m["t_stop"] - m["t_start"], cfg.mode)])
     ids = _load_parts(directory, "subsamples.npy",
-                      [(m["n_subsample"],) for m in models])
+                      [(m["n_subsample"],) for m in models], np.int64)
     transforms = None
     if manifest["has_transforms"]:
         parts = _load_parts(directory, "transforms.npy", [

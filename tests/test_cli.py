@@ -8,6 +8,8 @@ from tck.cli import main, stratified_label_subset
 from tck.data import load_dataset
 from tck.ensemble import load_ensemble, load_kernel
 
+from old_layout import rewrite_as_offsets_layout
+
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -269,7 +271,7 @@ class TestLabelOptionsFailBeforeFitting:
         assert not (tmp_path / "x" / "ensemble").exists()
 
     def test_reproduce_checks_labels_before_fitting(self, tmp_path, capsys):
-        code = run(["reproduce", "--table", "var1", "--replicates", "1",
+        code = run(["reproduce", "--replicates", "1",
                     "--h", "2", "--out", tmp_path / "r", *REPRODUCE_SMALL])
         assert code == 1
         assert "--h" in capsys.readouterr().err
@@ -342,6 +344,15 @@ class TestBadTrainDir:
         err = self.eval_fails(run_dir, var1_dir, tmp_path, capsys)
         assert str(path) in err and f"'{key}'" in err
 
+    def test_ensemble_of_an_older_tck(self, tmp_path, var1_dir, trained_dir,
+                                      capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(trained_dir, run_dir)
+        rewrite_as_offsets_layout(run_dir / "ensemble")
+        err = self.eval_fails(run_dir, var1_dir, tmp_path, capsys)
+        assert str(run_dir / "ensemble" / "manifest.json") in err
+        assert "older tck" in err and "retrain it" in err
+
     def test_train_labels_disagreeing_with_the_ensemble(self, tmp_path, var1_dir,
                                                         trained_dir, capsys):
         run_dir = tmp_path / "run"
@@ -375,7 +386,7 @@ class TestBadTrainDir:
 class TestReproduce:
     def test_smoke_scale_report(self, tmp_path):
         out = tmp_path / "r"
-        code = run(["reproduce", "--table", "var1", "--seed", "0",
+        code = run(["reproduce", "--seed", "0",
                     "--replicates", "1", "--out", out, *REPRODUCE_SMALL])
         assert code == 0
         lines = (out / "report.csv").read_text().splitlines()
@@ -390,7 +401,7 @@ class TestReproduce:
         outs = []
         for name in ("r1", "r2"):
             out = tmp_path / name
-            code = run(["reproduce", "--table", "var1", "--seed", "1",
+            code = run(["reproduce", "--seed", "1",
                         "--replicates", "1", "--out", out, *REPRODUCE_SMALL])
             assert code == 0
             outs.append((out / "report.csv").read_bytes())
@@ -479,18 +490,10 @@ class TestOptionPrecedence:
         assert echoed_k(config(k=3)) == 3
         assert echoed_k(config(k=5) + ["--k", "3"]) == "3"
 
-    def test_configured_table_is_checked(self, tmp_path, capsys, config,
-                                         no_fits):
-        # argparse checks choices only for flags, not for configured defaults
-        code = run(["reproduce", *config(table="ucr"), "--replicates", "1",
-                    "--out", tmp_path / "r", *REPRODUCE_SMALL])
-        assert code == 1
-        assert "--table" in capsys.readouterr().err
-
     def test_keys_a_command_does_not_use_are_harmless(self, tmp_path, resolve,
                                                       train, config):
         unused = config(dim=4, folds=3, replicates=2, recipe="rate_mnar",
-                        command="eval", no_such_option=1)
+                        command="eval", table="ucr", no_such_option=1)
         cfg, n_jobs = resolve(train + unused + ["--threads", "1"])
         assert (cfg.n_init, cfg.seed, cfg.component_counts) == (30, 0, None)
         outs = []

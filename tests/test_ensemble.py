@@ -19,6 +19,7 @@ from tck.transform import (apply_transform, make_semisupervised_factory,
                            make_supervised_factory)
 from tck.data import labels_to_onehot
 
+from old_layout import rewrite_as_offsets_layout
 from poison import poison_missing
 
 
@@ -34,8 +35,9 @@ def blob_dataset(seed=0, n=30, v=2, t=10, missing=0.3):
     return standardize(ds)[0]
 
 
-def small_config(seed=0, mode=GAUSSIAN_ONLY, n_init=10, counts=(2, 3)):
-    return EnsembleConfig(n_init=n_init, component_counts=counts, t_min=4,
+def small_config(seed=0, mode=GAUSSIAN_ONLY, n_init=10, counts=(2, 3),
+                 t_min=4):
+    return EnsembleConfig(n_init=n_init, component_counts=counts, t_min=t_min,
                           seed=seed, mode=mode)
 
 
@@ -165,19 +167,22 @@ class TestTrainKernel:
         with pytest.raises(ValueError, match="shrink"):
             train_ensemble(data, cfg)
 
-    @pytest.mark.parametrize("change,name", [
-        ({"n_init": 0}, "n_init"),
-        ({"counts": ()}, "component_counts"),
-        ({"counts": (0, 2)}, "component_counts"),
-    ], ids=["no-restarts", "no-counts", "zero-count"])
+    @pytest.mark.parametrize("change,rows,name", [
+        ({"n_init": 0}, 30, "n_init"),
+        ({"counts": ()}, 30, "component_counts"),
+        ({"counts": (0, 2)}, 30, "component_counts"),
+        ({"t_min": 0}, 30, "t_min must be at least 1, got 0"),
+        ({}, 0, "one series, got V=2 and N=0"),
+    ], ids=["no-restarts", "no-counts", "zero-count", "zero-t-min", "no-series"])
     def test_config_without_a_base_model_fails_before_any_fit(
-            self, change, name, monkeypatch):
+            self, change, rows, name, monkeypatch):
         def no_fit(*a, **kw):
             raise AssertionError("a base model was fitted")
 
         monkeypatch.setattr(ens_mod, "fit_map_em", no_fit)
+        data = blob_dataset(seed=8).take(list(range(rows)))
         with pytest.raises(ValueError, match=name):
-            train_ensemble(blob_dataset(seed=8), small_config(**change))
+            train_ensemble(data, small_config(**change))
 
     def test_schema_mismatch_rejected(self):
         data = blob_dataset(seed=9)
@@ -192,6 +197,9 @@ class TestTrainKernel:
         empty = data.take(np.array([], dtype=int))
         km = kernel_test(ens, empty)
         assert km.values.shape == (data.n, 0)
+        assert data.take([]).n == 0 and data.take([]).ids.dtype == np.int64
+        keep = np.arange(data.n) < 3        # a boolean mask keeps working
+        assert data.take(list(keep)).ids.tolist() == [1, 2, 3]
 
     def test_parallel_fit_matches_serial(self):
         data = blob_dataset(seed=11, n=20)
@@ -269,11 +277,12 @@ class TestFailureHandling:
         """A series outside a model's subsample is scored only after the fit;
         an observed value that Dataset accepts (its square is finite) can
         still make every component score of it -inf under a model with a
-        small variance. Only that model is skipped, with the reason."""
-        data = blob_dataset(seed=0, n=30, t=20)
+        small variance. Only that model is skipped, with the reason. With
+        one attribute and T = t_min every model sees the value, so only the
+        subsample decides which model fails."""
+        data = blob_dataset(seed=0, n=30, v=1, t=6)
         data.values[5, 0, 0] = 1e154
-        cfg = EnsembleConfig(n_init=20, component_counts=(2,), t_min=4,
-                             t_max=4, n_min=15, seed=21)
+        cfg = EnsembleConfig(n_init=20, component_counts=(2,), t_min=6, seed=11)
         ens, km = train_ensemble(data, cfg)
         assert ens.failed == [(18, 2, "posterior underflow for series index 5")]
         unscored = sample_configs(cfg, data.n_attributes, data.length,
@@ -289,13 +298,12 @@ class TestFailureHandling:
         """The data of the test above: the ensemble's scoring plan covers
         exactly its 19 models, and its test columns are those of the
         per-model loop, on the training series and on new ones."""
-        data = blob_dataset(seed=0, n=30, t=20)
+        data = blob_dataset(seed=0, n=30, v=1, t=6)
         data.values[5, 0, 0] = 1e154
-        cfg = EnsembleConfig(n_init=20, component_counts=(2,), t_min=4,
-                             t_max=4, n_min=15, seed=21)
+        cfg = EnsembleConfig(n_init=20, component_counts=(2,), t_min=6, seed=11)
         ens, _ = train_ensemble(data, cfg)
         assert len(ens._plan.cols) == ens.model_count == 19
-        for test in (data, blob_dataset(seed=26, n=7, t=20)):
+        for test in (data, blob_dataset(seed=26, n=7, v=1, t=6)):
             np.testing.assert_array_equal(kernel_test(ens, test).values,
                                           per_model_kernel_test(ens, test))
 
@@ -425,10 +433,6 @@ class TestEnsembleFiles:
         save_ensemble(ens, tmp_path / "ens")
         return tmp_path / "ens"
 
-    def test_manifest_seed_repeats_sub_seed(self, saved):
-        models = json.loads((saved / "manifest.json").read_text())["models"]
-        assert models and all(m["seed"] == m["sub_seed"] for m in models)
-
     def test_file_set_does_not_grow_with_models(self, saved, tmp_path):
         data = blob_dataset(seed=18)
         ens, _ = train_ensemble(data, small_config(seed=18, n_init=6,
@@ -463,11 +467,11 @@ class TestEnsembleFiles:
         with pytest.raises(ValueError, match=r"params\.npy.*implies shape"):
             load_ensemble(saved)
 
-    def test_offsets_disagreeing_with_component_counts_rejected(self, saved):
-        manifest = json.loads((saved / "manifest.json").read_text())
-        manifest["posterior_offsets"][1] += 1
-        (saved / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="posterior_offsets"):
+    @pytest.mark.parametrize("name, dtype", [("params.npy", np.float32),
+                                             ("subsamples.npy", np.float64)])
+    def test_wrong_dtype_rejected(self, saved, name, dtype):
+        np.save(saved / name, np.load(saved / name).astype(dtype))
+        with pytest.raises(ValueError, match=rf"{name}.*found {np.dtype(dtype)} "):
             load_ensemble(saved)
 
     @pytest.mark.parametrize("name", ["manifest.json", "params.npy",
@@ -485,6 +489,16 @@ class TestEnsembleFiles:
         (saved / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="older tck.*retrain"):
             load_ensemble(saved)
+
+    def test_layout_with_posterior_offsets_rejected(self, saved):
+        """The manifest layout before the config kept only what a caller
+        sets: unused range fields, a per-model copy of sub_seed and the
+        cumulative q2 offsets."""
+        rewrite_as_offsets_layout(saved)
+        with pytest.raises(ValueError) as info:
+            load_ensemble(saved)
+        assert str(info.value) == (f"{saved / 'manifest.json'} was written by "
+                                   f"an older tck and cannot be read; retrain it")
 
 
 def model_view(data, spec):
@@ -688,7 +702,6 @@ class TestBlockedScoringIsBitIdentical:
     def test_attribute_subsets(self, v, monkeypatch):
         data = blob_dataset(seed=42, v=v)
         cfg = small_config(seed=42, n_init=5, counts=(2, 4))
-        cfg.v_min = 1
         ens, _ = train_ensemble(data, cfg)
         if v == 3:      # some model reads a subset other than the first attributes
             assert any(not np.array_equal(s.attributes, np.arange(len(s.attributes)))
