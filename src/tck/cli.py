@@ -308,7 +308,10 @@ def cmd_eval(args, out_dir: str):
         raise ValueError("--train-dir is required (output directory of `train`)")
     path = os.path.join(args.train_dir, "manifest.json")
     with open(path) as fh:
-        train_manifest = json.load(fh)
+        try:
+            train_manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
     try:
         config = train_manifest["config"]
         variant, stored = config["variant"], config["train_labels"]
@@ -432,6 +435,8 @@ def reproduce_var1(seed: int = 0, n_init: int = 30, component_counts=None,
     measured accuracies and the pass/fail outcome of every check at the
     published tolerances.
     """
+    if replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {replicates}")
     per_replicate = [_run_var1_once(seed + r, n_init, component_counts,
                                     n_jobs, h, n_labeled)
                      for r in range(replicates)]

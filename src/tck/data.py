@@ -13,8 +13,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 
-# Largest magnitude of an observed value: its square is still finite.
-_LARGEST_OBSERVED = np.sqrt(np.finfo(float).max)
+# Largest magnitude of an observed value. Below it every component score of
+# every base model is finite: a fitted variance is at least n0 s^2 / (n0 + NT),
+# with n0 >= 0.001 and build_prior's scale floor s >= 1e-6, and a squared
+# deviation (at most ~4e200) divided by it stays far below the largest float.
+_LARGEST_OBSERVED = 1e100
 
 
 class FormatError(ValueError):
@@ -52,8 +55,8 @@ class Dataset:
             raise ValueError("ids must have one entry per series")
         if len(np.unique(self.ids)) != len(self.ids):
             raise ValueError("series ids must be unique")
-        # One pass: NaN fails the comparison, and so does any value whose
-        # square overflows, which would make the scores of its series -inf.
+        # One pass: NaN fails the comparison, and so does any value above
+        # the bound, which could make the scores of its series -inf.
         bad = np.argwhere(self.mask.astype(bool)
                           & ~(np.abs(self.values) <= _LARGEST_OBSERVED))
         if bad.size:
@@ -62,7 +65,8 @@ class Dataset:
             cell = f"{x} in observed cell (attribute {v + 1}, time {t + 1})"
             if not np.isfinite(x):
                 raise ValueError(f"series {self.ids[i]}: non-finite value {cell}")
-            raise ValueError(f"series {self.ids[i]}: value {cell}; its square overflows")
+            raise ValueError(f"series {self.ids[i]}: value {cell} exceeds "
+                             f"{_LARGEST_OBSERVED:g} in magnitude")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.values.shape[0],):

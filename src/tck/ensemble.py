@@ -111,31 +111,20 @@ class _ScoringPlan:
         self.weights = [w for w, _ in weights]
         self.consts = [c for _, c in weights]
 
-    def posteriors(self, grid: np.ndarray, models) -> np.ndarray:
-        """(k, n, G) posteriors of the grid's series under k models that
-        have G components each; slab j is, bit for bit, the ``e_step`` of
-        model ``models[j]`` on its window of the series.
+    def block_posteriors(self, values: np.ndarray, mask: np.ndarray):
+        """Yield (models, post) for each component-count group of each block
+        of consecutive models, blocks in model order: ``post`` holds the
+        (k, n, G) posteriors of the n series under the k models whose
+        indices are ``models``, and slab j is, bit for bit, the ``e_step`` of
+        model ``models[j]`` on its window of the series. A block is the
+        longest run of models whose (n, G) score buffers hold at most
+        ``_BLOCK_BYTES`` together, or a single model.
 
         Each score einsum reads C-contiguous feature rows and writes one
         C-contiguous slab, and the softmax reduces the contiguous last axis,
         so a slab carries the bits that ``_log_component_scores`` and
         ``_normalize_rows`` give for that model alone.
         """
-        post = np.empty((len(models), len(grid), self.q2[models[0]]))
-        for slab, m in zip(post, models):  # the einsum of _log_component_scores
-            np.einsum("nd,gd->ng", grid.take(self.cols[m], axis=1),
-                      self.weights[m], out=slab)
-        post += np.array([self.consts[m] for m in models])[:, None, :]
-        _normalize_rows(post)
-        return post
-
-    def block_posteriors(self, values: np.ndarray, mask: np.ndarray):
-        """Yield (models, post) for each component-count group of each block
-        of consecutive models, blocks in model order: ``post`` holds the
-        (k, n, G) ``posteriors`` of the n series under the k models whose
-        indices are ``models``. A block is the longest run of models whose
-        (n, G) score buffers hold at most ``_BLOCK_BYTES`` together, or a
-        single model."""
         grid = _feature_grid(values, mask, self.windows)
         ends = np.cumsum(self.q2) * (8 * len(grid))     # bytes through each model
         start = 0
@@ -146,7 +135,13 @@ class _ScoringPlan:
             q2 = self.q2[start:stop]
             for g in np.unique(q2):
                 models = start + np.flatnonzero(q2 == g)
-                yield models, self.posteriors(grid, models)
+                post = np.empty((len(models), len(grid), g))
+                for slab, m in zip(post, models):  # as in _log_component_scores
+                    np.einsum("nd,gd->ng", grid.take(self.cols[m], axis=1),
+                              self.weights[m], out=slab)
+                post += np.array([self.consts[m] for m in models])[:, None, :]
+                _normalize_rows(post)
+                yield models, post
             start = stop
 
 
@@ -301,9 +296,11 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig,
     """Fit the ensemble on standardized data and accumulate the train kernel.
 
     Workers only fit; this process then scores the training series under
-    all fitted models at once. Base models that fail to fit or to score are
-    skipped and recorded; more than 10% failures aborts training. Label
-    transforms are attached afterwards with ``apply_posterior_transform``.
+    all fitted models in one blocked pass. Base models that fail to fit are
+    skipped and recorded; more than 10% failures aborts training before
+    scoring. ``Dataset``'s bound on observed values keeps every score of a
+    fitted model finite. Label transforms are attached afterwards with
+    ``apply_posterior_transform``.
     """
     cfg = _resolve_counts(cfg, data)
     specs = sample_configs(cfg, data.n_attributes, data.length, ids=data.ids)
@@ -321,23 +318,6 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig,
     else:
         outcomes = [_fit_one(spec, data, cfg, row_of_id) for spec in specs]
 
-    fitted = [i for i, (status, _) in enumerate(outcomes) if status == "ok"]
-    fit_specs, fit_params = [specs[i] for i in fitted], [outcomes[i][1] for i in fitted]
-    plan = _ScoringPlan(fit_specs, fit_params, data.n_attributes, data.length)
-    posts = {}
-    try:
-        for models, post in plan.block_posteriors(data.values, data.mask):
-            posts.update(zip(models.tolist(), post))
-    except ValueError:
-        # A model whose fit returned can still score a series outside its
-        # subsample to underflow (an observed value so large that a score
-        # overflows); scoring each model alone finds which.
-        grid = _feature_grid(data.values, data.mask, plan.windows)
-        for m, i in enumerate(fitted):
-            try:
-                posts[m] = plan.posteriors(grid, [m])[0]
-            except ValueError as exc:
-                outcomes[i] = "failed", str(exc)
     failed = [(spec.q1, spec.q2, reason)
               for spec, (status, reason) in zip(specs, outcomes) if status == "failed"]
     if len(failed) > 0.1 * len(specs):
@@ -345,12 +325,16 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig,
             f"{len(failed)} of {len(specs)} base models failed; first failure: "
             f"{failed[0]}")
 
-    kept = sorted(posts)
+    fit_specs = [spec for spec, (status, _) in zip(specs, outcomes) if status == "ok"]
+    fit_params = [params for status, params in outcomes if status == "ok"]
+    plan = _ScoringPlan(fit_specs, fit_params, data.n_attributes, data.length)
+    posts = [None] * len(fit_specs)
+    for models, post in plan.block_posteriors(data.values, data.mask):
+        for m, slab in zip(models, post):
+            posts[m] = slab
     ens = TrainedEnsemble(cfg, data.n, data.n_attributes, data.length,
-                          [fit_specs[m] for m in kept], [fit_params[m] for m in kept],
-                          [posts[m] for m in kept], failed=failed)
-    if len(kept) == len(fitted):    # else the lazy plan covers only the kept
-        ens._plan = plan
+                          fit_specs, fit_params, posts, failed=failed)
+    ens._plan = plan
     return ens, _accumulate(ens, ens.n_series)
 
 
@@ -610,6 +594,8 @@ def load_ensemble(directory) -> TrainedEnsemble:
             manifest = json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"{path} is missing; not an ensemble directory") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
     if "model_files" in manifest or "posterior_offsets" in manifest:
         raise ValueError(f"{path} was written by an older tck and cannot be "
                          f"read; retrain it")

@@ -53,8 +53,9 @@ def kpca(kernel, d: int = 10) -> tuple[Embedding, KernelProjector]:
     n = k.shape[0]
     if k.shape != (n, n):
         raise ValueError("kernel must be square")
-    if d > n:
-        raise ValueError("embedding dimension cannot exceed the number of series")
+    if not 1 <= d <= n:
+        raise ValueError(f"embedding dimension {d} must lie in 1..{n}, the "
+                         f"number of series")
     col_means = k.mean(axis=1)
     grand_mean = float(k.mean())
     k = k - col_means[None, :] - col_means[:, None] + grand_mean

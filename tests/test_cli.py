@@ -220,6 +220,16 @@ class TestEval:
         tags = [line.split(",")[0] for line in lines[1:]]
         assert tags == ["1", "2", "mean", "se"]
 
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_dimension_below_one_fails(self, tmp_path, var1_dir, trained_dir,
+                                       capsys, dim):
+        code = run(["eval", "--train-dir", trained_dir,
+                    "--data", var1_dir / "test.csv", "--dim", dim,
+                    "--out", tmp_path / "e"])
+        assert code == 1
+        assert f"embedding dimension {dim} must lie in 1..200" in capsys.readouterr().err
+        assert not (tmp_path / "e" / "embedding_2d.csv").exists()
+
     def test_schema_mismatch_fails(self, tmp_path, var1_dir, trained_dir, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("# N=1,V=1,T=3,N_c=2\nseries_id,attribute,time,value\n"
@@ -275,6 +285,12 @@ class TestLabelOptionsFailBeforeFitting:
                     "--h", "2", "--out", tmp_path / "r", *REPRODUCE_SMALL])
         assert code == 1
         assert "--h" in capsys.readouterr().err
+
+    def test_reproduce_checks_replicates_before_fitting(self, tmp_path, capsys):
+        code = run(["reproduce", "--replicates", "0", "--out", tmp_path / "r",
+                    *REPRODUCE_SMALL])
+        assert code == 1
+        assert "replicates must be at least 1, got 0" in capsys.readouterr().err
 
 
 @pytest.mark.usefixtures("no_fits")
@@ -343,6 +359,16 @@ class TestBadTrainDir:
         path.write_text(json.dumps(manifest))
         err = self.eval_fails(run_dir, var1_dir, tmp_path, capsys)
         assert str(path) in err and f"'{key}'" in err
+
+    @pytest.mark.parametrize("name", ["manifest.json", "ensemble/manifest.json"])
+    def test_truncated_manifest(self, tmp_path, var1_dir, trained_dir, capsys,
+                                name):
+        run_dir = tmp_path / "run"
+        shutil.copytree(trained_dir, run_dir)
+        path = run_dir / name
+        path.write_text(path.read_text()[:11])
+        err = self.eval_fails(run_dir, var1_dir, tmp_path, capsys)
+        assert f"{path} is not valid JSON: " in err
 
     def test_ensemble_of_an_older_tck(self, tmp_path, var1_dir, trained_dir,
                                       capsys):

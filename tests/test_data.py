@@ -174,31 +174,31 @@ class TestReader:
         assert_same_dataset(fast, slow)
         assert np.flatnonzero(fast.mask).tolist() == [1]
 
-    def test_large_file_reads_identically_both_ways(self, tmp_path, monkeypatch):
+    def test_large_file_reads_identically_both_ways(self):
+        """Magnitudes from 1e-150 to 1e150, subnormals, shortest reprs and
+        rows out of order. Both readers return before Dataset bounds the
+        values, so they are compared directly."""
         rng = np.random.default_rng(11)
         n, v, t = 300, 3, 40
         scale = 10.0 ** rng.integers(-150, 150, (n, v, t))
         values = rng.normal(size=(n, v, t)) * scale
         values[rng.random((n, v, t)) < 0.1] = 5e-324        # subnormal
         mask = (rng.random((n, v, t)) < 0.4).astype(np.uint8)
-        labels = rng.integers(0, 4, n)
-        save_dataset(make_dataset(values, mask, labels, n_classes=3),
-                     tmp_path / "d.csv", tmp_path / "l.csv")
-        # Shortest repr of some values, and rows out of order.
-        lines = (tmp_path / "d.csv").read_text().splitlines()
-        body = lines[2:]
+        body = [f"{i + 1},{a + 1},{s + 1},{values[i, a, s]:.17g}"
+                for i, a, s in np.argwhere(mask)]
         rng.shuffle(body)
         for i in range(0, len(body), 2):
             cell, _, x = body[i].rpartition(",")
             body[i] = f"{cell},{float(x)!r}"
-        (tmp_path / "d.csv").write_text("\n".join(lines[:2] + body) + "\n")
-        assert tck.data._read_cells_fast("\n".join(body), n, v, t) is not None
-        fast, slow = read_both_ways(monkeypatch, tmp_path / "d.csv",
-                                    tmp_path / "l.csv")
-        assert_same_dataset(fast, slow)
+        text = "\n".join(body) + "\n"
+        fast = tck.data._read_cells_fast(text, n, v, t)
+        assert fast is not None
+        slow = tck.data._read_cells(text.split("\n"), "d.csv", n, v, t)
+        for x, y in zip(fast, slow):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
         obs = mask.astype(bool)
-        assert np.array_equal(fast.mask, mask)
-        assert fast.values[obs].tobytes() == values[obs].tobytes()
+        assert np.array_equal(fast[1], mask)
+        assert fast[0][obs].tobytes() == values[obs].tobytes()
 
     @pytest.mark.parametrize("meta, key", [
         ("N=-1,V=2,T=3,N_c=0", "N=-1"), ("N=1,V=0,T=3,N_c=0", "V=0"),
@@ -340,30 +340,38 @@ class TestNonFiniteObservedValues:
         with pytest.raises(ValueError, match=r"series 2: .*attribute 1, time 3"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("big", [1.35e154, -1e160, np.finfo(float).max])
-    def test_value_whose_square_overflows_rejected(self, big):
+    @pytest.mark.parametrize("big", [np.nextafter(1e100, np.inf), -1e154, 1e160,
+                                     np.finfo(float).max],
+                             ids=["next-above-bound", "-1e154", "1e160", "max"])
+    def test_value_above_bound_rejected(self, big):
         values = np.zeros((3, 2, 4))
         values[2, 0, 3] = big
-        with pytest.raises(ValueError, match=r"series 30: value .* \(attribute 1, "
-                                             r"time 4\); its square overflows"):
+        with pytest.raises(ValueError, match=r"^series 30: value .* \(attribute 1, "
+                                             r"time 4\) exceeds 1e\+100 in magnitude$"):
             Dataset(values, np.ones((3, 2, 4), dtype=np.uint8), None, 0,
                     np.array([10, 20, 30]))
 
-    def test_largest_value_whose_square_is_finite_accepted(self):
-        largest = np.sqrt(np.finfo(float).max)
-        assert np.isfinite(largest ** 2)
+    def test_bound_itself_accepted(self, tmp_path):
+        """+-1e100 pass Dataset and load_dataset; a larger unobserved value
+        is never read."""
         values = np.zeros((2, 1, 3))
-        values[:, 0, 1] = largest, -largest
+        values[:, 0, 1] = 1e100, -1e100
         mask = np.ones((2, 1, 3), dtype=np.uint8)
         mask[0, 0, 2] = 0
-        values[0, 0, 2] = 1e300             # unobserved: never read
+        values[0, 0, 2] = 1e300
         Dataset(values, mask, None, 0, np.array([1, 2]))
-
-    def test_value_whose_square_overflows_fails_at_load(self, tmp_path):
         path = tmp_path / "d.csv"
-        write_csv(path, "# N=2,V=2,T=3,N_c=0", [(1, 1, 1, 0.5), (2, 2, 3, "1e160")])
-        with pytest.raises(ValueError, match=r"series 2: value 1e\+160 .*attribute 2, "
-                                             r"time 3\); its square overflows"):
+        write_csv(path, "# N=2,V=1,T=3,N_c=0", [(1, 1, 2, "1e100"), (2, 1, 2, "-1e100")])
+        assert load_dataset(path).values[:, 0, 1].tolist() == [1e100, -1e100]
+
+    @pytest.mark.parametrize("big, shown", [
+        (repr(float(np.nextafter(1e100, np.inf))), r"1\.0000000000000002e\+100"),
+        ("1e160", r"1e\+160")], ids=["next-above-bound", "1e160"])
+    def test_value_above_bound_fails_at_load(self, tmp_path, big, shown):
+        path = tmp_path / "d.csv"
+        write_csv(path, "# N=2,V=2,T=3,N_c=0", [(1, 1, 1, 0.5), (2, 2, 3, big)])
+        with pytest.raises(ValueError, match=rf"^series 2: value {shown} .*attribute 2, "
+                                             r"time 3\) exceeds 1e\+100 in magnitude$"):
             load_dataset(path)
 
 

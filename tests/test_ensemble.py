@@ -273,46 +273,47 @@ class TestFailureHandling:
         assert parallel.model_count == serial.model_count
         np.testing.assert_array_equal(km_parallel.values, km_serial.values)
 
-    def test_model_that_fits_but_cannot_score_a_series_is_recorded(self):
-        """A series outside a model's subsample is scored only after the fit;
-        an observed value that Dataset accepts (its square is finite) can
-        still make every component score of it -inf under a model with a
-        small variance. Only that model is skipped, with the reason. With
-        one attribute and T = t_min every model sees the value, so only the
-        subsample decides which model fails."""
+    def test_cell_that_once_failed_scoring_is_rejected_by_dataset(self):
+        """A 1e154 cell fitted, and then failed to score under a model whose
+        subsample left its series out; Dataset now rejects it, naming it."""
         data = blob_dataset(seed=0, n=30, v=1, t=6)
-        data.values[5, 0, 0] = 1e154
-        cfg = EnsembleConfig(n_init=20, component_counts=(2,), t_min=6, seed=11)
-        ens, km = train_ensemble(data, cfg)
-        assert ens.failed == [(18, 2, "posterior underflow for series index 5")]
-        unscored = sample_configs(cfg, data.n_attributes, data.length,
-                                  ids=data.ids)[17]
-        assert unscored.t_start == 0 and 6 not in unscored.subsample_ids
-        assert ens.model_count == 19
-        for i, spec in enumerate(ens.specs):
-            np.testing.assert_array_equal(
-                ens.posteriors[i], e_step(ens.params[i], model_view(data, spec)))
-        np.testing.assert_allclose(np.diag(km.values), 19, atol=1e-9)
+        values = data.values.copy()
+        values[5, 0, 0] = 1e154
+        with pytest.raises(ValueError, match=r"^series 6: value 1e\+154 in observed "
+                                             r"cell \(attribute 1, time 1\) exceeds "
+                                             r"1e\+100 in magnitude$"):
+            Dataset(values, data.mask, data.labels, 2, data.ids)
 
-    def test_model_dropped_at_scoring_leaves_no_trace_in_kernel_test(self):
-        """The data of the test above: the ensemble's scoring plan covers
-        exactly its 19 models, and its test columns are those of the
-        per-model loop, on the training series and on new ones."""
-        data = blob_dataset(seed=0, n=30, v=1, t=6)
-        data.values[5, 0, 0] = 1e154
-        cfg = EnsembleConfig(n_init=20, component_counts=(2,), t_min=6, seed=11)
-        ens, _ = train_ensemble(data, cfg)
-        assert len(ens._plan.cols) == ens.model_count == 19
-        for test in (data, blob_dataset(seed=26, n=7, v=1, t=6)):
-            np.testing.assert_array_equal(kernel_test(ens, test).values,
-                                          per_model_kernel_test(ens, test))
+    @pytest.mark.parametrize("mode", [GAUSSIAN_ONLY, MIXED_MODE])
+    def test_fitted_model_scores_every_series_at_the_bound(self, mode):
+        """Attribute 2 is constant but for one training series at 1e100, so
+        a subsample without that series puts the prior scale at its 1e-6
+        floor and sigma^2 far below it; that series and a held-out one at
+        -1e100 are still scored finitely by every fitted model. The suite
+        raises RuntimeWarning as an error, so no score overflowed."""
+        def constant_but_one(ds, i, x):
+            values = ds.values.copy()
+            values[:, 1, :] = 0.5
+            values[i, 1, 0] = x
+            return Dataset(values, ds.mask, ds.labels, ds.n_classes, ds.ids)
+
+        data = constant_but_one(blob_dataset(seed=0, n=30, v=2, t=6), 5, 1e100)
+        test = constant_but_one(blob_dataset(seed=26, n=7, v=2, t=6), 2, -1e100)
+        cfg = EnsembleConfig(n_init=20, component_counts=(2,), t_min=6, seed=11,
+                             mode=mode)
+        ens, km = train_ensemble(data, cfg)
+        specs = sample_configs(cfg, data.n_attributes, data.length, ids=data.ids)
+        assert any(6 not in spec.subsample_ids for spec in specs)
+        assert ens.failed == [] and ens.model_count == 20
+        assert np.isfinite(km.values).all()
+        assert np.isfinite(kernel_test(ens, test).values).all()
 
     @pytest.mark.parametrize("failing", [(), (0, 4)], ids=["none", "fits-failed"])
     def test_one_scoring_plan_per_train_and_its_kernel_tests(self, failing,
                                                              monkeypatch):
-        """With every fitted model scoring the training series, the plan
-        train_ensemble scored them with serves the returned ensemble, its
-        transformed sibling and their kernel_test calls."""
+        """The plan train_ensemble scored the training series with serves
+        the returned ensemble, its transformed sibling and their kernel_test
+        calls."""
         built = []
         init = ens_mod._ScoringPlan.__init__
 
@@ -331,13 +332,18 @@ class TestFailureHandling:
         assert built == [20 - len(failing)] == [ens.model_count]
 
     def test_too_many_failures_abort(self, monkeypatch):
+        """More than 10 % failed fits abort training before any scoring."""
         data = blob_dataset(seed=13)
         cfg = small_config(seed=13, n_init=10, counts=(2,))
 
         def always_fail(*a, **kw):
             raise np.linalg.LinAlgError("synthetic failure")
 
+        def refuse(*a, **kw):
+            raise AssertionError("scored after too many failures")
+
         monkeypatch.setattr(ens_mod, "fit_map_em", always_fail)
+        monkeypatch.setattr(ens_mod._ScoringPlan, "block_posteriors", refuse)
         with pytest.raises(RuntimeError, match="base models failed"):
             train_ensemble(data, cfg)
 

@@ -57,6 +57,12 @@ class TestKpca:
             emb, _ = kpca(kernel, d=2)
         assert emb.coords.shape[1] == 1
 
+    @pytest.mark.parametrize("d", [0, -1, 5])
+    def test_dimension_outside_one_to_n_rejected(self, d):
+        with pytest.raises(ValueError, match=rf"^embedding dimension {d} must "
+                                             r"lie in 1\.\.4"):
+            kpca(np.eye(4), d=d)
+
     def test_negative_band_clamped(self):
         # Centred already, with eigenvalues 1, 0 and -1e-12 (numerically PSD).
         u = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)

@@ -301,10 +301,10 @@ class TestObjective:
 
     def test_underflowing_series_is_named_without_warnings(self):
         values = np.random.default_rng(25).normal(size=(3, 1, 2))
-        values[1, 0, 1] = 1e150
+        values[1, 0, 1] = 1e100         # the largest value Dataset accepts
         ds = make_dataset(values, np.ones_like(values))
         params = MixtureParams(GAUSSIAN_ONLY, np.array([0.5, 0.5]),
-                               np.zeros((2, 1, 2)), np.full((2, 1), 1e-10), None)
+                               np.zeros((2, 1, 2)), np.full((2, 1), 1e-110), None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError,
