@@ -18,9 +18,9 @@ import numpy as np
 
 from . import data as dt
 from .data import Dataset, StandardizationStats
-from .ensemble import (EnsembleConfig, _load_array, apply_posterior_transform,
-                       kernel_test, load_ensemble, save_ensemble, save_kernel,
-                       train_ensemble)
+from .ensemble import (EnsembleConfig, _load_array, _load_json_object,
+                       apply_posterior_transform, kernel_test, load_ensemble,
+                       save_ensemble, save_kernel, train_ensemble)
 from .evaluation import (classification_metrics, kfold_evaluate, knn_predict,
                          kpca, select_k)
 from .mixture import GAUSSIAN_ONLY, MIXED_MODE
@@ -61,7 +61,10 @@ def _write_manifest(out_dir: str, command: str, resolved: dict, outputs: list) -
 def _parse_k(value):
     if value == "cv":
         return "cv"
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"--k must be an integer or 'cv'; got {value!r}") from None
 
 
 def _ensemble_size(args) -> tuple:
@@ -307,11 +310,7 @@ def cmd_eval(args, out_dir: str):
     if not args.train_dir:
         raise ValueError("--train-dir is required (output directory of `train`)")
     path = os.path.join(args.train_dir, "manifest.json")
-    with open(path) as fh:
-        try:
-            train_manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    train_manifest = _load_json_object(path)
     try:
         config = train_manifest["config"]
         variant, stored = config["variant"], config["train_labels"]

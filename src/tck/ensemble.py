@@ -9,7 +9,9 @@ stored per-model parameters.  One accumulator sums both: the training unit
 rows against themselves, or against the test unit rows of each model.
 Training and test posteriors come from one blocked pass of a scoring plan
 over the fitted models, which scores a batch of series under a block of
-models and runs the softmax once per count.
+models and runs the softmax once per count. A batch of a few series is
+scored under all models at once instead, in a few array calls per
+feature-row length and per component count.
 """
 from __future__ import annotations
 
@@ -80,8 +82,24 @@ class KernelMatrix:
 
 
 # Upper bound on the score buffers (and so on the test unit rows) that a
-# scoring pass keeps for one block of consecutive base models.
+# scoring pass keeps for one block of consecutive base models, and on the
+# buffer of kernel products that the small-batch path folds at once.
 _BLOCK_BYTES = 1 << 20
+
+# Batches of at most this many series take the small-batch path of
+# ``kernel_test``; larger ones score block by block, model by model. Timed
+# in pairs on a 168-model ensemble, the small-batch path took 0.60x the
+# per-model time for one series, 0.68x for two, 0.74x to 0.78x for four and
+# 0.95x to 1.20x for eight, while its memory grows with the batch.
+_SMALL_BATCH = 4
+
+
+def _groups(keys: np.ndarray):
+    """(key, indices of the key in ascending order) per distinct key, keys
+    in ascending order."""
+    order = np.argsort(keys, kind="stable")
+    values, starts = np.unique(keys[order], return_index=True)
+    return zip(values.tolist(), np.split(order, starts[1:]))
 
 
 class _ScoringPlan:
@@ -92,6 +110,13 @@ class _ScoringPlan:
     on its attributes and window, its weight rows and its constants. The
     plan is derived from specs and parameters, which it does not keep, so
     ensembles that share a model's parameters share the plan.
+
+    Models are stored by feature-row length d: the columns of the k models
+    of one length as one C-contiguous (k, d) array, their weight rows as
+    one (sum of G, d) stack and their constants as one stack, in model
+    order. ``cols[m]``, ``weights[m]`` and ``consts[m]`` are C-contiguous
+    views into these stacks. ``by_count`` lists, per component count G in
+    ascending order, the models with G components in model order.
     """
 
     def __init__(self, specs: list, params: list, n_attributes: int,
@@ -100,16 +125,44 @@ class _ScoringPlan:
         self.windows = sorted({(s.t_start, s.t_stop) for s in specs})
         window_col = {w: i for i, w in enumerate(self.windows)}
         v_dim, t_dim, n_win = n_attributes, length, len(self.windows)
-        self.cols = []
-        for s in specs:
-            a = s.attributes
-            cells = (a[:, None] * t_dim + np.arange(s.t_start, s.t_stop)).ravel()
-            sums = 2 * v_dim * t_dim + a * n_win + window_col[s.t_start, s.t_stop]
-            self.cols.append(np.concatenate([cells, v_dim * t_dim + cells, sums,
-                                             sums + v_dim * n_win]))
-        weights = [_component_weights(p) for p in params]
-        self.weights = [w for w, _ in weights]
-        self.consts = [c for _, c in weights]
+        q2, n_models = self.q2.tolist(), len(specs)
+        self.cols, self.weights = [None] * n_models, [None] * n_models
+        self.by_width = []          # (models, (k, d) columns, weight rows, rows)
+        self.const_rows = np.empty(sum(q2))
+        row_of = np.zeros(n_models, dtype=np.int64)      # first score row of m
+        row = 0
+        width = np.array([2 * len(s.attributes) * (s.t_stop - s.t_start + 1)
+                          for s in specs], dtype=np.int64)
+        for d, models in _groups(width):
+            col_stack = np.empty((len(models), d), dtype=np.int64)
+            weight_stack = np.empty((int(self.q2[models].sum()), d))
+            start = 0
+            for j, m in enumerate(models.tolist()):
+                s, stop = specs[m], start + q2[m]
+                a = s.attributes
+                cells = (a[:, None] * t_dim + np.arange(s.t_start, s.t_stop)).ravel()
+                sums = 2 * v_dim * t_dim + a * n_win + window_col[s.t_start, s.t_stop]
+                self.cols[m] = np.concatenate([cells, v_dim * t_dim + cells, sums,
+                                               sums + v_dim * n_win], out=col_stack[j])
+                self.weights[m] = weight_stack[start:stop]
+                _, self.const_rows[row + start:row + stop] = _component_weights(
+                    params[m], out=self.weights[m])
+                row_of[m] = row + start
+                start = stop
+            self.by_width.append((models, col_stack, weight_stack,
+                                  slice(row, row + start)))
+            row += start
+        self.consts = [self.const_rows[r:r + g] for r, g in zip(row_of.tolist(), q2)]
+        self.by_count = []          # (G, models, (k, G) score rows)
+        self.count_slots = [None] * n_models        # (G, j): m is model j of G
+        for g, models in _groups(self.q2):
+            self.by_count.append((g, models, row_of[models][:, None] + np.arange(g)))
+            for j, m in enumerate(models.tolist()):
+                self.count_slots[m] = (g, j)
+        # count_rank[m, i]: how many models before m have the i-th count
+        counts = np.array([g for g, _, _ in self.by_count], dtype=np.int64)
+        self.count_rank = np.zeros((n_models + 1, len(counts)), dtype=np.int64)
+        np.cumsum(self.q2[:, None] == counts, axis=0, out=self.count_rank[1:])
 
     def block_posteriors(self, values: np.ndarray, mask: np.ndarray):
         """Yield (models, post) for each component-count group of each block
@@ -144,6 +197,41 @@ class _ScoringPlan:
                 yield models, post
             start = stop
 
+    def count_posteriors(self, values: np.ndarray, mask: np.ndarray):
+        """Yield (models, post) once per component count G, over all models:
+        ``post`` holds the (k, n, G) posteriors of the n series under the k
+        models with G components, with the bits of ``block_posteriors``.
+
+        Scoring takes one gather and one einsum per feature-row length d
+        (``_scores``); the softmax then runs once per count. The repeated
+        (n, sum of G, d) feature rows make this a path for small batches.
+        """
+        scores = self._scores(_feature_grid(values, mask, self.windows))
+        for _, models, rows in self.by_count:
+            post = np.ascontiguousarray(scores.take(rows, axis=1).transpose(1, 0, 2))
+            _normalize_rows(post)
+            yield models, post
+
+    def _scores(self, grid: np.ndarray) -> np.ndarray:
+        """(n, sum of G) component scores, models ordered by d.
+
+        Each series' (k, d) feature rows are repeated G times per model and
+        contracted row by row with the (sum of G, d) weight stack. The sums
+        have the bits of the per-model einsum only while both operands are
+        C-contiguous with the contracted axis last: then einsum sums each
+        row's d products in one contiguous inner loop, in the same order.
+        ``np.repeat`` writes the repeated rows C-contiguous, and so are the
+        weight stacks. A column-major operand, which a gather through an
+        index array that is not C-contiguous can give, makes the einsum
+        return other last bits.
+        """
+        scores = np.empty((len(grid), len(self.const_rows)))
+        for models, cols, weights, rows in self.by_width:
+            feats = np.repeat(grid.take(cols, axis=1), self.q2[models], axis=1)
+            np.einsum("nrd,rd->nr", feats, weights, out=scores[:, rows])
+        scores += self.const_rows
+        return scores
+
 
 @dataclass
 class TrainedEnsemble:
@@ -175,11 +263,37 @@ class TrainedEnsemble:
     @cached_property
     def _train_rows(self) -> list:
         """Each model's side of the kernel: (unit rows, None) if transformed,
-        else (posteriors, their row norms)."""
+        a view into ``_unit_stacks``, else (posteriors, their row norms)."""
         if self.transforms is None:
             return [(post, _row_norms(post)) for post in self.posteriors]
-        return [(_unit_rows(apply_transform(tm, post)), None)
-                for tm, post in zip(self.transforms, self.posteriors)]
+        return [(self._unit_stacks[g][j], None) for g, j in self._plan.count_slots]
+
+    @cached_property
+    def _unit_stacks(self) -> dict:
+        """{G: (k, N, C) training unit rows of the k models with G
+        components, in model order}, with C = G, or the class count if
+        transformed. Slab j has the bits of that model's rows divided by
+        their norms, as ``_accumulate`` divides them.
+        An untransformed ensemble builds them only for the small-batch
+        path of ``kernel_test``."""
+        stacks = {}
+        for g, models, _ in self._plan.by_count:
+            width = (g if self.transforms is None
+                     else self.transforms[models[0]].weights.shape[1])
+            stacks[g] = np.empty((len(models), self.n_series, width))
+            for slab, m in zip(stacks[g], models):
+                rows = self.posteriors[m]
+                if self.transforms is not None:
+                    rows = apply_transform(self.transforms[m], rows)
+                np.divide(rows, _row_norms(rows)[:, None], out=slab)
+        return stacks
+
+    @cached_property
+    def _transform_stacks(self) -> dict:
+        """{G: (k, G, C) transform weights of the k models with G
+        components, in model order}."""
+        return {g: np.array([self.transforms[m].weights for m in models])
+                for g, models, _ in self._plan.by_count}
 
 
 def _row_norms(post: np.ndarray) -> np.ndarray:
@@ -188,10 +302,6 @@ def _row_norms(post: np.ndarray) -> np.ndarray:
     if (norms == 0).any():
         raise ValueError("posterior row with zero norm")
     return norms
-
-
-def _unit_rows(post: np.ndarray) -> np.ndarray:
-    return post / _row_norms(post)[:, None]
 
 
 def sample_configs(cfg: EnsembleConfig, v: int, t: int,
@@ -353,6 +463,10 @@ def _accumulate(ens: TrainedEnsemble, n: int, columns=None) -> KernelMatrix:
             total += unit @ (unit if columns is None else next(columns)).T
     if columns is None:
         np.fill_diagonal(total, ens.model_count)
+    return _kernel_matrix(ens, total)
+
+
+def _kernel_matrix(ens: TrainedEnsemble, total: np.ndarray) -> KernelMatrix:
     if ens.config.normalize_by_models and ens.model_count:
         total /= ens.model_count
     return KernelMatrix(total, ens.model_count)
@@ -373,6 +487,18 @@ def apply_posterior_transform(ens: TrainedEnsemble,
     return out, _accumulate(out, out.n_series)
 
 
+def _test_unit_rows(ens: TrainedEnsemble, models: np.ndarray,
+                    post: np.ndarray) -> np.ndarray:
+    """The (k, n, C) unit rows of the (k, n, G) test posteriors ``post`` of
+    the models ``models``, consecutive among the models with G components:
+    mapped through their transforms, if any, and divided by their norms."""
+    if ens.transforms is not None:
+        g, j = ens._plan.count_slots[models[0]]
+        post = post @ ens._transform_stacks[g][j:j + len(models)]
+    post /= _row_norms(post)[:, :, None]
+    return post
+
+
 def _test_units(ens: TrainedEnsemble, test: Dataset):
     """Yield the (n, G) unit rows of the test series under each model, in
     model order.
@@ -385,13 +511,47 @@ def _test_units(ens: TrainedEnsemble, test: Dataset):
     """
     units, done = {}, 0
     for models, post in ens._plan.block_posteriors(test.values, test.mask):
-        if ens.transforms is not None:
-            post = post @ np.array([ens.transforms[m].weights for m in models])
-        post /= _row_norms(post)[:, :, None]
-        units.update(zip(models.tolist(), post))
+        units.update(zip(models.tolist(), _test_unit_rows(ens, models, post)))
         while done in units:
             yield units.pop(done)
             done += 1
+
+
+def _small_batch_columns(ens: TrainedEnsemble, test: Dataset) -> np.ndarray:
+    """The (N, n) kernel columns of a small batch, with the bits of
+    ``_accumulate`` over ``_test_units``.
+
+    Scoring runs once per feature-row length and the softmax, transform,
+    norms and products once per component count, on (k, n, G) stacks. Each
+    product ``train[j] @ test[j].T`` of a stacked matmul is the same BLAS
+    call, on the same strides, as the per-model product. The products of a
+    run of consecutive models, computed count by count, are put in model
+    order into a buffer of at most ``_BLOCK_BYTES``, behind the running
+    total in its first row; one reduction over the first axis then adds
+    them in that order, as ``total += product`` model by model would.
+    """
+    plan, stacks = ens._plan, ens._unit_stacks
+    units = {g: _test_unit_rows(ens, models, post) for (g, _, _), (models, post)
+             in zip(plan.by_count, plan.count_posteriors(test.values, test.mask))}
+    total = np.zeros((ens.n_series, test.n))
+    per = max(1, _BLOCK_BYTES // max(total.nbytes, 1) - 1)   # products per buffer
+    buf = np.empty((min(per, ens.model_count) + 1,) + total.shape)
+    products = np.empty_like(buf[1:])
+    for start in range(0, ens.model_count, per):
+        stop = min(start + per, ens.model_count)
+        done, order = 0, []
+        for (g, models, _), a, b in zip(plan.by_count, plan.count_rank[start].tolist(),
+                                        plan.count_rank[stop].tolist()):
+            if a < b:
+                np.matmul(stacks[g][a:b], units[g][a:b].transpose(0, 2, 1),
+                          out=products[done:done + b - a])
+                order.append(models[a:b])
+                done += b - a
+        buf[0] = total
+        np.take(products[:done], np.argsort(np.concatenate(order)), axis=0,
+                out=buf[1:done + 1], mode="clip")
+        np.add.reduce(buf[:done + 1], axis=0, out=total)
+    return total
 
 
 def kernel_test(ens: TrainedEnsemble, test: Dataset) -> KernelMatrix:
@@ -400,14 +560,22 @@ def kernel_test(ens: TrainedEnsemble, test: Dataset) -> KernelMatrix:
     The test data must be preprocessed with the training statistics and share
     the training schema. Failed base models are skipped, matching training.
 
-    The columns come from the accumulator of the train kernel, fed with the
-    test unit rows of each model in model order, so every column has the
-    bits of scoring the batch one model at a time.
+    A batch of more than ``_SMALL_BATCH`` series is scored block by block
+    and fed, model by model, to the accumulator of the train kernel, so its
+    numpy calls grow with the model count and its memory with the block. A
+    smaller batch is scored in a few calls per feature-row length and per
+    component count (``_small_batch_columns``), at the cost of memory that
+    grows with the batch. Both paths give every column the bits of scoring
+    the batch one model at a time: each score einsum and each product
+    reads C-contiguous operands laid out as the per-model call reads them,
+    and the products are summed in model order.
     """
     if test.n_attributes != ens.n_attributes or test.length != ens.length:
         raise ValueError(
             f"test schema (V={test.n_attributes}, T={test.length}) does not match "
             f"training schema (V={ens.n_attributes}, T={ens.length})")
+    if 0 < test.n <= _SMALL_BATCH:
+        return _kernel_matrix(ens, _small_batch_columns(ens, test))
     return _accumulate(ens, test.n, _test_units(ens, test))
 
 
@@ -579,23 +747,34 @@ def _load_parts(directory, name: str, shapes: list, dtype=np.float64):
     return iter(parts)
 
 
+def _load_json_object(path) -> dict:
+    """The JSON object that the file at ``path`` holds; ValueError naming
+    the file when it is not valid JSON or holds another JSON value."""
+    with open(path) as fh:
+        try:
+            value = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{path} must hold a JSON object; found "
+                         f"{type(value).__name__}")
+    return value
+
+
 def load_ensemble(directory) -> TrainedEnsemble:
     """Read a directory written by ``save_ensemble``.
 
-    Raises ValueError when a file is missing, when the manifest lacks a key
-    or has an unknown config key, when an array's size or dtype disagrees
-    with what the manifest's model specs imply, or when an older tck wrote
-    the directory (one JSON file per base model, or a manifest that still
-    carries posterior offsets).
+    Raises ValueError when a file is missing, when the manifest is not a
+    JSON object, lacks a key or has an unknown config key, when an array's
+    size or dtype disagrees with what the manifest's model specs imply, or
+    when an older tck wrote the directory (one JSON file per base model, or
+    a manifest that still carries posterior offsets).
     """
     path = os.path.join(directory, "manifest.json")
     try:
-        with open(path) as fh:
-            manifest = json.load(fh)
+        manifest = _load_json_object(path)
     except FileNotFoundError:
         raise ValueError(f"{path} is missing; not an ensemble directory") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}") from None
     if "model_files" in manifest or "posterior_offsets" in manifest:
         raise ValueError(f"{path} was written by an older tck and cannot be "
                          f"read; retrain it")

@@ -165,8 +165,10 @@ def _features(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return _feature_grid(values, mask, [(0, values.shape[2])])
 
 
-def _component_weights(params: MixtureParams) -> tuple[np.ndarray, np.ndarray]:
-    """(G, 2VT + 2V) weight rows matching the feature layout, and (G,) constants.
+def _component_weights(params: MixtureParams,
+                       out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(G, 2VT + 2V) weight rows matching the feature layout, written to
+    ``out`` if given, and (G,) constants.
 
     Each component contributes mu/sigma^2, -mu^2/(2 sigma^2)
     (+ log beta - log(1-beta)), -1/(2 sigma^2) and -log(2 pi sigma^2)/2,
@@ -184,7 +186,8 @@ def _component_weights(params: MixtureParams) -> tuple[np.ndarray, np.ndarray]:
         const = const + log_miss.sum(axis=(1, 2))
     weights = np.concatenate([mu_w.reshape(g_dim, -1), r_w.reshape(g_dim, -1),
                               -0.5 * inv_s2,
-                              -0.5 * np.log(2.0 * np.pi * params.sigma2)], axis=1)
+                              -0.5 * np.log(2.0 * np.pi * params.sigma2)], axis=1,
+                             out=out)
     return weights, const
 
 

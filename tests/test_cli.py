@@ -207,6 +207,16 @@ class TestEval:
         assert code == 0
         assert (out / "metrics.csv").exists()
 
+    def test_k_that_is_not_a_count_is_named(self, tmp_path, var1_dir,
+                                            trained_dir, capsys):
+        code = run(["eval", "--train-dir", trained_dir,
+                    "--data", var1_dir / "test.csv",
+                    "--labels", var1_dir / "test_labels.csv",
+                    "--k", "abc", "--out", tmp_path / "e"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "tck eval: --k must be an integer or 'cv'; got 'abc'\n")
+
     @pytest.mark.parametrize("variant", ["tck", "stck"])
     def test_cross_validated_eval(self, tmp_path, var1_dir, variant):
         out = tmp_path / "cv"
@@ -369,6 +379,19 @@ class TestBadTrainDir:
         path.write_text(path.read_text()[:11])
         err = self.eval_fails(run_dir, var1_dir, tmp_path, capsys)
         assert f"{path} is not valid JSON: " in err
+
+    @pytest.mark.parametrize("name", ["manifest.json", "ensemble/manifest.json"])
+    @pytest.mark.parametrize("text, found", [("[]", "list"), ("null", "NoneType"),
+                                             ("3", "int")])
+    def test_manifest_holding_another_json_value(self, tmp_path, var1_dir,
+                                                 trained_dir, capsys, name,
+                                                 text, found):
+        run_dir = tmp_path / "run"
+        shutil.copytree(trained_dir, run_dir)
+        path = run_dir / name
+        path.write_text(text)
+        err = self.eval_fails(run_dir, var1_dir, tmp_path, capsys)
+        assert f"{path} must hold a JSON object; found {found}" in err
 
     def test_ensemble_of_an_older_tck(self, tmp_path, var1_dir, trained_dir,
                                       capsys):

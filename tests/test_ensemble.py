@@ -680,13 +680,18 @@ def label_variant(base, data, variant):
 def assert_matches_per_model(ens, pool, monkeypatch):
     """kernel_test equals ``per_model_kernel_test`` bit for bit on the first
     0 to 200 series of ``pool``, under the default block size and one so
-    small that most blocks hold a single model."""
+    small that most blocks hold a single model. Batches of 1 to 3 series
+    go through both paths: the small-batch one and the per-model one."""
+    default = ens_mod._SMALL_BATCH
     for block_bytes in (ens_mod._BLOCK_BYTES, 2048):
         monkeypatch.setattr(ens_mod, "_BLOCK_BYTES", block_bytes)
         for n in (0, 1, 2, 3, 64, 65, 200):
             test = pool.take(np.arange(n))
-            np.testing.assert_array_equal(kernel_test(ens, test).values,
-                                          per_model_kernel_test(ens, test))
+            expected = per_model_kernel_test(ens, test)
+            for small_batch in ((3, 0) if 1 <= n <= 3 else (default,)):
+                monkeypatch.setattr(ens_mod, "_SMALL_BATCH", small_batch)
+                np.testing.assert_array_equal(kernel_test(ens, test).values,
+                                              expected)
 
 
 class TestBlockedScoringIsBitIdentical:
@@ -744,32 +749,69 @@ class TestBlockedScoringIsBitIdentical:
             assert_matches_per_model(ens, scoring_pool(2), monkeypatch)
 
 
+def repeated_ensemble():
+    """108 base models of 14 to 18 components on 60 series: 18 fitted ones,
+    six times over."""
+    data = blob_dataset(seed=45, n=60)
+    fitted, _ = train_ensemble(data, small_config(seed=45, n_init=6,
+                                                  counts=(14, 16, 18)))
+    return sub_ensemble(fitted, list(range(fitted.model_count)) * 6)
+
+
+def warm_peak(ens, test):
+    """Peak bytes that tracemalloc sees in a warm kernel_test call."""
+    kernel_test(ens, test)                    # warm: plan and rows built
+    tracemalloc.start()
+    try:
+        kernel_test(ens, test)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_warm_kernel_test_memory_is_bounded_by_the_block(monkeypatch):
     """A warm call on 108 models and 200 series allocates at most the output,
     the block constant and 1 MiB of slack (the feature grid, one model's
     feature rows, one component count's temporaries and one GEMM product).
     Keeping every model's unit rows for the whole call, as an unblocked
     loop would, exceeds that bound."""
-    data = blob_dataset(seed=45, n=60)
-    fitted, _ = train_ensemble(data, small_config(seed=45, n_init=6,
-                                                  counts=(14, 16, 18)))
-    ens = sub_ensemble(fitted, list(range(fitted.model_count)) * 6)
+    ens = repeated_ensemble()
     assert ens.model_count >= 100
     test = scoring_pool(2)
     output = ens.n_series * test.n * 8
     stored = sum(test.n * s.q2 * 8 for s in ens.specs)
-
-    def peak():
-        kernel_test(ens, test)                    # warm: plan and rows built
-        tracemalloc.start()
-        try:
-            kernel_test(ens, test)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     bound = output + ens_mod._BLOCK_BYTES + 1024 * 1024
     assert stored > bound
-    assert peak() <= bound
+    assert warm_peak(ens, test) <= bound
     monkeypatch.setattr(ens_mod, "_BLOCK_BYTES", 2 * stored)   # one block
-    assert peak() > bound
+    assert warm_peak(ens, test) > bound
+
+
+def test_warm_single_series_memory_is_bounded():
+    """A warm single-series call on 108 models allocates at most the output,
+    the repeated feature rows of one feature-row length, two fold buffers of
+    one product per model and 64 KiB of slack. Repeating the feature rows of
+    every length at once, or copying the training unit rows, exceeds it."""
+    ens = repeated_ensemble()
+    test = scoring_pool(2).take([0])
+    output = ens.n_series * 8
+    repeated = [weights.nbytes for _, _, weights, _ in ens._plan.by_width]
+    bound = (output + max(repeated) + 2 * (ens.model_count + 1) * output
+             + 64 * 1024)
+    assert 2 * (ens.model_count + 1) * output <= 2 * ens_mod._BLOCK_BYTES
+    assert warm_peak(ens, test) <= bound
+    assert sum(repeated) > bound
+    assert sum(s.nbytes for s in ens._unit_stacks.values()) > bound
+
+
+def test_untransformed_unit_stacks_are_built_only_for_small_batches():
+    """A plain ensemble keeps its training rows as posteriors and norms; it
+    stacks unit rows only once a small batch is served, so scoring large
+    batches alone holds no second copy of the training posteriors."""
+    data = blob_dataset(seed=46)
+    ens, _ = train_ensemble(data, small_config(seed=46, n_init=2))
+    pool = scoring_pool(2, n=ens_mod._SMALL_BATCH + 1)
+    kernel_test(ens, pool)
+    assert "_unit_stacks" not in vars(ens)
+    kernel_test(ens, pool.take([0]))
+    assert "_unit_stacks" in vars(ens)
