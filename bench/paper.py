@@ -1,0 +1,171 @@
+"""Record the paper configuration's costs, fit reports and accuracies of one
+or more checkouts.
+
+Run from the repository root:
+
+    python3 bench/paper.py 20                           # this checkout
+    python3 bench/paper.py 20 /path/to/parent=19        # and another one
+
+Each argument is ``[DIR=]N``, as for ``record.py``: the checkout in DIR
+(default: this repository) is recorded as ``bench/PAPER_<N>.json`` here.
+Each checkout runs in its own process with its ``src`` first on
+PYTHONPATH, on the data of ``reproduce`` seed 0: 200 training and 200 test
+VAR(1) series (V=2, T=50) with MNAR missingness, standardized with the
+training statistics. Per mode (``tck``, Gaussian-only; ``tck_im``,
+mixed-mode), with the seeds ``reproduce`` uses, it records:
+
+* the wall time of ``train_ensemble`` at the paper configuration (Q=30
+  restarts x 21 component counts = 630 base models), serial and with
+  ``n_jobs=2``;
+* from the serial run, the fits whose ``FitReport`` says ``converged=False``,
+  the fits that ran all ``em_max_iter`` sweeps and the mean sweep count
+  over all fits. A checkout whose ``fit_map_em`` returns no ``FitReport``
+  records null for these;
+* the median of five calls each of ``kernel_test`` on the 200 test series,
+  KPCA (d=10), 1-NN and the ensemble's save and load.
+
+It also records the six accuracies and the wall time of
+``reproduce_var1(seed=0, replicates=1, n_jobs=2)``. Every time is one
+process's wall clock on a shared machine; a checkout takes about a minute
+on 2 vCPUs. Use ``record.py`` for the benchmark's end-to-end metrics and
+``ab.py`` for paired timings of one operation.
+"""
+from __future__ import annotations
+
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+SEED = 0
+REPEATS = 5
+# mode name -> the seed tag ``_run_var1_once`` derives its ensemble seed from
+MODES = {"tck": 21, "tck_im": 22}
+
+
+def timed(call, repeats: int = 1):
+    """(median wall seconds over ``repeats`` calls, the last call's result)."""
+    seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = call()
+        seconds.append(time.perf_counter() - start)
+    return statistics.median(seconds), result
+
+
+def fit_reports(data, cfg):
+    """(seconds, (ensemble, kernel), reports) of a serial ``train_ensemble``,
+    with the report of every fit its ``fit_map_em`` returned."""
+    import tck.ensemble as ens_mod
+    original, reports = ens_mod.fit_map_em, []
+
+    def recording(*args, **kwargs):
+        params, report = original(*args, **kwargs)
+        reports.append(report)
+        return params, report
+
+    ens_mod.fit_map_em = recording
+    try:
+        seconds, fitted = timed(lambda: ens_mod.train_ensemble(data, cfg))
+    finally:
+        ens_mod.fit_map_em = original
+    return seconds, fitted, reports
+
+
+def convergence(reports: list, max_iter: int) -> dict:
+    """Fits not converged, fits at the sweep cap and the mean sweep count;
+    null for each when the fits returned no ``FitReport``."""
+    import tck.mixture
+    kind = getattr(tck.mixture, "FitReport", None)
+    if kind is None or not all(isinstance(r, kind) for r in reports):
+        return {"fits": len(reports), "not_converged": None,
+                "at_max_iter": None, "mean_iterations": None}
+    sweeps = [len(r.objectives) for r in reports]
+    return {"fits": len(reports),
+            "not_converged": sum(not r.converged for r in reports),
+            "at_max_iter": sum(n == max_iter for n in sweeps),
+            "mean_iterations": statistics.fmean(sweeps)}
+
+
+def measure() -> dict:
+    """This process's ``tck`` at the paper configuration, per mode."""
+    from tck import (EnsembleConfig, default_var1_params, gen_var1,
+                     inject_var1_mnar, kernel_test, knn_predict, kpca,
+                     load_ensemble, save_ensemble, train_ensemble)
+    from tck.cli import (VARIANTS, _derive_seed, prepare_eval_data,
+                         prepare_training_data, reproduce_var1)
+
+    train, test = gen_var1(default_var1_params(), SEED)
+    train = inject_var1_mnar(train, seed=_derive_seed(SEED, 11))
+    test = inject_var1_mnar(test, seed=_derive_seed(SEED, 12))
+    train_std, stats = prepare_training_data(train, "tck")
+    test_std = prepare_eval_data(test, "tck", stats)
+
+    modes = {}
+    for name, tag in MODES.items():
+        cfg = EnsembleConfig(seed=_derive_seed(SEED, tag), mode=VARIANTS[name][0])
+        serial_s, (ens, kernel), reports = fit_reports(train_std, cfg)
+        pooled_s, _ = timed(lambda: train_ensemble(train_std, cfg, n_jobs=2))
+        test_s, kstar = timed(lambda: kernel_test(ens, test_std), REPEATS)
+        kpca_s, (embedding, projector) = timed(lambda: kpca(kernel, d=10), REPEATS)
+        coords = projector.transform(kstar)
+        knn_s, _ = timed(lambda: knn_predict(embedding.coords, train.labels,
+                                             coords, k=1), REPEATS)
+        with tempfile.TemporaryDirectory() as directory:
+            save_s, _ = timed(lambda: save_ensemble(ens, directory), REPEATS)
+            load_s, _ = timed(lambda: load_ensemble(directory), REPEATS)
+        modes[name] = {
+            "failed": len(ens.failed),
+            "train_serial_s": serial_s, "train_n_jobs_2_s": pooled_s,
+            **convergence(reports, cfg.em_max_iter),
+            "kernel_test_200_s": test_s, "kpca_s": kpca_s, "knn_1_s": knn_s,
+            "save_s": save_s, "load_s": load_s}
+    reproduce_s, report = timed(lambda: reproduce_var1(seed=SEED, replicates=1,
+                                                       n_jobs=2))
+    return {"modes": modes,
+            "reproduce": {"seconds": reproduce_s,
+                          "accuracies": report["accuracies"]}}
+
+
+def run(root: str) -> dict:
+    """``measure()`` in a process that imports the ``tck`` of ``root``."""
+    path = os.path.join(root, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (path, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), "--measure"],
+                          cwd=root, env=env, stdout=subprocess.PIPE, text=True,
+                          check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def main(argv: list) -> int:
+    if argv == ["--measure"]:
+        print(json.dumps(measure()))
+        return 0
+    if not argv:
+        print(__doc__, file=sys.stderr)
+        return 2
+    sys.path.insert(0, HERE)
+    from record import machine, source
+
+    host = machine()
+    for arg in argv:
+        root, _, number = arg.rpartition("=")
+        root = os.path.abspath(root or ROOT)
+        contents = {"number": int(number), **source(root), "machine": host,
+                    "command": "bench/paper.py", "seed": SEED, **run(root)}
+        for name, mode in contents["modes"].items():
+            print(f"# {number} {name}: {json.dumps(mode)}", file=sys.stderr)
+        with open(os.path.join(HERE, f"PAPER_{number}.json"), "w") as fh:
+            json.dump(contents, fh, indent=1)
+            fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

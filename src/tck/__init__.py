@@ -13,9 +13,9 @@ accumulation.
 from .data import (Dataset, FormatError, StandardizationStats, concat_mask,
                    labels_to_onehot, load_dataset, save_dataset, standardize,
                    zero_impute)
-from .mixture import (GAUSSIAN_ONLY, MIXED_MODE, HyperParams, MixtureParams,
-                      PriorSpec, build_prior, component_kl, e_step, fit_map_em,
-                      m_step, map_objective, symmetric_kl)
+from .mixture import (GAUSSIAN_ONLY, MIXED_MODE, FitReport, HyperParams,
+                      MixtureParams, PriorSpec, build_prior, component_kl,
+                      e_step, fit_map_em, m_step, map_objective, symmetric_kl)
 from .ensemble import (BaseModelSpec, EnsembleConfig, KernelMatrix,
                        TrainedEnsemble, apply_posterior_transform, kernel_test,
                        load_ensemble, load_kernel, sample_configs,

@@ -220,11 +220,11 @@ def cmd_generate(args, out_dir: str):
     else:
         if not args.data or not args.labels:
             raise ValueError(f"recipe {args.recipe} requires --data and --labels")
+        if (args.strength is None) == (args.target_corr is None):
+            raise ValueError("give exactly one of --strength and --target-corr")
         base = dt.load_dataset(args.data, args.labels)
         strength = args.strength
         if strength is None:
-            if args.target_corr is None:
-                raise ValueError("give either --strength or --target-corr")
             strength = tune_informativeness(base, args.recipe, args.target_corr,
                                             seed=_derive_seed(seed, 21))
         injector = inject_rate_mar if args.recipe == "rate_mar" else inject_rate_mnar
@@ -580,31 +580,23 @@ def build_parser() -> tuple:
     return parser, sub.choices
 
 
-def _load_config(path) -> dict:
-    """The ``--config`` file's JSON object of option values."""
-    with open(path) as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"--config {path} is not valid JSON: {exc}") from None
-    if not isinstance(config, dict):
-        raise ValueError(f"--config {path} must hold a JSON object of option "
-                         f"values; found {type(config).__name__}")
-    return config
-
-
 def main(argv=None) -> int:
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.config:
-            config = _load_config(args.config)
+            try:
+                config = _load_json_object(args.config)
+            except ValueError as exc:
+                raise ValueError(f"--config {exc}") from None
             commands[args.command].set_defaults(**{
                 key: value for key, value in config.items()
                 if key in vars(args) and key != "command"})
             args = parser.parse_args(argv)
         if getattr(args, "threads", False) is None:
             args.threads = os.cpu_count() or 1
+        elif getattr(args, "threads", 1) < 1:
+            raise ValueError(f"--threads must be at least 1; got {args.threads}")
         out_dir = args.out or os.path.join(
             os.environ.get("TCK_OUTPUT_ROOT", "."), f"tck_{args.command}")
         os.makedirs(out_dir, exist_ok=True)

@@ -371,15 +371,16 @@ def asdict_config(cfg: EnsembleConfig) -> dict:
     return d
 
 
-def _fit_one(spec: BaseModelSpec, data: Dataset, cfg: EnsembleConfig,
-             row_of_id: dict) -> tuple:
+def _fit_one(spec: BaseModelSpec, data: Dataset, cfg: EnsembleConfig) -> tuple:
     """Fit one base model on its subsample, attributes and window.
 
     Returns ("ok", params), or ("failed", reason) when the fit fails; the
     serial loop and the pool workers both go through here.
     """
     try:
-        rows = np.array([row_of_id[i] for i in spec.subsample_ids])
+        # rows in the order of the sorted subsample ids, whatever the data order
+        order = np.argsort(data.ids)
+        rows = order[np.searchsorted(data.ids, spec.subsample_ids, sorter=order)]
         cells = (slice(None), spec.attributes, slice(spec.t_start, spec.t_stop))
         sub = Dataset(data.values[rows][cells], data.mask[rows][cells], None,
                       data.n_classes, spec.subsample_ids)
@@ -393,8 +394,8 @@ def _fit_one(spec: BaseModelSpec, data: Dataset, cfg: EnsembleConfig,
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(data, cfg, row_of_id):
-    _WORKER_STATE["args"] = (data, cfg, row_of_id)
+def _worker_init(data, cfg):
+    _WORKER_STATE["args"] = (data, cfg)
 
 
 def _worker_fit(spec):
@@ -418,15 +419,13 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig,
         raise ValueError(
             f"dataset has {data.n} series but the largest base model needs "
             f"{max(cfg.component_counts)}; shrink component_counts or add data")
-    row_of_id = {int(i): r for r, i in enumerate(data.ids)}
-
     if n_jobs > 1:      # forked workers, whatever the platform default
         with ProcessPoolExecutor(max_workers=n_jobs, initializer=_worker_init,
-                                 initargs=(data, cfg, row_of_id),
+                                 initargs=(data, cfg),
                                  mp_context=multiprocessing.get_context("fork")) as pool:
             outcomes = list(pool.map(_worker_fit, specs, chunksize=8))
     else:
-        outcomes = [_fit_one(spec, data, cfg, row_of_id) for spec in specs]
+        outcomes = [_fit_one(spec, data, cfg) for spec in specs]
 
     failed = [(spec.q1, spec.q2, reason)
               for spec, (status, reason) in zip(specs, outcomes) if status == "failed"]

@@ -332,15 +332,24 @@ def _init_params(data: Dataset, n_components: int, prior: PriorSpec,
     return MixtureParams(mode, theta, mu, sigma2, beta)
 
 
+@dataclass(frozen=True)
+class FitReport:
+    """How one fit ran: the MAP objective after each EM sweep, in order, and
+    whether the loop stopped because its relative change met ``tol``. The
+    sweep count is ``len(objectives)``."""
+
+    objectives: tuple
+    converged: bool
+
+
 def fit_map_em(data: Dataset, n_components: int, hp: HyperParams, seed: int,
-               mode: str = GAUSSIAN_ONLY, max_iter: int = 30, tol: float = 1e-6,
-               callback=None) -> tuple[MixtureParams, np.ndarray]:
+               mode: str = GAUSSIAN_ONLY, max_iter: int = 30,
+               tol: float = 1e-6) -> tuple[MixtureParams, FitReport]:
     """Fit a mixture by EM on the MAP objective.
 
     Deterministic given ``seed``. Stops when the relative objective change
-    drops below ``tol`` or after ``max_iter`` sweeps; ``callback`` (if given)
-    receives the objective value once per iteration. Returns the parameters
-    and the responsibilities of the fitting data under them.
+    drops below ``tol`` or after ``max_iter`` sweeps. Returns the parameters
+    and the fit's report.
     """
     if n_components < 1:
         raise ValueError("n_components must be >= 1")
@@ -353,19 +362,16 @@ def fit_map_em(data: Dataset, n_components: int, hp: HyperParams, seed: int,
     feats = _features(data.values, data.mask)
     post = _log_component_scores(params, feats)
     _normalize_rows(post)
-    previous = None
-    for _ in range(max_iter):
+    objectives, converged = [], False
+    while not converged and len(objectives) < max_iter:
         params = _m_step(post, feats, prior, hp, params)
         # One softmax of the new scores gives both the objective and the
-        # responsibilities of the next sweep (or the returned ones).
+        # responsibilities of the next sweep.
         post = _log_component_scores(params, feats)
-        objective = _objective(*_normalize_rows(post), params, prior, hp)
-        if callback is not None:
-            callback(objective)
-        if previous is not None and abs(objective - previous) < tol * (abs(previous) + DENOM_EPS):
-            break
-        previous = objective
-    return params, post
+        objectives.append(_objective(*_normalize_rows(post), params, prior, hp))
+        converged = (len(objectives) > 1 and abs(objectives[-1] - objectives[-2])
+                     < tol * (abs(objectives[-2]) + DENOM_EPS))
+    return params, FitReport(tuple(objectives), converged)
 
 
 # ------------------------------------------------------------

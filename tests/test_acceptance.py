@@ -127,10 +127,8 @@ def test_em_objective_monotone_and_estep_exact():
         mode = MIXED_MODE if trial % 2 else GAUSSIAN_ONLY
         data = _random_instance(rng)
         g = int(rng.integers(1, 5))
-        trace = []
-        params, _ = fit_map_em(data, g, HP, seed=trial, mode=mode,
-                               callback=trace.append)
-        trace = np.array(trace)
+        params, fit = fit_map_em(data, g, HP, seed=trial, mode=mode)
+        trace = np.array(fit.objectives)
         if len(trace) > 1:
             drops = np.diff(trace) / np.maximum(1.0, np.abs(trace[:-1]))
             worst_drop = min(worst_drop, float(drops.min()))
@@ -153,10 +151,11 @@ def test_mixed_mode_reduces_to_gaussian_on_complete_data():
                        np.arange(1, n + 1))
         g = int(rng.integers(1, 5))
         for iters in (1, 2, 4):
-            _, post_g = fit_map_em(data, g, HP, seed=trial, mode=GAUSSIAN_ONLY,
-                                   max_iter=iters)
-            _, post_m = fit_map_em(data, g, HP, seed=trial, mode=MIXED_MODE,
-                                   max_iter=iters)
+            params_g, _ = fit_map_em(data, g, HP, seed=trial, mode=GAUSSIAN_ONLY,
+                                     max_iter=iters)
+            params_m, _ = fit_map_em(data, g, HP, seed=trial, mode=MIXED_MODE,
+                                     max_iter=iters)
+            post_g, post_m = e_step(params_g, data), e_step(params_m, data)
             worst = max(worst, float(np.abs(post_m - post_g).max()))
     report("mixed-mode responsibilities equal gaussian-only on complete data "
            "(beta at 1-eps) within 1e-9", worst <= 1e-9, f"worst {worst:.2e}")

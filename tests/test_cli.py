@@ -71,6 +71,26 @@ class TestGenerate:
         assert code == 1
         assert "requires" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, config", [
+        pytest.param(["--strength", "0.3", "--target-corr", "0.9"], {},
+                     id="flags"),
+        pytest.param(["--strength", "0.3"], {"target_corr": 0.9}, id="config"),
+        pytest.param([], {}, id="neither"),
+    ])
+    def test_strength_or_target_corr_exactly_one(self, tmp_path, capsys,
+                                                 flags, config):
+        generate_var1(tmp_path / "base", extra=["--no-missing"])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = run(["generate", "--recipe", "rate_mar",
+                    "--data", tmp_path / "base" / "train.csv",
+                    "--labels", tmp_path / "base" / "train_labels.csv",
+                    "--config", cfg, *flags, "--out", tmp_path / "inj"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--strength" in err and "--target-corr" in err
+        assert not (tmp_path / "inj" / "manifest.json").exists()
+
 
 @pytest.fixture(scope="module")
 def var1_dir(tmp_path_factory):
@@ -320,6 +340,9 @@ class TestEnsembleOptionsFailBeforeFitting:
                      id="range-bound-not-an-integer"),
         pytest.param("tck", ["--components", "a,3"], "--components",
                      id="list-entry-not-an-integer"),
+        pytest.param("tck", ["--threads", "-4"], "--threads",
+                     id="negative-threads"),
+        pytest.param("tck", ["--threads", "0"], "--threads", id="zero-threads"),
     ])
     def test_fails_naming_the_flag(self, tmp_path, var1_dir, capsys,
                                    variant, options, flag):
@@ -331,6 +354,17 @@ class TestEnsembleOptionsFailBeforeFitting:
         err = capsys.readouterr().err
         assert err.startswith("tck train: ") and flag in err
         assert not (tmp_path / "x" / "ensemble").exists()
+
+    @pytest.mark.parametrize("command", ["train", "reproduce"])
+    def test_threads_below_one_from_config(self, tmp_path, var1_dir, capsys,
+                                           command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threads": 0}))
+        data = (["--data", var1_dir / "train.csv", "--variant", "tck"]
+                if command == "train" else [])
+        code = run([command, *data, "--config", cfg, "--out", tmp_path / "x"])
+        assert code == 1
+        assert "--threads must be at least 1; got 0" in capsys.readouterr().err
 
 
 class TestBadTrainDir:

@@ -154,6 +154,23 @@ class TestTrainKernel:
         unperm[np.ix_(perm, perm)] = km_perm.values
         assert np.abs(unperm - km.values).max() <= 1e-12
 
+    def test_fits_see_their_rows_in_sorted_id_order(self):
+        """Series stored in any order give the sorted order's fits, bit for
+        bit: each base model takes its rows in the order of its sorted ids."""
+        data = blob_dataset(seed=12, n=24)
+        perm = np.random.default_rng(1).permutation(data.n)
+        shuffled = data.take(perm)
+        assert not np.all(np.diff(shuffled.ids) > 0)
+        ens, km = train_ensemble(data, small_config(seed=12))
+        ens_perm, km_perm = train_ensemble(shuffled, small_config(seed=12))
+        assert ens_perm.failed == ens.failed
+        for a, b in zip(ens_perm.params, ens.params):
+            for name in ("theta", "mu", "sigma2"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+        for a, b in zip(ens_perm.posteriors, ens.posteriors):
+            assert np.array_equal(a, b[perm])
+        assert np.array_equal(km_perm.values, km.values[np.ix_(perm, perm)])
+
     def test_normalize_by_models_scales_diagonal_to_one(self):
         data = blob_dataset(seed=7)
         cfg = small_config(seed=7)

@@ -1,14 +1,16 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+import tck
 from tck.data import Dataset
 from tck.mixture import (BETA_EPS, COV_JITTER, GAUSSIAN_ONLY, MIXED_MODE,
-                         HyperParams, MixtureParams, build_prior, component_kl,
-                         e_step, _symmetric_kls, fit_map_em, m_step,
-                         map_objective, symmetric_kl)
+                         FitReport, HyperParams, MixtureParams, build_prior,
+                         component_kl, e_step, _symmetric_kls, fit_map_em,
+                         m_step, map_objective, symmetric_kl)
 from tck.ensemble import (BaseModelSpec, EnsembleConfig, TrainedEnsemble,
                           load_ensemble, save_ensemble)
 from tck.transform import TransformMatrix
@@ -160,7 +162,8 @@ class TestEStep:
     def test_training_series_rescored_identically(self):
         rng = np.random.default_rng(10)
         ds = random_instance(rng, n_max=12)
-        params, post = fit_map_em(ds, 2, HP, seed=0, mode=MIXED_MODE)
+        params, _ = fit_map_em(ds, 2, HP, seed=0, mode=MIXED_MODE)
+        post = e_step(params, ds)
         again = e_step(params, ds.take([3]))[0]
         np.testing.assert_array_equal(again, post[3])
 
@@ -339,7 +342,8 @@ class TestFit:
         blob_b = rng.normal(-5.0, 0.1, size=(n_half, v, t))
         values = np.concatenate([blob_a, blob_b])
         ds = make_dataset(values, np.ones_like(values))
-        params, post = fit_map_em(ds, 2, HP, seed=1)
+        params, _ = fit_map_em(ds, 2, HP, seed=1)
+        post = e_step(params, ds)
         first, second = post[:n_half].argmax(axis=1), post[n_half:].argmax(axis=1)
         assert (first == first[0]).all() and (second == second[0]).all()
         assert first[0] != second[0]
@@ -352,8 +356,8 @@ class TestFit:
         for trial in range(8):
             ds = random_instance(rng, n_max=20, v_max=2, t_max=6)
             g = int(rng.integers(1, 4))
-            trace = []
-            fit_map_em(ds, g, HP, seed=trial, mode=mode, callback=trace.append)
+            _, report = fit_map_em(ds, g, HP, seed=trial, mode=mode)
+            trace = report.objectives
             diffs = np.diff(trace)
             assert (diffs >= -1e-8 * np.abs(np.array(trace[:-1]))).all()
 
@@ -361,43 +365,77 @@ class TestFit:
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
     def test_matches_loop_over_public_steps(self, mode, max_iter):
         ds = random_instance(np.random.default_rng(26), n_max=30)
-        trace = []
-        params, post = fit_map_em(ds, 3, HP, seed=4, mode=mode, max_iter=max_iter,
-                                  tol=0.0, callback=trace.append)
+        params, report = fit_map_em(ds, 3, HP, seed=4, mode=mode,
+                                    max_iter=max_iter, tol=0.0)
         ref, _ = fit_map_em(ds, 3, HP, seed=4, mode=mode, max_iter=0)  # the restart
         prior = build_prior(ds, HP)
         expected = []
         for _ in range(max_iter):
             ref = m_step(e_step(ref, ds), ds, prior, HP, ref)
             expected.append(map_objective(ref, ds, prior, HP))
-        np.testing.assert_array_equal(trace, expected)
+        np.testing.assert_array_equal(report.objectives, expected)
         fields = ("theta", "mu", "sigma2") + (("beta",) if mode == MIXED_MODE else ())
         for field in fields:
             np.testing.assert_array_equal(getattr(params, field), getattr(ref, field),
                                           err_msg=field)
-        np.testing.assert_array_equal(post, e_step(ref, ds))
 
     def test_deterministic_given_seed(self):
         ds = random_instance(np.random.default_rng(18))
-        a_params, a_post = fit_map_em(ds, 3, HP, seed=5, mode=MIXED_MODE)
-        b_params, b_post = fit_map_em(ds, 3, HP, seed=5, mode=MIXED_MODE)
-        assert np.array_equal(a_post, b_post)
+        a_params, a_report = fit_map_em(ds, 3, HP, seed=5, mode=MIXED_MODE)
+        b_params, b_report = fit_map_em(ds, 3, HP, seed=5, mode=MIXED_MODE)
+        assert np.array_equal(e_step(a_params, ds), e_step(b_params, ds))
         assert np.array_equal(a_params.mu, b_params.mu)
+        assert a_report == b_report
 
     def test_mixed_mode_reduces_to_gaussian_when_fully_observed(self):
         rng = np.random.default_rng(19)
         values = rng.normal(size=(20, 2, 5))
         ds = make_dataset(values, np.ones_like(values))
         for it in range(1, 6):
-            g_params, g_post = fit_map_em(ds, 3, HP, seed=2, max_iter=it)
-            m_params, m_post = fit_map_em(ds, 3, HP, seed=2, mode=MIXED_MODE,
-                                          max_iter=it)
-            np.testing.assert_allclose(m_post, g_post, atol=1e-9)
+            g_params, _ = fit_map_em(ds, 3, HP, seed=2, max_iter=it)
+            m_params, _ = fit_map_em(ds, 3, HP, seed=2, mode=MIXED_MODE,
+                                     max_iter=it)
+            np.testing.assert_allclose(e_step(m_params, ds), e_step(g_params, ds),
+                                       atol=1e-9)
 
     def test_too_few_series_rejected(self):
         ds = random_instance(np.random.default_rng(20), n_max=4)
         with pytest.raises(ValueError):
             fit_map_em(ds, ds.n + 1, HP, seed=0)
+
+
+class TestFitReport:
+    def test_zero_tol_runs_every_sweep_unconverged(self):
+        ds = random_instance(np.random.default_rng(27), n_max=20)
+        _, report = fit_map_em(ds, 2, HP, seed=0, max_iter=7, tol=0.0)
+        assert len(report.objectives) == 7 and not report.converged
+
+    def test_no_sweep_reports_nothing_converged(self):
+        ds = random_instance(np.random.default_rng(28), n_max=20)
+        _, report = fit_map_em(ds, 2, HP, seed=0, max_iter=0)
+        assert report == FitReport((), False)
+
+    @pytest.mark.parametrize("mode", [GAUSSIAN_ONLY, MIXED_MODE])
+    def test_a_stop_on_the_last_allowed_sweep_is_converged(self, mode):
+        ds = random_instance(np.random.default_rng(29), n_max=30)
+        free_params, free = fit_map_em(ds, 3, HP, seed=6, mode=mode, max_iter=50)
+        k = len(free.objectives)
+        assert free.converged and 1 < k < 50
+        params, capped = fit_map_em(ds, 3, HP, seed=6, mode=mode, max_iter=k)
+        assert capped == free
+        np.testing.assert_array_equal(params.mu, free_params.mu)
+        _, short = fit_map_em(ds, 3, HP, seed=6, mode=mode, max_iter=k - 1)
+        assert short == FitReport(free.objectives[:-1], False)
+
+    def test_report_is_a_frozen_public_type(self):
+        ds = random_instance(np.random.default_rng(30), n_max=20)
+        _, report = fit_map_em(ds, 2, HP, seed=0)
+        assert tck.FitReport is FitReport
+        assert isinstance(report.objectives, tuple)
+        assert [f.name for f in dataclasses.fields(report)] == ["objectives",
+                                                                "converged"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.converged = not report.converged
 
 
 class TestDivergence:

@@ -189,10 +189,9 @@ def test_em_objective_never_decreases_over_the_sampled_ranges(seed, mode, log_a0
     mask = (rng.random((n, v, t)) >= 0.3).astype(np.uint8)
     mask[:, :, 0] = 1
     data = Dataset(rng.normal(size=(n, v, t)), mask, None, 0, np.arange(n))
-    trace = []
-    fit_map_em(data, g, HyperParams(10.0 ** log_a0, b0, n0), seed, mode=mode,
-               callback=trace.append)
-    trace = np.array(trace)
+    _, report = fit_map_em(data, g, HyperParams(10.0 ** log_a0, b0, n0), seed,
+                           mode=mode)
+    trace = np.array(report.objectives)
     assert (np.diff(trace) >= -1e-8 * np.abs(trace[:-1])).all()
 
 
