@@ -4,6 +4,7 @@ Run from anywhere:
 
     python3 bench/ab.py DIR_A DIR_B --op kernel_test1 --calls 1000
     python3 bench/ab.py DIR_A DIR_B --op kernel_test200 --calls 100 --record 19
+    python3 bench/ab.py DIR_A DIR_B --op fit_replicate --calls 10
 
 Each checkout's ``src/tck`` is imported under its own module name, and
 DIR_A's a second time as the A/A control. The inputs are built once, from
@@ -17,6 +18,12 @@ statistics. The operations:
   successive calls take successive batches of the held-out pool.
 * ``train_q1``: ``train_ensemble`` with one restart of the 21 counts,
   Gaussian-only, ``n_jobs=1``.
+* ``fit_replicate``: one step of the ``perfbench`` ``fit`` workload. It
+  standardizes the raw training and test series; then, per mode, it runs a
+  serial one-restart ``train_ensemble``, attaches the semi-supervised and
+  supervised transforms, and runs KPCA, ``kernel_test`` and 1-NN for each
+  of the three variants. The test set is the 200 held-out series that
+  ``gen_var1`` draws with the training set.
 
 Each checkout builds its own ensemble from the shared data. The script sets
 ``OPENBLAS_NUM_THREADS=1`` for itself, then pins itself to each allowed CPU
@@ -25,7 +32,10 @@ rounds; a round calls A, B and the A/A copy on the same input, in an order
 that reverses every round. Per CPU it reports the median of the paired
 ratios B/A and A'/A, each with a 95% bootstrap interval over the rounds.
 The A/A interval is this session's resolution: a B/A ratio inside it shows
-no difference. It also checks that A and B return the same bits.
+no difference. It also checks that A and B return the same bits. With one
+BLAS thread and one worker, no op can show what a pool of workers costs
+when each also starts its own BLAS threads; only the end-to-end benchmark
+runs with the machine's default thread count.
 
 ``--record N`` appends the result, with the commit and a hash of ``src/``
 of both checkouts, to the runs in ``bench/AB_<N>.json``.
@@ -78,10 +88,11 @@ def shared_inputs(tck, seed: int) -> dict:
     plain fields, so that each checkout can wrap them in its own Dataset."""
     params = dataclasses.replace(tck.default_var1_params(), n_per_class=100,
                                  length=50)
-    train, _ = tck.gen_var1(params, seed)
+    train, test = tck.gen_var1(params, seed)
     pool, _ = tck.gen_var1(dataclasses.replace(params, n_per_class=150), seed + 1)
     train = tck.inject_var1_mnar(train, seed=seed + 2)
     pool = tck.inject_var1_mnar(pool, seed=seed + 3)
+    test = tck.inject_var1_mnar(test, seed=seed + 4)
     train_std, stats = tck.standardize(train)
     labels = np.zeros_like(train.labels)
     for c in np.unique(train.labels):               # 10 labelled per class
@@ -89,12 +100,43 @@ def shared_inputs(tck, seed: int) -> dict:
     fields = [f.name for f in dataclasses.fields(train_std)]
     return {"train": {f: getattr(train_std, f) for f in fields},
             "pool": {f: getattr(stats.apply(pool), f) for f in fields},
+            "raw_train": {f: getattr(train, f) for f in fields},
+            "raw_test": {f: getattr(test, f) for f in fields},
             "partial": tck.labels_to_onehot(labels, train.n_classes),
             "seed": seed}
 
 
+def fit_replicate(tck, inputs: dict):
+    """call(i) -> the test kernels and 1-NN predictions of one ``perfbench``
+    ``fit`` step, in checkout ``tck``."""
+    raw = tck.Dataset(**inputs["raw_train"])
+    test = tck.Dataset(**inputs["raw_test"])
+
+    def call(i):
+        factories = (tck.make_semisupervised_factory(inputs["partial"], 0.1),
+                     tck.make_supervised_factory(raw.one_hot()))
+        train_std, stats = tck.standardize(raw)
+        test_std = stats.apply(test)
+        out = []
+        for mode, tag in ((tck.GAUSSIAN_ONLY, 21), (tck.MIXED_MODE, 22)):
+            cfg = tck.EnsembleConfig(n_init=1, seed=inputs["seed"] + tag, mode=mode)
+            base = tck.train_ensemble(train_std, cfg, n_jobs=1)
+            variants = [base] + [tck.apply_posterior_transform(base[0], f)
+                                 for f in factories]
+            for ens, kernel in variants:
+                emb, projector = tck.kpca(kernel, d=10)
+                kstar = tck.kernel_test(ens, test_std)
+                preds = tck.knn_predict(emb.coords, raw.labels,
+                                        projector.transform(kstar), k=1)
+                out += [kstar.values.ravel(), preds.astype(float)]
+        return np.concatenate(out)
+    return call
+
+
 def subject(tck, op: str, inputs: dict):
     """call(i) -> the float array of the op's i-th call, in checkout ``tck``."""
+    if op == "fit_replicate":
+        return fit_replicate(tck, inputs)
     train = tck.Dataset(**inputs["train"])
     if op == "train_q1":
         cfg = tck.EnsembleConfig(n_init=1, seed=inputs["seed"],
@@ -149,14 +191,15 @@ def main(argv: list) -> int:
     parser.add_argument("dir_a")
     parser.add_argument("dir_b")
     parser.add_argument("--op", required=True,
-                        help="kernel_test<n> (kernel_test1, kernel_test200, ...) "
-                             "or train_q1")
+                        help="kernel_test<n> (kernel_test1, kernel_test200, ...), "
+                             "train_q1 or fit_replicate")
     parser.add_argument("--calls", type=int, required=True,
                         help="rounds per CPU; a round calls A, B and A' once")
     parser.add_argument("--record", type=int, metavar="N",
                         help="append the result to bench/AB_<N>.json")
     args = parser.parse_args(argv)
-    if args.op != "train_q1" and not re.fullmatch(r"kernel_test[1-9]\d*", args.op):
+    if (args.op not in ("train_q1", "fit_replicate")
+            and not re.fullmatch(r"kernel_test[1-9]\d*", args.op)):
         parser.error(f"unknown --op {args.op!r}")
     if args.calls < 1:
         parser.error("--calls must be at least 1")

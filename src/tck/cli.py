@@ -525,6 +525,36 @@ def _add_fit_options(p: argparse.ArgumentParser, note: str = "",
             action="store_true")
 
 
+_KINDS = {int: "an integer", float: "a number"}
+
+
+def _config_value(parser: argparse.ArgumentParser, key: str, value, path: str):
+    """A ``--config`` value as its option's flag would give it: converted by
+    the option's ``type`` and checked against its ``choices``. A JSON value
+    that the flag could not give raises a ValueError naming the key."""
+    action = next(a for a in parser._actions if a.dest == key)
+    ok = True
+    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+        kind, ok = "true or false", type(value) is bool
+    elif action.type is not None:
+        kind = _KINDS[action.type]
+        try:
+            value = action.type(value if isinstance(value, str) else json.dumps(value))
+        except ValueError:
+            ok = False
+    else:       # a string, or a value of the default's own type (--k 1)
+        default = action.default
+        kind = "a string" + ("" if default is None else f" or {_KINDS[type(default)]}")
+        ok = isinstance(value, str) or (default is not None
+                                        and type(value) is type(default))
+    if ok and action.choices is not None and value not in action.choices:
+        kind, ok = "one of " + ", ".join(map(str, action.choices)), False
+    if not ok:
+        raise ValueError(f"--config {path}: {key!r} must be {kind}; "
+                         f"got {json.dumps(value)}")
+    return value
+
+
 def build_parser() -> tuple:
     """The ``tck`` parser, and its sub-parsers by command name."""
     parser = argparse.ArgumentParser(
@@ -589,8 +619,10 @@ def main(argv=None) -> int:
                 config = _load_json_object(args.config)
             except ValueError as exc:
                 raise ValueError(f"--config {exc}") from None
-            commands[args.command].set_defaults(**{
-                key: value for key, value in config.items()
+            sub = commands[args.command]
+            sub.set_defaults(**{
+                key: _config_value(sub, key, value, args.config)
+                for key, value in config.items()
                 if key in vars(args) and key != "command"})
             args = parser.parse_args(argv)
         if getattr(args, "threads", False) is None:

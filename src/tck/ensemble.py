@@ -15,6 +15,8 @@ feature-row length and per component count.
 """
 from __future__ import annotations
 
+import ctypes
+import glob
 import io
 import json
 import math
@@ -394,7 +396,28 @@ def _fit_one(spec: BaseModelSpec, data: Dataset, cfg: EnsembleConfig) -> tuple:
 _WORKER_STATE: dict = {}
 
 
+def _openblas_function(*symbols):
+    """The first of ``symbols`` exported by the OpenBLAS bundled with numpy's
+    wheel, or None when there is no such library or symbol."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in symbols:
+            if hasattr(lib, symbol):
+                return getattr(lib, symbol)
+    return None
+
+
 def _worker_init(data, cfg):
+    # One BLAS thread per worker: the pool already keeps every core busy.
+    set_threads = _openblas_function("scipy_openblas_set_num_threads64_",
+                                     "openblas_set_num_threads")
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
     _WORKER_STATE["args"] = (data, cfg)
 
 

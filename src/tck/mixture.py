@@ -21,6 +21,17 @@ that shrinks small clusters toward the dataset scale.
 Scores and M-step statistics are linear in per-series feature rows. One
 function, ``_feature_grid``, builds them for fits, ``e_step`` and the
 ensemble's scoring plan alike.
+
+``fit_map_em`` masks its subset once, for the prior, the restart and the
+feature rows. The V prior covariances share one T x T matrix, so one
+inverse and one log-determinant serve them all. Its sweeps score by BLAS
+GEMM into per-fit buffers: a fit scores only its whole subset and keeps no
+posteriors. ``e_step``, ``map_objective`` and the ensemble's scoring plan
+score by einsum, which gives a series the same bits alone as in a batch;
+GEMM does not. The ensemble's pool workers run with one BLAS thread each.
+Moving the sweeps to GEMM and the prior to one factorization changed the
+last bits of fitted parameters, and so of kernels and CLI outputs, once;
+they stay byte-identical run to run and across BLAS thread counts.
 """
 from __future__ import annotations
 
@@ -107,9 +118,17 @@ def build_prior(data: Dataset, hp: HyperParams) -> PriorSpec:
     Time steps of an attribute with no observation anywhere in the subset fall
     back to the attribute's grand mean so the prior center stays finite.
     """
-    if data.n == 0:
+    return _build_prior(*_masked_arrays(data.values, data.mask), hp)
+
+
+def _build_prior(x0: np.ndarray, r: np.ndarray, hp: HyperParams) -> PriorSpec:
+    """``build_prior`` from the masked arrays of ``_masked_arrays``.
+
+    Every attribute's covariance is ``scale_v * (kernel + jitter)``, so one
+    inverse and one log-determinant of the shared T x T matrix serve all V.
+    """
+    if x0.shape[0] == 0:
         raise ValueError("cannot build a prior from an empty subset")
-    x0, r = _masked_arrays(data.values, data.mask)
     counts = r.sum(axis=0)                       # (V, T)
     totals = x0.sum(axis=0)                      # (V, T)
     attr_counts = counts.sum(axis=1)             # (V,)
@@ -118,22 +137,21 @@ def build_prior(data: Dataset, hp: HyperParams) -> PriorSpec:
     grand_mean = totals.sum(axis=1) / attr_counts
     mean = np.where(counts > 0, totals / np.maximum(counts, 1.0), grand_mean[:, None])
 
-    scale = np.zeros(data.n_attributes)
-    for v in range(data.n_attributes):
-        cells = data.values[:, v, :][data.mask[:, v, :].astype(bool)]
+    v_dim, t_dim = mean.shape
+    scale = np.zeros(v_dim)
+    for v in range(v_dim):
+        cells = x0[:, v, :][r[:, v, :] != 0]
         sd = cells.std(ddof=1) if cells.size > 1 else 0.0
         scale[v] = max(sd, 1e-6)  # keep the prior covariance positive definite
 
-    t_dim = data.length
     t_idx = np.arange(t_dim)
     kernel = hp.b0 * np.exp(-hp.a0 * (t_idx[:, None] - t_idx[None, :]) ** 2)
-    eye = np.eye(t_dim)
-    cov = scale[:, None, None] * (kernel[None, :, :] + COV_JITTER * eye[None, :, :])
-    cov_inv = np.linalg.inv(cov)
-    sign, cov_logdet = np.linalg.slogdet(cov)
-    if not (sign > 0).all():
+    jittered = kernel + COV_JITTER * np.eye(t_dim)
+    sign, logdet = np.linalg.slogdet(jittered)
+    if not sign > 0:
         raise np.linalg.LinAlgError("prior covariance is not positive definite")
-    return PriorSpec(mean, scale, kernel, cov_inv, cov_logdet,
+    cov_inv = np.linalg.inv(jittered)[None] / scale[:, None, None]
+    return PriorSpec(mean, scale, kernel, cov_inv, t_dim * np.log(scale) + logdet,
                      np.einsum("vij,vj->vi", cov_inv, mean))
 
 
@@ -150,7 +168,12 @@ def _feature_grid(values: np.ndarray, mask: np.ndarray, windows) -> np.ndarray:
     columns. Each sum reduces a slice whose last axis is contiguous, so a
     window's columns carry the bits of ``_features`` of that window alone.
     """
-    cells = np.concatenate(_masked_arrays(values, mask), axis=1)  # (N, 2V, T)
+    return _masked_feature_grid(*_masked_arrays(values, mask), windows)
+
+
+def _masked_feature_grid(x0: np.ndarray, r: np.ndarray, windows) -> np.ndarray:
+    """``_feature_grid`` from the masked arrays of ``_masked_arrays``."""
+    cells = np.concatenate((x0, r), axis=1)                       # (N, 2V, T)
     n, two_v, t_dim = cells.shape
     grid = np.empty((n, two_v * (t_dim + len(windows))))
     grid[:, :two_v * t_dim] = cells.reshape(n, -1)
@@ -195,8 +218,10 @@ def _log_component_scores(params: MixtureParams, feats: np.ndarray) -> np.ndarra
     """(N, G) array of log(theta_g) + log-likelihood of each series under g.
 
     The contraction is an einsum, not a BLAS GEMM: GEMM blocking changes the
-    last bits of a row with the batch size, and a series must score the same
-    alone as inside its training set.
+    last bits of a row with the batch size, and ``e_step``, ``map_objective``
+    and the ensemble's scoring plan must score a series the same alone as
+    inside its training set. ``fit_map_em`` scores its own sweeps by GEMM:
+    a fit only ever scores its whole subset, and its posteriors are not kept.
     """
     weights, const = _component_weights(params)
     return np.einsum("nd,gd->ng", feats, weights) + const[None, :]
@@ -229,8 +254,15 @@ def e_step(params: MixtureParams, data: Dataset) -> np.ndarray:
 # M-step and objective
 # ------------------------------------------------------------
 
+def _sweep_systems(prior: PriorSpec, g_dim: int) -> np.ndarray:
+    """(G, V, T, T) copies of the prior precisions, the mu systems of one
+    fit; each ``_m_step`` rewrites only their diagonals."""
+    return np.broadcast_to(prior.cov_inv[None], (g_dim,) + prior.cov_inv.shape).copy()
+
+
 def _m_step(post: np.ndarray, feats: np.ndarray, prior: PriorSpec,
-            hp: HyperParams, params_in: MixtureParams) -> MixtureParams:
+            hp: HyperParams, params_in: MixtureParams,
+            systems: np.ndarray) -> MixtureParams:
     g_dim, v_dim, t_dim = params_in.mu.shape
     vt = v_dim * t_dim
     weight = post.sum(axis=0)                                  # (G,)
@@ -251,10 +283,11 @@ def _m_step(post: np.ndarray, feats: np.ndarray, prior: PriorSpec,
 
     # mu_gv solves (S_v^-1 + sigma^-2 D) mu = S_v^-1 m_v + sigma^-2 e, where
     # D = diag of responsibility-weighted observation counts per time step.
+    # np.linalg.solve leaves ``systems`` as it was, so only the diagonal,
+    # a strided view, needs writing.
     inv_s2 = 1.0 / sigma2
-    systems = np.broadcast_to(prior.cov_inv[None], (g_dim,) + prior.cov_inv.shape).copy()
-    idx = np.arange(t_dim)
-    systems[:, :, idx, idx] += inv_s2[:, :, None] * diag_w
+    np.add(np.diagonal(prior.cov_inv, axis1=1, axis2=2), inv_s2[:, :, None] * diag_w,
+           out=systems.reshape(g_dim, v_dim, t_dim * t_dim)[:, :, ::t_dim + 1])
     rhs = prior.natural_mean[None] + inv_s2[:, :, None] * rhs_data
     mu = np.linalg.solve(systems, rhs[..., None])[..., 0]
     untouched = weighted_obs == 0                              # (G, V)
@@ -278,7 +311,8 @@ def m_step(post: np.ndarray, data: Dataset, prior: PriorSpec, hp: HyperParams,
     the fresh sigma^2, then the Bernoulli rates. Components with no weighted
     observations for an attribute fall back to the prior mean exactly.
     """
-    return _m_step(post, _features(data.values, data.mask), prior, hp, params_in)
+    return _m_step(post, _features(data.values, data.mask), prior, hp, params_in,
+                   _sweep_systems(prior, params_in.n_components))
 
 
 def _objective(peak: np.ndarray, sums: np.ndarray, params: MixtureParams,
@@ -314,19 +348,19 @@ def map_objective(params: MixtureParams, data: Dataset, prior: PriorSpec,
 # Fitting
 # ------------------------------------------------------------
 
-def _init_params(data: Dataset, n_components: int, prior: PriorSpec,
-                 mode: str, rng: np.random.Generator) -> MixtureParams:
+def _init_params(x0: np.ndarray, r: np.ndarray, n_components: int,
+                 prior: PriorSpec, mode: str,
+                 rng: np.random.Generator) -> MixtureParams:
     """Random restart: component means blend a random series with the prior."""
     theta = np.full(n_components, 1.0 / n_components)
     sigma2 = np.tile(prior.scale ** 2, (n_components, 1))
-    picks = rng.choice(data.n, size=n_components, replace=False)
-    obs = data.mask.astype(bool)
-    mu = np.empty((n_components, data.n_attributes, data.length))
+    picks = rng.choice(x0.shape[0], size=n_components, replace=False)
+    mu = np.empty((n_components,) + x0.shape[1:])
     for g, i in enumerate(picks):
-        mu[g] = np.where(obs[i], 0.5 * (data.values[i] + prior.mean), prior.mean)
+        mu[g] = np.where(r[i] != 0, 0.5 * (x0[i] + prior.mean), prior.mean)
     beta = None
     if mode == MIXED_MODE:
-        observed_frac = data.mask.astype(float).mean(axis=0)   # (V, T)
+        observed_frac = r.mean(axis=0)                          # (V, T)
         beta = np.clip(np.tile(observed_frac, (n_components, 1, 1)),
                        BETA_EPS, 1.0 - BETA_EPS)
     return MixtureParams(mode, theta, mu, sigma2, beta)
@@ -357,18 +391,28 @@ def fit_map_em(data: Dataset, n_components: int, hp: HyperParams, seed: int,
         raise ValueError(
             f"need at least {n_components} series to fit {n_components} components")
     rng = np.random.default_rng(seed)
-    prior = build_prior(data, hp)
-    params = _init_params(data, n_components, prior, mode, rng)
-    feats = _features(data.values, data.mask)
-    post = _log_component_scores(params, feats)
-    _normalize_rows(post)
+    x0, r = _masked_arrays(data.values, data.mask)
+    prior = _build_prior(x0, r, hp)
+    params = _init_params(x0, r, n_components, prior, mode, rng)
+    feats = _masked_feature_grid(x0, r, [(0, data.length)])
+    # Per-fit buffers: weight rows, scores (softmaxed in place into the
+    # responsibilities) and the mu systems.
+    weights = np.empty((n_components, feats.shape[1]))
+    post = np.empty((data.n, n_components))
+    systems = _sweep_systems(prior, n_components)
+
+    def softmax_scores(params):
+        _, const = _component_weights(params, out=weights)
+        np.add(np.matmul(feats, weights.T, out=post), const, out=post)
+        return _normalize_rows(post)
+
+    softmax_scores(params)
     objectives, converged = [], False
     while not converged and len(objectives) < max_iter:
-        params = _m_step(post, feats, prior, hp, params)
+        params = _m_step(post, feats, prior, hp, params, systems)
         # One softmax of the new scores gives both the objective and the
         # responsibilities of the next sweep.
-        post = _log_component_scores(params, feats)
-        objectives.append(_objective(*_normalize_rows(post), params, prior, hp))
+        objectives.append(_objective(*softmax_scores(params), params, prior, hp))
         converged = (len(objectives) > 1 and abs(objectives[-1] - objectives[-2])
                      < tol * (abs(objectives[-2]) + DENOM_EPS))
     return params, FitReport(tuple(objectives), converged)

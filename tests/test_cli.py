@@ -615,6 +615,46 @@ class TestConfigPlumbing:
         assert err.startswith(f"tck generate: --config {cfg} ")
         assert problem in err
 
+    @pytest.mark.parametrize("command, key, value, kind", [
+        pytest.param("train", "threads", 2.5, "an integer", id="int-given-float"),
+        pytest.param("train", "threads", True, "an integer", id="int-given-bool"),
+        pytest.param("train", "q", "4x", "an integer", id="int-given-bad-string"),
+        pytest.param("train", "h", True, "a number", id="float-given-bool"),
+        pytest.param("train", "normalize", "false", "true or false",
+                     id="flag-given-string"),
+        pytest.param("train", "components", 5, "a string", id="string-given-int"),
+        pytest.param("eval", "k", True, "a string or an integer",
+                     id="int-or-cv-given-bool"),
+        pytest.param("eval", "variant", "tck_x", "one of sstck, ", id="choice"),
+    ])
+    def test_config_value_of_the_wrong_type_is_named(
+            self, tmp_path, var1_dir, resolve, capsys, command, key, value, kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        extra = ["--variant", "tck"] if command == "train" else ["--folds", "2"]
+        code = run([command, "--data", var1_dir / "train.csv", *extra,
+                    "--config", cfg, "--out", tmp_path / "x"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"tck {command}: --config {cfg}: '{key}' must be {kind}")
+        assert err.rstrip().endswith(f"got {json.dumps(value)}")
+
+    def test_config_values_convert_as_their_flags_do(self, tmp_path):
+        generate_var1(tmp_path / "base", extra=["--no-missing"])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"strength": 1, "seed": "4"}))
+        manifests = []
+        for name, extra in (("config", ["--config", cfg]),
+                            ("flags", ["--strength", "1", "--seed", "4"])):
+            assert run(["generate", "--recipe", "rate_mar",
+                        "--data", tmp_path / "base" / "train.csv",
+                        "--labels", tmp_path / "base" / "train_labels.csv",
+                        *extra, "--out", tmp_path / name]) == 0
+            manifests.append((tmp_path / name / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        strength = json.loads(manifests[0])["config"]["strength"]
+        assert strength == 1.0 and isinstance(strength, float)
+
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TCK_OUTPUT_ROOT", str(tmp_path))
         code = run(["generate", "--recipe", "var1", "--seed", "1"])

@@ -2,6 +2,8 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,6 +23,8 @@ from tck.data import labels_to_onehot
 
 from old_layout import rewrite_as_offsets_layout
 from poison import poison_missing
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def blob_dataset(seed=0, n=30, v=2, t=10, missing=0.3):
@@ -224,6 +228,61 @@ class TestTrainKernel:
         _, serial = train_ensemble(data, cfg)
         _, parallel = train_ensemble(data, cfg, n_jobs=2)
         assert np.array_equal(serial.values, parallel.values)
+
+
+# Trains one ensemble per mode, serially and with two workers, and prints
+# the sha256 of each one's kernel and parameter bytes; then the BLAS thread
+# count of a worker started through _worker_init.
+_BLAS_THREADS_SCRIPT = """
+import ctypes, dataclasses, hashlib, json, multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+import tck
+import tck.ensemble as ens_mod
+
+GETTER = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
+
+def blas_threads():
+    get = ens_mod._openblas_function(*GETTER)
+    if get is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+params = dataclasses.replace(tck.default_var1_params(), n_per_class=100, length=50)
+data = tck.standardize(tck.inject_var1_mnar(tck.gen_var1(params, 3)[0], seed=4))[0]
+digests = {}
+for mode in (tck.GAUSSIAN_ONLY, tck.MIXED_MODE):
+    cfg = tck.EnsembleConfig(n_init=2, component_counts=(20, 21), seed=5, mode=mode)
+    for n_jobs in (1, 2):
+        ens, kernel = tck.train_ensemble(data, cfg, n_jobs=n_jobs)
+        h = hashlib.sha256(kernel.values.tobytes())
+        for p in ens.params:
+            for a in (p.theta, p.mu, p.sigma2, p.beta):
+                if a is not None:
+                    h.update(a.tobytes())
+        digests[f"{mode} n_jobs={n_jobs}"] = h.hexdigest()
+with ProcessPoolExecutor(1, initializer=ens_mod._worker_init, initargs=(None, None),
+                         mp_context=multiprocessing.get_context("fork")) as pool:
+    worker = pool.submit(blas_threads).result()
+print(json.dumps({"digests": digests, "worker": worker}))
+"""
+
+
+def test_training_bytes_do_not_depend_on_blas_or_worker_threads():
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        out = subprocess.run([sys.executable, "-c", _BLAS_THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        runs[threads] = json.loads(out.stdout)
+    for mode in (GAUSSIAN_ONLY, MIXED_MODE):
+        keys = [f"{mode} n_jobs=1", f"{mode} n_jobs=2"]
+        assert len({run["digests"][k] for run in runs.values() for k in keys}) == 1
+    if runs["2"]["worker"] is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count getter")
+    assert runs["2"]["worker"] == runs["1"]["worker"] == 1
 
 
 def fail_fits(monkeypatch, fails):

@@ -373,11 +373,13 @@ class TestFit:
         for _ in range(max_iter):
             ref = m_step(e_step(ref, ds), ds, prior, HP, ref)
             expected.append(map_objective(ref, ds, prior, HP))
-        np.testing.assert_array_equal(report.objectives, expected)
+        # The fit scores its sweeps by GEMM, the public steps by einsum: the
+        # two agree to rounding, not bit for bit.
+        np.testing.assert_allclose(report.objectives, expected, rtol=1e-12, atol=0)
         fields = ("theta", "mu", "sigma2") + (("beta",) if mode == MIXED_MODE else ())
         for field in fields:
-            np.testing.assert_array_equal(getattr(params, field), getattr(ref, field),
-                                          err_msg=field)
+            np.testing.assert_allclose(getattr(params, field), getattr(ref, field),
+                                       rtol=1e-12, atol=0, err_msg=field)
 
     def test_deterministic_given_seed(self):
         ds = random_instance(np.random.default_rng(18))
