@@ -206,12 +206,10 @@ def cmd_generate(args, out_dir: str):
                          "intercept": c.intercept.tolist()}
                         for c in params.classes]}}
         if not args.no_missing:
-            train, rep_tr = inject_var1_mnar(train, seed=_derive_seed(seed, 11),
-                                             return_report=True)
-            test, rep_te = inject_var1_mnar(test, seed=_derive_seed(seed, 12),
-                                            return_report=True)
-            info["missing_fraction_train"] = rep_tr.missing_fraction
-            info["missing_fraction_test"] = rep_te.missing_fraction
+            train = inject_var1_mnar(train, seed=_derive_seed(seed, 11))
+            test = inject_var1_mnar(test, seed=_derive_seed(seed, 12))
+            info["missing_fraction_train"] = float(1.0 - train.mask.mean())
+            info["missing_fraction_test"] = float(1.0 - test.mask.mean())
         for name, ds in (("train", train), ("test", test)):
             files = [f"{name}.csv", f"{name}_labels.csv"]
             dt.save_dataset(ds, *(os.path.join(out_dir, f) for f in files))

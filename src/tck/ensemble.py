@@ -7,11 +7,11 @@ accumulates, over base models, the inner products of l2-normalized posterior
 vectors; out-of-sample columns are obtained by scoring new series under the
 stored per-model parameters.  One accumulator sums both: the training unit
 rows against themselves, or against the test unit rows of each model.
-Training and test posteriors come from one blocked pass of a scoring plan
-over the fitted models, which scores a batch of series under a block of
-models and runs the softmax once per count. A batch of a few series is
-scored under all models at once instead, in a few array calls per
-feature-row length and per component count.
+Training and test posteriors come from one pass of a scoring plan over the
+fitted models, which builds the batch's feature grid once and then yields
+one model's posteriors at a time, in model order, as the accumulator adds
+them. A batch of a few series is scored under all models at once instead,
+in a few array calls per feature-row length and per component count.
 """
 from __future__ import annotations
 
@@ -83,13 +83,12 @@ class KernelMatrix:
     model_count: int
 
 
-# Upper bound on the score buffers (and so on the test unit rows) that a
-# scoring pass keeps for one block of consecutive base models, and on the
-# buffer of kernel products that the small-batch path folds at once.
+# Upper bound on the buffer of kernel products that the small-batch path
+# of ``kernel_test`` folds at once.
 _BLOCK_BYTES = 1 << 20
 
 # Batches of at most this many series take the small-batch path of
-# ``kernel_test``; larger ones score block by block, model by model. Timed
+# ``kernel_test``; larger ones are scored model by model. Timed
 # in pairs on a 168-model ensemble, the small-batch path took 0.60x the
 # per-model time for one series, 0.68x for two, 0.74x to 0.78x for four and
 # 0.95x to 1.20x for eight, while its memory grows with the batch.
@@ -166,53 +165,37 @@ class _ScoringPlan:
         self.count_rank = np.zeros((n_models + 1, len(counts)), dtype=np.int64)
         np.cumsum(self.q2[:, None] == counts, axis=0, out=self.count_rank[1:])
 
-    def block_posteriors(self, values: np.ndarray, mask: np.ndarray):
-        """Yield (models, post) for each component-count group of each block
-        of consecutive models, blocks in model order: ``post`` holds the
-        (k, n, G) posteriors of the n series under the k models whose
-        indices are ``models``, and slab j is, bit for bit, the ``e_step`` of
-        model ``models[j]`` on its window of the series. A block is the
-        longest run of models whose (n, G) score buffers hold at most
-        ``_BLOCK_BYTES`` together, or a single model.
+    def posteriors(self, values: np.ndarray, mask: np.ndarray):
+        """Yield the (n, G) posteriors of the n series under each model, in
+        model order; each is, bit for bit, the ``e_step`` of that model on
+        its window of the series.
 
-        Each score einsum reads C-contiguous feature rows and writes one
-        C-contiguous slab, and the softmax reduces the contiguous last axis,
-        so a slab carries the bits that ``_log_component_scores`` and
-        ``_normalize_rows`` give for that model alone.
+        The feature grid is built once. Per model, the score einsum reads
+        C-contiguous feature rows and weight rows, and the softmax reduces
+        the contiguous last axis, as ``_log_component_scores`` and
+        ``_normalize_rows`` do for that model alone.
         """
         grid = _feature_grid(values, mask, self.windows)
-        ends = np.cumsum(self.q2) * (8 * len(grid))     # bytes through each model
-        start = 0
-        while start < len(ends):
-            before = ends[start - 1] if start else 0
-            stop = max(start + 1, int(np.searchsorted(ends, before + _BLOCK_BYTES,
-                                                      side="right")))
-            q2 = self.q2[start:stop]
-            for g in np.unique(q2):
-                models = start + np.flatnonzero(q2 == g)
-                post = np.empty((len(models), len(grid), g))
-                for slab, m in zip(post, models):  # as in _log_component_scores
-                    np.einsum("nd,gd->ng", grid.take(self.cols[m], axis=1),
-                              self.weights[m], out=slab)
-                post += np.array([self.consts[m] for m in models])[:, None, :]
-                _normalize_rows(post)
-                yield models, post
-            start = stop
+        for cols, weights, consts in zip(self.cols, self.weights, self.consts):
+            post = np.einsum("nd,gd->ng", grid.take(cols, axis=1), weights)
+            post += consts
+            _normalize_rows(post)
+            yield post
 
     def count_posteriors(self, values: np.ndarray, mask: np.ndarray):
-        """Yield (models, post) once per component count G, over all models:
-        ``post`` holds the (k, n, G) posteriors of the n series under the k
-        models with G components, with the bits of ``block_posteriors``.
+        """Yield, once per component count G in the order of ``by_count``,
+        the (k, n, G) posteriors of the n series under the k models with G
+        components; slab j has the bits that ``posteriors`` gives the j-th.
 
         Scoring takes one gather and one einsum per feature-row length d
         (``_scores``); the softmax then runs once per count. The repeated
         (n, sum of G, d) feature rows make this a path for small batches.
         """
         scores = self._scores(_feature_grid(values, mask, self.windows))
-        for _, models, rows in self.by_count:
+        for _, _, rows in self.by_count:
             post = np.ascontiguousarray(scores.take(rows, axis=1).transpose(1, 0, 2))
             _normalize_rows(post)
-            yield models, post
+            yield post
 
     def _scores(self, grid: np.ndarray) -> np.ndarray:
         """(n, sum of G) component scores, models ordered by d.
@@ -299,8 +282,9 @@ class TrainedEnsemble:
 
 
 def _row_norms(post: np.ndarray) -> np.ndarray:
-    """l2 norms over the last axis; a zero norm is an error."""
-    norms = np.linalg.norm(post, axis=-1)
+    """l2 norms over the last axis, by the arithmetic of ``np.linalg.norm``
+    without its per-call checks; a zero norm is an error."""
+    norms = np.sqrt(np.add.reduce(post * post, axis=-1))
     if (norms == 0).any():
         raise ValueError("posterior row with zero norm")
     return norms
@@ -430,7 +414,7 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig,
     """Fit the ensemble on standardized data and accumulate the train kernel.
 
     Workers only fit; this process then scores the training series under
-    all fitted models in one blocked pass. Base models that fail to fit are
+    all fitted models in one pass. Base models that fail to fit are
     skipped and recorded; more than 10% failures aborts training before
     scoring. ``Dataset``'s bound on observed values keeps every score of a
     fitted model finite. Label transforms are attached afterwards with
@@ -460,10 +444,7 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig,
     fit_specs = [spec for spec, (status, _) in zip(specs, outcomes) if status == "ok"]
     fit_params = [params for status, params in outcomes if status == "ok"]
     plan = _ScoringPlan(fit_specs, fit_params, data.n_attributes, data.length)
-    posts = [None] * len(fit_specs)
-    for models, post in plan.block_posteriors(data.values, data.mask):
-        for m, slab in zip(models, post):
-            posts[m] = slab
+    posts = list(plan.posteriors(data.values, data.mask))
     ens = TrainedEnsemble(cfg, data.n, data.n_attributes, data.length,
                           fit_specs, fit_params, posts, failed=failed)
     ens._plan = plan
@@ -509,34 +490,24 @@ def apply_posterior_transform(ens: TrainedEnsemble,
     return out, _accumulate(out, out.n_series)
 
 
-def _test_unit_rows(ens: TrainedEnsemble, models: np.ndarray,
-                    post: np.ndarray) -> np.ndarray:
-    """The (k, n, C) unit rows of the (k, n, G) test posteriors ``post`` of
-    the models ``models``, consecutive among the models with G components:
-    mapped through their transforms, if any, and divided by their norms."""
-    if ens.transforms is not None:
-        g, j = ens._plan.count_slots[models[0]]
-        post = post @ ens._transform_stacks[g][j:j + len(models)]
-    post /= _row_norms(post)[:, :, None]
+def _unit_rows(post: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """The unit rows of test posteriors ``post`` of any leading shape:
+    mapped through the transform ``weights``, stacked as ``post`` is, if
+    given, and divided by their norms."""
+    if weights is not None:
+        post = post @ weights
+    post /= _row_norms(post)[..., None]
     return post
 
 
 def _test_units(ens: TrainedEnsemble, test: Dataset):
-    """Yield the (n, G) unit rows of the test series under each model, in
-    model order.
-
-    Models are scored in blocks of consecutive models. In a block the
-    softmax, transform and norms run once per component count; per model
-    there remain the feature gather and the score einsum. The batch itself
-    is never split, because BLAS takes gemv for one series and GEMM for
-    more, and the two differ in the last bits.
-    """
-    units, done = {}, 0
-    for models, post in ens._plan.block_posteriors(test.values, test.mask):
-        units.update(zip(models.tolist(), _test_unit_rows(ens, models, post)))
-        while done in units:
-            yield units.pop(done)
-            done += 1
+    """Yield the (n, C) unit rows of the test series under each model, in
+    model order. The batch is never split, because BLAS takes gemv for one
+    series and GEMM for more, and the two differ in the last bits."""
+    weights = ([None] * ens.model_count if ens.transforms is None
+               else [tm.weights for tm in ens.transforms])
+    for post, w in zip(ens._plan.posteriors(test.values, test.mask), weights):
+        yield _unit_rows(post, w)
 
 
 def _small_batch_columns(ens: TrainedEnsemble, test: Dataset) -> np.ndarray:
@@ -544,17 +515,20 @@ def _small_batch_columns(ens: TrainedEnsemble, test: Dataset) -> np.ndarray:
     ``_accumulate`` over ``_test_units``.
 
     Scoring runs once per feature-row length and the softmax, transform,
-    norms and products once per component count, on (k, n, G) stacks. Each
-    product ``train[j] @ test[j].T`` of a stacked matmul is the same BLAS
-    call, on the same strides, as the per-model product. The products of a
-    run of consecutive models, computed count by count, are put in model
-    order into a buffer of at most ``_BLOCK_BYTES``, behind the running
-    total in its first row; one reduction over the first axis then adds
-    them in that order, as ``total += product`` model by model would.
+    norms and products once per component count, on (k, n, G) stacks, not
+    once per model as in ``_test_units``. Each product ``train[j] @
+    test[j].T`` of a stacked matmul is the same BLAS call, on the same
+    strides, as the per-model product. The products of a run of
+    consecutive models, computed count by count, are put in model order
+    into a buffer of at most ``_BLOCK_BYTES``, behind the running total in
+    its first row; one reduction over the first axis then adds them in
+    that order, as ``total += product`` model by model would.
     """
     plan, stacks = ens._plan, ens._unit_stacks
-    units = {g: _test_unit_rows(ens, models, post) for (g, _, _), (models, post)
-             in zip(plan.by_count, plan.count_posteriors(test.values, test.mask))}
+    posts = plan.count_posteriors(test.values, test.mask)
+    units = {g: _unit_rows(post, None if ens.transforms is None
+                           else ens._transform_stacks[g])
+             for (g, _, _), post in zip(plan.by_count, posts)}
     total = np.zeros((ens.n_series, test.n))
     per = max(1, _BLOCK_BYTES // max(total.nbytes, 1) - 1)   # products per buffer
     buf = np.empty((min(per, ens.model_count) + 1,) + total.shape)
@@ -582,15 +556,16 @@ def kernel_test(ens: TrainedEnsemble, test: Dataset) -> KernelMatrix:
     The test data must be preprocessed with the training statistics and share
     the training schema. Failed base models are skipped, matching training.
 
-    A batch of more than ``_SMALL_BATCH`` series is scored block by block
-    and fed, model by model, to the accumulator of the train kernel, so its
-    numpy calls grow with the model count and its memory with the block. A
-    smaller batch is scored in a few calls per feature-row length and per
-    component count (``_small_batch_columns``), at the cost of memory that
-    grows with the batch. Both paths give every column the bits of scoring
-    the batch one model at a time: each score einsum and each product
-    reads C-contiguous operands laid out as the per-model call reads them,
-    and the products are summed in model order.
+    A batch of more than ``_SMALL_BATCH`` series is scored one model at a
+    time and fed, in model order, to the accumulator of the train kernel,
+    so its numpy calls grow with the model count while it holds one
+    model's posteriors at a time. A smaller batch is scored in a few calls
+    per feature-row length and per component count
+    (``_small_batch_columns``), at the cost of memory that grows with the
+    batch. Both paths give every column the bits of scoring the batch one
+    model at a time: each score einsum and each product reads C-contiguous
+    operands laid out as the per-model call reads them, and the products
+    are summed in model order.
     """
     if test.n_attributes != ens.n_attributes or test.length != ens.length:
         raise ValueError(
@@ -787,10 +762,12 @@ def load_ensemble(directory) -> TrainedEnsemble:
     """Read a directory written by ``save_ensemble``.
 
     Raises ValueError when a file is missing, when the manifest is not a
-    JSON object, lacks a key or has an unknown config key, when an array's
-    size or dtype disagrees with what the manifest's model specs imply, or
-    when an older tck wrote the directory (one JSON file per base model, or
-    a manifest that still carries posterior offsets).
+    JSON object, lacks a key or has an unknown config key, when a model's
+    attributes, window or component count do not fit the manifest's series
+    shape, when an array's size or dtype disagrees with what the manifest's
+    model specs imply, or when an older tck wrote the directory (one JSON
+    file per base model, or a manifest that still carries posterior
+    offsets).
     """
     path = os.path.join(directory, "manifest.json")
     try:
@@ -806,6 +783,23 @@ def load_ensemble(directory) -> TrainedEnsemble:
         raise ValueError(f"{path} has no {exc} key") from None
 
 
+def _check_model(path: str, i: int, m: dict, v_dim: int, t_dim: int) -> None:
+    """ValueError naming the manifest and model ``i`` unless the model's
+    spec can score series of ``v_dim`` attributes and length ``t_dim``."""
+    a, t_start, t_stop, q2 = m["attributes"], m["t_start"], m["t_stop"], m["q2"]
+    if not (isinstance(a, list) and a and all(type(x) is int for x in a)
+            and 0 <= a[0] and all(x < y for x, y in zip(a, a[1:]))
+            and a[-1] < v_dim):
+        raise ValueError(f"{path}: model {i}: attributes {a!r} are not strictly "
+                         f"increasing indices in 0..{v_dim - 1}")
+    if not (type(t_start) is int and type(t_stop) is int
+            and 0 <= t_start < t_stop <= t_dim):
+        raise ValueError(f"{path}: model {i}: window [{t_start!r}, {t_stop!r}) "
+                         f"is not a nonempty segment of 0..{t_dim}")
+    if not (type(q2) is int and q2 >= 1):
+        raise ValueError(f"{path}: model {i}: q2={q2!r} is not an integer >= 1")
+
+
 def _ensemble_from_manifest(directory, path: str, manifest: dict) -> TrainedEnsemble:
     cfg_dict = dict(manifest["config"])
     unknown = sorted(set(cfg_dict) - {f.name for f in fields(EnsembleConfig)})
@@ -815,6 +809,8 @@ def _ensemble_from_manifest(directory, path: str, manifest: dict) -> TrainedEnse
         cfg_dict["component_counts"] = tuple(cfg_dict["component_counts"])
     cfg = EnsembleConfig(**cfg_dict)
     models = manifest["models"]
+    for i, m in enumerate(models):
+        _check_model(path, i, m, manifest["n_attributes"], manifest["length"])
     offsets = np.cumsum([0] + [m["q2"] for m in models]).tolist()
     stacked = _load_array(directory, "posteriors.npy",
                           (manifest["n_series"], offsets[-1]))

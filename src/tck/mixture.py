@@ -29,9 +29,8 @@ GEMM into per-fit buffers: a fit scores only its whole subset and keeps no
 posteriors. ``e_step``, ``map_objective`` and the ensemble's scoring plan
 score by einsum, which gives a series the same bits alone as in a batch;
 GEMM does not. The ensemble's pool workers run with one BLAS thread each.
-Moving the sweeps to GEMM and the prior to one factorization changed the
-last bits of fitted parameters, and so of kernels and CLI outputs, once;
-they stay byte-identical run to run and across BLAS thread counts.
+Fitted parameters, and so kernels and CLI outputs, stay byte-identical
+run to run and across BLAS thread counts.
 """
 from __future__ import annotations
 

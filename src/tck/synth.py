@@ -128,8 +128,8 @@ def gen_var1(params: Var1Params | None = None,
 class InjectionReport:
     """What an injector actually did: sampled rates and attribute directions."""
 
-    rates: np.ndarray | None   # (N, V) per-series per-attribute drop rates
-    directions: np.ndarray | None  # (V,) signs c_v, where applicable
+    rates: np.ndarray          # (N, V) per-series per-attribute drop rates
+    directions: np.ndarray     # (V,) signs c_v
     missing_fraction: float
 
 
@@ -146,7 +146,7 @@ def _drop_cells(data: Dataset, drop: np.ndarray) -> tuple[Dataset, float]:
     return replace(data, values=data.values.copy(), mask=mask), float(frac)
 
 
-def inject_var1_mnar(data: Dataset, seed: int = 0, return_report: bool = False):
+def inject_var1_mnar(data: Dataset, seed: int = 0) -> Dataset:
     """Drop cells above a value threshold with class-dependent probability.
 
     Cell (v, t) of a two-class series with label y is removed independently
@@ -158,10 +158,7 @@ def inject_var1_mnar(data: Dataset, seed: int = 0, return_report: bool = False):
     p = np.array([0.9, 0.8])[labels - 1]                      # (N,)
     eligible = data.mask.astype(bool) & (data.values > -1.0)
     u = rng.random(data.values.shape)
-    out, frac = _drop_cells(data, eligible & (u < p[:, None, None]))
-    if return_report:
-        return out, InjectionReport(None, None, frac)
-    return out
+    return _drop_cells(data, eligible & (u < p[:, None, None]))[0]
 
 
 def _attribute_signs(v: int, rng: np.random.Generator) -> np.ndarray:

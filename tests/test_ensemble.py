@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -419,7 +420,7 @@ class TestFailureHandling:
             raise AssertionError("scored after too many failures")
 
         monkeypatch.setattr(ens_mod, "fit_map_em", always_fail)
-        monkeypatch.setattr(ens_mod._ScoringPlan, "block_posteriors", refuse)
+        monkeypatch.setattr(ens_mod._ScoringPlan, "posteriors", refuse)
         with pytest.raises(RuntimeError, match="base models failed"):
             train_ensemble(data, cfg)
 
@@ -549,6 +550,32 @@ class TestEnsembleFiles:
         with pytest.raises(ValueError, match=r"params\.npy.*implies shape"):
             load_ensemble(saved)
 
+    @pytest.mark.parametrize("damage", [
+        lambda m, v, t: m.update(attributes=m["attributes"][:-1] + [v]),
+        lambda m, v, t: m.update(attributes=[-1] + m["attributes"][1:]),
+        lambda m, v, t: m.update(attributes=m["attributes"][::-1]),
+        lambda m, v, t: m.update(attributes=[float(a) for a in m["attributes"]]),
+        lambda m, v, t: shift_window(m, t + 1 - m["t_stop"]),
+        lambda m, v, t: shift_window(m, -1 - m["t_start"]),
+        lambda m, v, t: m.update(t_stop=m["t_start"]),
+        lambda m, v, t: m.update(t_start=str(m["t_start"])),
+        lambda m, v, t: m.update(q2=0),
+    ], ids=["attribute-past-V", "negative-attribute", "unsorted-attributes",
+            "float-attributes", "window-past-end", "window-before-start",
+            "empty-window", "string-window", "no-components"])
+    def test_model_spec_outside_the_series_rejected(self, saved, damage):
+        """A model whose spec would score cells outside its attributes and
+        window, or no components, is refused by name before any array is
+        read, even when the arrays' sizes still agree with the spec."""
+        path = saved / "manifest.json"
+        manifest = json.loads(path.read_text())
+        model = manifest["models"][0]
+        assert len(model["attributes"]) == manifest["n_attributes"] == 2
+        damage(model, manifest["n_attributes"], manifest["length"])
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: model 0: "):
+            load_ensemble(saved)
+
     @pytest.mark.parametrize("name, dtype", [("params.npy", np.float32),
                                              ("subsamples.npy", np.float64)])
     def test_wrong_dtype_rejected(self, saved, name, dtype):
@@ -581,6 +608,11 @@ class TestEnsembleFiles:
             load_ensemble(saved)
         assert str(info.value) == (f"{saved / 'manifest.json'} was written by "
                                    f"an older tck and cannot be read; retrain it")
+
+
+def shift_window(model, by):
+    model["t_start"] += by
+    model["t_stop"] += by
 
 
 def model_view(data, spec):
@@ -643,17 +675,17 @@ class TestKernelTestPath:
         for i, spec in enumerate(ens.specs):
             np.testing.assert_array_equal(
                 ens.posteriors[i], e_step(ens.params[i], model_view(data, spec)))
-        seen = {}
-        block_posteriors = ens_mod._ScoringPlan.block_posteriors
+        seen = []
+        posteriors = ens_mod._ScoringPlan.posteriors
 
         def record(plan, values, mask):
-            for models, post in block_posteriors(plan, values, mask):
-                seen.update((int(m), slab.copy()) for m, slab in zip(models, post))
-                yield models, post
+            for post in posteriors(plan, values, mask):
+                seen.append(post.copy())
+                yield post
 
-        monkeypatch.setattr(ens_mod._ScoringPlan, "block_posteriors", record)
+        monkeypatch.setattr(ens_mod._ScoringPlan, "posteriors", record)
         kernel_test(ens, test)
-        assert sorted(seen) == list(range(ens.model_count))
+        assert len(seen) == ens.model_count
         for i, (params, spec) in enumerate(zip(ens.params, ens.specs)):
             np.testing.assert_array_equal(seen[i],
                                           e_step(params, model_view(test, spec)))
@@ -845,22 +877,19 @@ def warm_peak(ens, test):
         tracemalloc.stop()
 
 
-def test_warm_kernel_test_memory_is_bounded_by_the_block(monkeypatch):
-    """A warm call on 108 models and 200 series allocates at most the output,
-    the block constant and 1 MiB of slack (the feature grid, one model's
-    feature rows, one component count's temporaries and one GEMM product).
-    Keeping every model's unit rows for the whole call, as an unblocked
-    loop would, exceeds that bound."""
+def test_warm_kernel_test_memory_is_bounded_by_the_block():
+    """A warm call on 108 models and 200 series allocates at most the output
+    and 512 KiB of slack (the feature grid, one model's feature rows, its
+    posteriors and unit rows, and one GEMM product). Keeping every model's
+    unit rows for the whole call exceeds that bound."""
     ens = repeated_ensemble()
     assert ens.model_count >= 100
     test = scoring_pool(2)
     output = ens.n_series * test.n * 8
     stored = sum(test.n * s.q2 * 8 for s in ens.specs)
-    bound = output + ens_mod._BLOCK_BYTES + 1024 * 1024
+    bound = output + 512 * 1024
     assert stored > bound
     assert warm_peak(ens, test) <= bound
-    monkeypatch.setattr(ens_mod, "_BLOCK_BYTES", 2 * stored)   # one block
-    assert warm_peak(ens, test) > bound
 
 
 def test_warm_single_series_memory_is_bounded():
