@@ -6,7 +6,9 @@ Run from anywhere:
 
 Each checkout's ``src`` runs the same tiny commands: ``generate --recipe
 var1``, ``train`` for all eight variants, and ``eval --k 1`` and ``eval --k
-cv`` against each trained run. The checkouts run in turn at the same output
+cv`` against each trained run. A third eval, ``--k 1`` on a file of the
+first three test series (written with ``tck.data``), takes the small-batch
+path of ``kernel_test``. The checkouts run in turn at the same output
 path, because manifests record absolute paths, and each one's outputs are
 then moved aside. Every output file whose bytes differ, or that exists on one
 side only, is listed; the exit status is 1 if there is any, else 0.
@@ -25,11 +27,17 @@ VARIANTS = ("tck", "sstck", "stck", "tck_im", "sstck_im", "stck_im",
 SMALL = ["--q", "2", "--components", "2,3", "--t-min", "4", "--threads", "1"]
 
 # Runs each argv of a JSON list through tck.cli.main; stops at a failure.
+# An argv ["head", data, labels, out_data, out_labels] instead writes the
+# first three series of a data set.
 RUNNER = """
 import json, sys
+from tck import data
 from tck.cli import main
 for argv in json.loads(sys.argv[1]):
-    if main(argv) != 0:
+    if argv[0] == "head":
+        head = data.load_dataset(argv[1], argv[2]).take([0, 1, 2])
+        data.save_dataset(head, argv[3], argv[4])
+    elif main(argv) != 0:
         sys.exit(f"tck {' '.join(argv)} failed")
 """
 
@@ -41,7 +49,10 @@ def commands(out: str) -> list:
             "--labels", os.path.join(gen, "train_labels.csv")]
     test = ["--data", os.path.join(gen, "test.csv"),
             "--labels", os.path.join(gen, "test_labels.csv")]
-    argvs = [["generate", "--recipe", "var1", "--seed", "7", "--out", gen]]
+    small = ["--data", os.path.join(out, "small.csv"),
+             "--labels", os.path.join(out, "small_labels.csv")]
+    argvs = [["generate", "--recipe", "var1", "--seed", "7", "--out", gen],
+             ["head", test[1], test[3], small[1], small[3]]]
     for variant in VARIANTS:
         train = os.path.join(out, f"train_{variant}")
         argvs.append(["train", *data, "--variant", variant, "--seed", "2",
@@ -49,6 +60,8 @@ def commands(out: str) -> list:
         for k in ("1", "cv"):
             argvs.append(["eval", "--train-dir", train, *test, "--k", k,
                           "--out", os.path.join(out, f"eval_{variant}_k{k}")])
+        argvs.append(["eval", "--train-dir", train, *small, "--k", "1",
+                      "--out", os.path.join(out, f"eval_{variant}_small")])
     return argvs
 
 

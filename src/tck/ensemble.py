@@ -10,8 +10,9 @@ rows against themselves, or against the test unit rows of each model.
 Training and test posteriors come from one pass of a scoring plan over the
 fitted models, which builds the batch's feature grid once and then yields
 one model's posteriors at a time, in model order, as the accumulator adds
-them. A batch of a few series is scored under all models at once instead,
-in a few array calls per feature-row length and per component count.
+them. A batch of a few series is scored under all models at once instead:
+its posteriors lie side by side as model segments of one array, and one
+product with the training unit rows, laid out alike, gives its columns.
 """
 from __future__ import annotations
 
@@ -83,24 +84,13 @@ class KernelMatrix:
     model_count: int
 
 
-# Upper bound on the buffer of kernel products that the small-batch path
-# of ``kernel_test`` folds at once.
-_BLOCK_BYTES = 1 << 20
-
 # Batches of at most this many series take the small-batch path of
-# ``kernel_test``; larger ones are scored model by model. Timed
-# in pairs on a 168-model ensemble, the small-batch path took 0.60x the
-# per-model time for one series, 0.68x for two, 0.74x to 0.78x for four and
-# 0.95x to 1.20x for eight, while its memory grows with the batch.
+# ``kernel_test``; larger ones are scored model by model. Timed in pairs
+# (``bench/ab.py``, 168-model ensemble, 2-vCPU VM), the small-batch path
+# took 0.26x to 0.27x the per-model time for one series, 0.30x to 0.31x for
+# two, 0.37x to 0.39x for four and 0.75x to 0.76x for eight, while its
+# memory grows with the batch.
 _SMALL_BATCH = 4
-
-
-def _groups(keys: np.ndarray):
-    """(key, indices of the key in ascending order) per distinct key, keys
-    in ascending order."""
-    order = np.argsort(keys, kind="stable")
-    values, starts = np.unique(keys[order], return_index=True)
-    return zip(values.tolist(), np.split(order, starts[1:]))
 
 
 class _ScoringPlan:
@@ -116,8 +106,9 @@ class _ScoringPlan:
     of one length as one C-contiguous (k, d) array, their weight rows as
     one (sum of G, d) stack and their constants as one stack, in model
     order. ``cols[m]``, ``weights[m]`` and ``consts[m]`` are C-contiguous
-    views into these stacks. ``by_count`` lists, per component count G in
-    ascending order, the models with G components in model order.
+    views into these stacks. ``_scores`` lays the models' score columns
+    side by side in this order of lengths: ``order`` lists the models in
+    it and ``starts`` gives each one's first column.
     """
 
     def __init__(self, specs: list, params: list, n_attributes: int,
@@ -134,7 +125,8 @@ class _ScoringPlan:
         row = 0
         width = np.array([2 * len(s.attributes) * (s.t_stop - s.t_start + 1)
                           for s in specs], dtype=np.int64)
-        for d, models in _groups(width):
+        for d in np.unique(width).tolist():
+            models = np.flatnonzero(width == d)
             col_stack = np.empty((len(models), d), dtype=np.int64)
             weight_stack = np.empty((int(self.q2[models].sum()), d))
             start = 0
@@ -154,16 +146,8 @@ class _ScoringPlan:
                                   slice(row, row + start)))
             row += start
         self.consts = [self.const_rows[r:r + g] for r, g in zip(row_of.tolist(), q2)]
-        self.by_count = []          # (G, models, (k, G) score rows)
-        self.count_slots = [None] * n_models        # (G, j): m is model j of G
-        for g, models in _groups(self.q2):
-            self.by_count.append((g, models, row_of[models][:, None] + np.arange(g)))
-            for j, m in enumerate(models.tolist()):
-                self.count_slots[m] = (g, j)
-        # count_rank[m, i]: how many models before m have the i-th count
-        counts = np.array([g for g, _, _ in self.by_count], dtype=np.int64)
-        self.count_rank = np.zeros((n_models + 1, len(counts)), dtype=np.int64)
-        np.cumsum(self.q2[:, None] == counts, axis=0, out=self.count_rank[1:])
+        self.order = np.argsort(row_of)
+        self.starts = row_of[self.order]
 
     def posteriors(self, values: np.ndarray, mask: np.ndarray):
         """Yield the (n, G) posteriors of the n series under each model, in
@@ -182,33 +166,13 @@ class _ScoringPlan:
             _normalize_rows(post)
             yield post
 
-    def count_posteriors(self, values: np.ndarray, mask: np.ndarray):
-        """Yield, once per component count G in the order of ``by_count``,
-        the (k, n, G) posteriors of the n series under the k models with G
-        components; slab j has the bits that ``posteriors`` gives the j-th.
-
-        Scoring takes one gather and one einsum per feature-row length d
-        (``_scores``); the softmax then runs once per count. The repeated
-        (n, sum of G, d) feature rows make this a path for small batches.
-        """
-        scores = self._scores(_feature_grid(values, mask, self.windows))
-        for _, _, rows in self.by_count:
-            post = np.ascontiguousarray(scores.take(rows, axis=1).transpose(1, 0, 2))
-            _normalize_rows(post)
-            yield post
-
     def _scores(self, grid: np.ndarray) -> np.ndarray:
-        """(n, sum of G) component scores, models ordered by d.
+        """(n, sum of G) component scores, the models' columns side by side
+        in ``order``.
 
-        Each series' (k, d) feature rows are repeated G times per model and
-        contracted row by row with the (sum of G, d) weight stack. The sums
-        have the bits of the per-model einsum only while both operands are
-        C-contiguous with the contracted axis last: then einsum sums each
-        row's d products in one contiguous inner loop, in the same order.
-        ``np.repeat`` writes the repeated rows C-contiguous, and so are the
-        weight stacks. A column-major operand, which a gather through an
-        index array that is not C-contiguous can give, makes the einsum
-        return other last bits.
+        Per feature-row length d, each series' (k, d) feature rows are
+        repeated G times per model and contracted row by row with the
+        (sum of G, d) weight stack, in one einsum.
         """
         scores = np.empty((len(grid), len(self.const_rows)))
         for models, cols, weights, rows in self.by_width:
@@ -248,43 +212,37 @@ class TrainedEnsemble:
     @cached_property
     def _train_rows(self) -> list:
         """Each model's side of the kernel: (unit rows, None) if transformed,
-        a view into ``_unit_stacks``, else (posteriors, their row norms)."""
+        else (posteriors, their row norms)."""
         if self.transforms is None:
             return [(post, _row_norms(post)) for post in self.posteriors]
-        return [(self._unit_stacks[g][j], None) for g, j in self._plan.count_slots]
+        rows = [apply_transform(tm, post)
+                for tm, post in zip(self.transforms, self.posteriors)]
+        return [(r / _row_norms(r)[:, None], None) for r in rows]
 
     @cached_property
-    def _unit_stacks(self) -> dict:
-        """{G: (k, N, C) training unit rows of the k models with G
-        components, in model order}, with C = G, or the class count if
-        transformed. Slab j has the bits of that model's rows divided by
-        their norms, as ``_accumulate`` divides them.
-        An untransformed ensemble builds them only for the small-batch
-        path of ``kernel_test``."""
-        stacks = {}
-        for g, models, _ in self._plan.by_count:
-            width = (g if self.transforms is None
-                     else self.transforms[models[0]].weights.shape[1])
-            stacks[g] = np.empty((len(models), self.n_series, width))
-            for slab, m in zip(stacks[g], models):
-                rows = self.posteriors[m]
-                if self.transforms is not None:
-                    rows = apply_transform(self.transforms[m], rows)
-                np.divide(rows, _row_norms(rows)[:, None], out=slab)
-        return stacks
+    def _train_units(self) -> np.ndarray:
+        """(N, sum of C) training unit rows of every model side by side, in
+        the plan's ``order``, with C = G, or the class count if transformed.
+        Built only for the small-batch path of ``kernel_test``."""
+        rows = [self._train_rows[m] for m in self._plan.order.tolist()]
+        return np.concatenate([u if norms is None else u / norms[:, None]
+                               for u, norms in rows], axis=1)
 
     @cached_property
-    def _transform_stacks(self) -> dict:
-        """{G: (k, G, C) transform weights of the k models with G
-        components, in model order}."""
-        return {g: np.array([self.transforms[m].weights for m in models])
-                for g, models, _ in self._plan.by_count}
+    def _transform_rows(self) -> np.ndarray:
+        """(sum of G, C) transform weights of every model stacked, in the
+        plan's ``order``."""
+        return np.concatenate([self.transforms[m].weights
+                               for m in self._plan.order.tolist()])
 
 
-def _row_norms(post: np.ndarray) -> np.ndarray:
+def _row_norms(post: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
     """l2 norms over the last axis, by the arithmetic of ``np.linalg.norm``
-    without its per-call checks; a zero norm is an error."""
-    norms = np.sqrt(np.add.reduce(post * post, axis=-1))
+    without its per-call checks, or over each segment of it that begins at
+    an index of ``starts``; a zero norm is an error."""
+    squares = post * post
+    norms = np.sqrt(np.add.reduce(squares, axis=-1) if starts is None
+                    else np.add.reduceat(squares, starts, axis=-1))
     if (norms == 0).any():
         raise ValueError("posterior row with zero norm")
     return norms
@@ -490,64 +448,49 @@ def apply_posterior_transform(ens: TrainedEnsemble,
     return out, _accumulate(out, out.n_series)
 
 
-def _unit_rows(post: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-    """The unit rows of test posteriors ``post`` of any leading shape:
-    mapped through the transform ``weights``, stacked as ``post`` is, if
-    given, and divided by their norms."""
-    if weights is not None:
-        post = post @ weights
-    post /= _row_norms(post)[..., None]
-    return post
-
-
 def _test_units(ens: TrainedEnsemble, test: Dataset):
     """Yield the (n, C) unit rows of the test series under each model, in
     model order. The batch is never split, because BLAS takes gemv for one
     series and GEMM for more, and the two differ in the last bits."""
-    weights = ([None] * ens.model_count if ens.transforms is None
-               else [tm.weights for tm in ens.transforms])
-    for post, w in zip(ens._plan.posteriors(test.values, test.mask), weights):
-        yield _unit_rows(post, w)
+    for m, post in enumerate(ens._plan.posteriors(test.values, test.mask)):
+        if ens.transforms is not None:
+            post = post @ ens.transforms[m].weights
+        post /= _row_norms(post)[:, None]
+        yield post
 
 
 def _small_batch_columns(ens: TrainedEnsemble, test: Dataset) -> np.ndarray:
-    """The (N, n) kernel columns of a small batch, with the bits of
-    ``_accumulate`` over ``_test_units``.
+    """The (N, n) kernel columns of a small batch: the training unit rows of
+    every model side by side (``_train_units``) times the batch's unit rows,
+    laid out alike.
 
-    Scoring runs once per feature-row length and the softmax, transform,
-    norms and products once per component count, on (k, n, G) stacks, not
-    once per model as in ``_test_units``. Each product ``train[j] @
-    test[j].T`` of a stacked matmul is the same BLAS call, on the same
-    strides, as the per-model product. The products of a run of
-    consecutive models, computed count by count, are put in model order
-    into a buffer of at most ``_BLOCK_BYTES``, behind the running total in
-    its first row; one reduction over the first axis then adds them in
-    that order, as ``total += product`` model by model would.
+    Scoring takes one gather and one einsum per feature-row length
+    (``_scores``), which lays the models' scores side by side in the plan's
+    ``order``. The softmax, the transform (through each model's rows of
+    ``_transform_rows``) and the norms then run on all model segments at
+    once, by ``reduceat`` over the plan's ``starts``. The repeated (n, sum
+    of G, d) feature rows make this a path for small batches. One product
+    sums over all models at once, so the columns equal those that
+    ``_accumulate`` sums model by model to rounding, not in their last bits.
     """
-    plan, stacks = ens._plan, ens._unit_stacks
-    posts = plan.count_posteriors(test.values, test.mask)
-    units = {g: _unit_rows(post, None if ens.transforms is None
-                           else ens._transform_stacks[g])
-             for (g, _, _), post in zip(plan.by_count, posts)}
-    total = np.zeros((ens.n_series, test.n))
-    per = max(1, _BLOCK_BYTES // max(total.nbytes, 1) - 1)   # products per buffer
-    buf = np.empty((min(per, ens.model_count) + 1,) + total.shape)
-    products = np.empty_like(buf[1:])
-    for start in range(0, ens.model_count, per):
-        stop = min(start + per, ens.model_count)
-        done, order = 0, []
-        for (g, models, _), a, b in zip(plan.by_count, plan.count_rank[start].tolist(),
-                                        plan.count_rank[stop].tolist()):
-            if a < b:
-                np.matmul(stacks[g][a:b], units[g][a:b].transpose(0, 2, 1),
-                          out=products[done:done + b - a])
-                order.append(models[a:b])
-                done += b - a
-        buf[0] = total
-        np.take(products[:done], np.argsort(np.concatenate(order)), axis=0,
-                out=buf[1:done + 1], mode="clip")
-        np.add.reduce(buf[:done + 1], axis=0, out=total)
-    return total
+    plan = ens._plan
+    units = plan._scores(_feature_grid(test.values, test.mask, plan.windows))
+    widths = plan.q2[plan.order]
+    peak = np.maximum.reduceat(units, plan.starts, axis=1)
+    finite = np.isfinite(peak)
+    if not finite.all():
+        raise ValueError(f"posterior underflow for series index "
+                         f"{np.argwhere(~finite)[0, 0]}")
+    units -= np.repeat(peak, widths, axis=1)
+    np.exp(units, out=units)
+    units /= np.repeat(np.add.reduceat(units, plan.starts, axis=1), widths, axis=1)
+    if ens.transforms is None:
+        units /= np.repeat(_row_norms(units, plan.starts), widths, axis=1)
+    else:
+        units = np.add.reduceat(units[:, :, None] * ens._transform_rows,
+                                plan.starts, axis=1)
+        units /= _row_norms(units)[..., None]
+    return ens._train_units @ units.reshape(test.n, -1).T
 
 
 def kernel_test(ens: TrainedEnsemble, test: Dataset) -> KernelMatrix:
@@ -559,19 +502,18 @@ def kernel_test(ens: TrainedEnsemble, test: Dataset) -> KernelMatrix:
     A batch of more than ``_SMALL_BATCH`` series is scored one model at a
     time and fed, in model order, to the accumulator of the train kernel,
     so its numpy calls grow with the model count while it holds one
-    model's posteriors at a time. A smaller batch is scored in a few calls
-    per feature-row length and per component count
+    model's posteriors at a time; its columns have the bits of scoring the
+    batch one model at a time. A smaller batch is scored in a few calls
+    per feature-row length and multiplied in one product
     (``_small_batch_columns``), at the cost of memory that grows with the
-    batch. Both paths give every column the bits of scoring the batch one
-    model at a time: each score einsum and each product reads C-contiguous
-    operands laid out as the per-model call reads them, and the products
-    are summed in model order.
+    batch; its columns equal the per-model ones to rtol 1e-12. Either way
+    a column is bit-identical from call to call for the same batch.
     """
     if test.n_attributes != ens.n_attributes or test.length != ens.length:
         raise ValueError(
             f"test schema (V={test.n_attributes}, T={test.length}) does not match "
             f"training schema (V={ens.n_attributes}, T={ens.length})")
-    if 0 < test.n <= _SMALL_BATCH:
+    if 0 < test.n <= _SMALL_BATCH and ens.model_count:
         return _kernel_matrix(ens, _small_batch_columns(ens, test))
     return _accumulate(ens, test.n, _test_units(ens, test))
 
@@ -762,7 +704,8 @@ def load_ensemble(directory) -> TrainedEnsemble:
     """Read a directory written by ``save_ensemble``.
 
     Raises ValueError when a file is missing, when the manifest is not a
-    JSON object, lacks a key or has an unknown config key, when a model's
+    JSON object, lacks a key, has an unknown config key or a value of the
+    wrong type, when a model's
     attributes, window or component count do not fit the manifest's series
     shape, when an array's size or dtype disagrees with what the manifest's
     model specs imply, or when an older tck wrote the directory (one JSON
@@ -781,6 +724,8 @@ def load_ensemble(directory) -> TrainedEnsemble:
         return _ensemble_from_manifest(directory, path, manifest)
     except KeyError as exc:
         raise ValueError(f"{path} has no {exc} key") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: a value has the wrong type: {exc}") from None
 
 
 def _check_model(path: str, i: int, m: dict, v_dim: int, t_dim: int) -> None:

@@ -367,6 +367,9 @@ class TestEnsembleOptionsFailBeforeFitting:
         assert "--threads must be at least 1; got 0" in capsys.readouterr().err
 
 
+WRONG_TYPE = "a value has the wrong type"
+
+
 class TestBadTrainDir:
     """A --train-dir that `tck train` did not write, or whose ensemble
     manifest is damaged, exits 1 naming the file and the key."""
@@ -386,15 +389,26 @@ class TestBadTrainDir:
         err = self.eval_fails(var1_dir, var1_dir, tmp_path, capsys)
         assert str(var1_dir / "manifest.json") in err and "'variant'" in err
 
-    @pytest.mark.parametrize("key, damage", [
-        pytest.param("n_series", lambda m: m.pop("n_series"), id="missing-key"),
-        pytest.param("q2", lambda m: m["models"][0].pop("q2"),
+    @pytest.mark.parametrize("needle, damage", [
+        pytest.param("'n_series'", lambda m: m.pop("n_series"), id="missing-key"),
+        pytest.param("'q2'", lambda m: m["models"][0].pop("q2"),
                      id="missing-model-key"),
-        pytest.param("bogus", lambda m: m["config"].update(bogus=1),
+        pytest.param("'bogus'", lambda m: m["config"].update(bogus=1),
                      id="unknown-config-key"),
+        pytest.param("'a0'", lambda m: m["models"][0]["hp"].pop("a0"),
+                     id="missing-hyperparameter"),
+        pytest.param(WRONG_TYPE, lambda m: m["models"][0]["hp"].update(a0="x"),
+                     id="string-hyperparameter"),
+        pytest.param(WRONG_TYPE, lambda m: m.update(models=5), id="int-models"),
+        pytest.param(WRONG_TYPE, lambda m: m["models"].__setitem__(0, 5),
+                     id="int-model"),
+        pytest.param(WRONG_TYPE, lambda m: m.update(config=5), id="int-config"),
+        pytest.param(WRONG_TYPE, lambda m: m.update(failed=5), id="int-failed"),
+        pytest.param(WRONG_TYPE, lambda m: m.update(length="50"),
+                     id="string-length"),
     ])
     def test_damaged_ensemble_manifest(self, tmp_path, var1_dir, trained_dir,
-                                       capsys, key, damage):
+                                       capsys, needle, damage):
         run_dir = tmp_path / "run"
         shutil.copytree(trained_dir, run_dir)
         path = run_dir / "ensemble" / "manifest.json"
@@ -402,7 +416,7 @@ class TestBadTrainDir:
         damage(manifest)
         path.write_text(json.dumps(manifest))
         err = self.eval_fails(run_dir, var1_dir, tmp_path, capsys)
-        assert str(path) in err and f"'{key}'" in err
+        assert str(path) in err and needle in err
 
     @pytest.mark.parametrize("name", ["manifest.json", "ensemble/manifest.json"])
     def test_truncated_manifest(self, tmp_path, var1_dir, trained_dir, capsys,

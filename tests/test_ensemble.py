@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -734,8 +735,8 @@ class TestKernelTestPath:
 
 def per_model_kernel_test(ens, test):
     """kernel_test as one loop over the base models, each scoring the whole
-    batch from its own feature rows: the path that the blocked kernel_test
-    replaced, and which it must match bit for bit."""
+    batch from its own feature rows, with the public ``np.linalg.norm`` and
+    ``apply_transform``: the reference for both paths of kernel_test."""
     total = np.zeros((ens.n_series, test.n))
     if test.n:
         for i, (spec, params) in enumerate(zip(ens.specs, ens.params)):
@@ -786,25 +787,24 @@ def label_variant(base, data, variant):
 
 
 def assert_matches_per_model(ens, pool, monkeypatch):
-    """kernel_test equals ``per_model_kernel_test`` bit for bit on the first
-    0 to 200 series of ``pool``, under the default block size and one so
-    small that most blocks hold a single model. Batches of 1 to 3 series
-    go through both paths: the small-batch one and the per-model one."""
-    default = ens_mod._SMALL_BATCH
-    for block_bytes in (ens_mod._BLOCK_BYTES, 2048):
-        monkeypatch.setattr(ens_mod, "_BLOCK_BYTES", block_bytes)
-        for n in (0, 1, 2, 3, 64, 65, 200):
-            test = pool.take(np.arange(n))
-            expected = per_model_kernel_test(ens, test)
-            for small_batch in ((3, 0) if 1 <= n <= 3 else (default,)):
-                monkeypatch.setattr(ens_mod, "_SMALL_BATCH", small_batch)
-                np.testing.assert_array_equal(kernel_test(ens, test).values,
-                                              expected)
+    """kernel_test against ``per_model_kernel_test`` on the first 0 to 200
+    series of ``pool``: the per-model path bit for bit at every batch size,
+    and the small-batch path, which batches of 1 to 3 series also take, to
+    rtol 1e-12, since its one product sums over all models at once."""
+    for n in (0, 1, 2, 3, 64, 65, 200):
+        test = pool.take(np.arange(n))
+        expected = per_model_kernel_test(ens, test)
+        if 1 <= n <= 3:
+            monkeypatch.setattr(ens_mod, "_SMALL_BATCH", 3)
+            np.testing.assert_allclose(kernel_test(ens, test).values, expected,
+                                       rtol=1e-12, atol=0)
+        monkeypatch.setattr(ens_mod, "_SMALL_BATCH", 0)
+        np.testing.assert_array_equal(kernel_test(ens, test).values, expected)
 
 
-class TestBlockedScoringIsBitIdentical:
-    """The blocked kernel_test against the per-model loop, for each kind of
-    ensemble that blocks and component-count groups must handle."""
+class TestKernelTestMatchesPerModelLoop:
+    """Both paths of kernel_test against the per-model loop, for each kind
+    of ensemble that model segments and the stacked rows must handle."""
 
     @pytest.mark.parametrize("mode", [GAUSSIAN_ONLY, MIXED_MODE])
     @pytest.mark.parametrize("variant", ["plain", "supervised", "semisupervised"])
@@ -877,7 +877,7 @@ def warm_peak(ens, test):
         tracemalloc.stop()
 
 
-def test_warm_kernel_test_memory_is_bounded_by_the_block():
+def test_warm_bulk_kernel_test_memory_is_bounded():
     """A warm call on 108 models and 200 series allocates at most the output
     and 512 KiB of slack (the feature grid, one model's feature rows, its
     posteriors and unit rows, and one GEMM product). Keeping every model's
@@ -894,29 +894,59 @@ def test_warm_kernel_test_memory_is_bounded_by_the_block():
 
 def test_warm_single_series_memory_is_bounded():
     """A warm single-series call on 108 models allocates at most the output,
-    the repeated feature rows of one feature-row length, two fold buffers of
-    one product per model and 64 KiB of slack. Repeating the feature rows of
+    the repeated feature rows of one feature-row length, four arrays of one
+    score per component and 64 KiB of slack. Repeating the feature rows of
     every length at once, or copying the training unit rows, exceeds it."""
     ens = repeated_ensemble()
     test = scoring_pool(2).take([0])
     output = ens.n_series * 8
     repeated = [weights.nbytes for _, _, weights, _ in ens._plan.by_width]
-    bound = (output + max(repeated) + 2 * (ens.model_count + 1) * output
-             + 64 * 1024)
-    assert 2 * (ens.model_count + 1) * output <= 2 * ens_mod._BLOCK_BYTES
+    scores = 4 * len(ens._plan.const_rows) * 8 * test.n
+    bound = output + max(repeated) + scores + 64 * 1024
     assert warm_peak(ens, test) <= bound
     assert sum(repeated) > bound
-    assert sum(s.nbytes for s in ens._unit_stacks.values()) > bound
+    assert ens._train_units.nbytes > bound
 
 
-def test_untransformed_unit_stacks_are_built_only_for_small_batches():
+def test_untransformed_train_units_are_built_only_for_small_batches():
     """A plain ensemble keeps its training rows as posteriors and norms; it
-    stacks unit rows only once a small batch is served, so scoring large
-    batches alone holds no second copy of the training posteriors."""
+    lays unit rows side by side only once a small batch is served, so
+    scoring large batches alone holds no second copy of the training
+    posteriors."""
     data = blob_dataset(seed=46)
     ens, _ = train_ensemble(data, small_config(seed=46, n_init=2))
     pool = scoring_pool(2, n=ens_mod._SMALL_BATCH + 1)
     kernel_test(ens, pool)
-    assert "_unit_stacks" not in vars(ens)
+    assert "_train_units" not in vars(ens)
     kernel_test(ens, pool.take([0]))
-    assert "_unit_stacks" in vars(ens)
+    assert "_train_units" in vars(ens)
+
+
+@pytest.mark.parametrize("small_batch", [0, 3], ids=["per-model", "small"])
+def test_underflowing_series_is_named_on_either_path(small_batch, monkeypatch):
+    """A series whose scores overflow under one model is named by its index
+    in the batch, whichever path scores the batch."""
+    data = blob_dataset(seed=46)
+    ens, _ = train_ensemble(data, small_config(seed=46, n_init=2))
+    first = ens.params[0]
+    tiny = dataclasses.replace(first, sigma2=np.full_like(first.sigma2, 1e-110))
+    ens = dataclasses.replace(ens, params=[tiny] + ens.params[1:])
+    test = scoring_pool(2, n=3)
+    test.values[1] = 1e100              # the largest value Dataset accepts
+    monkeypatch.setattr(ens_mod, "_SMALL_BATCH", small_batch)
+    with pytest.raises(ValueError,
+                       match="^posterior underflow for series index 1$"):
+        kernel_test(ens, test)
+
+
+def test_ensemble_without_models_scores_zero_columns():
+    """A loaded manifest may list no models; every batch size, small or
+    not, then gets zero columns."""
+    data = blob_dataset(seed=46)
+    ens, _ = train_ensemble(data, small_config(seed=46, n_init=2))
+    empty = sub_ensemble(ens, [])
+    pool = scoring_pool(2, n=ens_mod._SMALL_BATCH + 1)
+    for n in (1, pool.n):
+        np.testing.assert_array_equal(
+            kernel_test(empty, pool.take(np.arange(n))).values,
+            np.zeros((ens.n_series, n)))
