@@ -8,10 +8,13 @@ Each checkout's ``src`` runs the same tiny commands: ``generate --recipe
 var1``, ``train`` for all eight variants, and ``eval --k 1`` and ``eval --k
 cv`` against each trained run. A third eval, ``--k 1`` on a file of the
 first three test series (written with ``tck.data``), takes the small-batch
-path of ``kernel_test``. The checkouts run in turn at the same output
-path, because manifests record absolute paths, and each one's outputs are
-then moved aside. Every output file whose bytes differ, or that exists on one
-side only, is listed; the exit status is 1 if there is any, else 0.
+path of ``kernel_test``. A small ``reproduce`` (one replicate, Q=1,
+component counts 2 and 3) writes its report, and its stdout goes to
+``reproduce_stdout.txt``, so that the printed table is compared too. The
+checkouts run in turn at the same output path, because manifests record
+absolute paths, and each one's outputs are then moved aside. Every output
+file whose bytes differ, or that exists on one side only, is listed; the
+exit status is 1 if there is any, else 0.
 """
 from __future__ import annotations
 
@@ -28,17 +31,26 @@ SMALL = ["--q", "2", "--components", "2,3", "--t-min", "4", "--threads", "1"]
 
 # Runs each argv of a JSON list through tck.cli.main; stops at a failure.
 # An argv ["head", data, labels, out_data, out_labels] instead writes the
-# first three series of a data set.
+# first three series of a data set; ["stdout", path, *argv] runs argv with
+# its stdout written to path.
 RUNNER = """
-import json, sys
+import contextlib, json, sys
 from tck import data
 from tck.cli import main
+
+def run(argv):
+    if main(argv) != 0:
+        sys.exit(f"tck {' '.join(argv)} failed")
+
 for argv in json.loads(sys.argv[1]):
     if argv[0] == "head":
         head = data.load_dataset(argv[1], argv[2]).take([0, 1, 2])
         data.save_dataset(head, argv[3], argv[4])
-    elif main(argv) != 0:
-        sys.exit(f"tck {' '.join(argv)} failed")
+    elif argv[0] == "stdout":
+        with open(argv[1], "w") as fh, contextlib.redirect_stdout(fh):
+            run(argv[2:])
+    else:
+        run(argv)
 """
 
 
@@ -62,6 +74,10 @@ def commands(out: str) -> list:
                           "--out", os.path.join(out, f"eval_{variant}_k{k}")])
         argvs.append(["eval", "--train-dir", train, *small, "--k", "1",
                       "--out", os.path.join(out, f"eval_{variant}_small")])
+    argvs.append(["stdout", os.path.join(out, "reproduce_stdout.txt"),
+                  "reproduce", "--seed", "3", "--q", "1", "--components", "2,3",
+                  "--replicates", "1", "--threads", "1",
+                  "--out", os.path.join(out, "reproduce")])
     return argvs
 
 

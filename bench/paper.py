@@ -44,7 +44,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SEED = 0
 REPEATS = 5
-# mode name -> the seed tag ``_run_var1_once`` derives its ensemble seed from
+# mode name -> the seed tag ``tck.experiment.fit_family`` derives its ensemble
+# seed from
 MODES = {"tck": 21, "tck_im": 22}
 
 

@@ -1,11 +1,12 @@
 """Command-line front end: generate / train / eval / reproduce.
 
-``main`` runs every command. Each option's default is written once, in its
-argparse definition; a ``--config`` JSON file overrides the defaults of the
-chosen command and flags override both. ``main`` creates the output
-directory and writes ``manifest.json`` from what the ``cmd_*`` handler
-returns: the resolved configuration and the files it wrote. Identical
-invocations produce identical bytes.
+Argument handling and file I/O only; the experiment itself lives in
+``tck.experiment``. ``main`` runs every command. Each option's default is
+written once, in its argparse definition; a ``--config`` JSON file
+overrides the defaults of the chosen command and flags override both.
+``main`` creates the output directory and writes ``manifest.json`` from
+what the ``cmd_*`` handler returns: the resolved configuration and the
+files it wrote. Identical invocations produce identical bytes.
 """
 from __future__ import annotations
 
@@ -19,37 +20,16 @@ import numpy as np
 from . import data as dt
 from .data import Dataset, StandardizationStats
 from .ensemble import (EnsembleConfig, _load_array, _load_json_object,
-                       apply_posterior_transform, kernel_test, load_ensemble,
-                       save_ensemble, save_kernel, train_ensemble)
-from .evaluation import (classification_metrics, kfold_evaluate, knn_predict,
-                         kpca, select_k)
-from .mixture import GAUSSIAN_ONLY, MIXED_MODE
-from .synth import (default_var1_params, gen_var1, inject_rate_mar,
-                    inject_rate_mnar, inject_var1_mnar, tune_informativeness)
-from .transform import make_semisupervised_factory, make_supervised_factory
-
-# variant -> (component mode, transform kind, data preparation)
-VARIANTS = {
-    "tck": (GAUSSIAN_ONLY, None, None),
-    "sstck": (GAUSSIAN_ONLY, "semisupervised", None),
-    "stck": (GAUSSIAN_ONLY, "supervised", None),
-    "tck_im": (MIXED_MODE, None, None),
-    "sstck_im": (MIXED_MODE, "semisupervised", None),
-    "stck_im": (MIXED_MODE, "supervised", None),
-    "tck_b": (GAUSSIAN_ONLY, None, "concat_mask"),
-    "tck_0": (GAUSSIAN_ONLY, None, "zero_impute"),
-}
-
-VAR1_TARGETS = {
-    "tck": 0.826, "sstck": 0.854, "stck": 0.867,
-    "tck_im": 0.933, "sstck_im": 0.967, "stck_im": 0.970,
-}
-VAR1_ACCURACY_TOL = 0.05
-VAR1_ORDERING_SLACK = 0.02
-
-
-def _derive_seed(master: int, tag: int) -> int:
-    return int(np.random.SeedSequence((master, tag)).generate_state(1)[0])
+                       apply_posterior_transform, load_ensemble, save_ensemble,
+                       save_kernel, train_ensemble)
+from .evaluation import classification_metrics, kfold_evaluate
+from .experiment import (VARIANTS, _derive_seed, _embed_and_classify,
+                         _transform_factory, prepare_eval_data,
+                         prepare_training_data, reproduce_var1, var1_data)
+# Scripts outside the package read these through tck.cli.
+from .experiment import VAR1_TARGETS, stratified_label_subset  # noqa: F401
+from .synth import (default_var1_params, inject_rate_mar, inject_rate_mnar,
+                    tune_informativeness)
 
 
 def _write_manifest(out_dir: str, command: str, resolved: dict, outputs: list) -> None:
@@ -88,96 +68,6 @@ def _ensemble_size(args) -> tuple:
     return args.q, counts
 
 
-def stratified_label_subset(labels: np.ndarray, n_labeled: int,
-                            seed: int) -> np.ndarray:
-    """Keep labels for a stratified random subset; zero out the rest."""
-    labels = np.asarray(labels, dtype=np.int64)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 31)))
-    classes = np.unique(labels[labels > 0])
-    n_labeled = min(n_labeled, int((labels > 0).sum()))
-    counts = np.array([(labels == c).sum() for c in classes])
-    quotas = np.maximum(np.floor(n_labeled * counts / counts.sum()).astype(int), 1)
-    remainders = n_labeled * counts / counts.sum() - quotas
-    while quotas.sum() < n_labeled:
-        quotas[int(np.argmax(remainders))] += 1
-        remainders[int(np.argmax(remainders))] = -1
-    while quotas.sum() > n_labeled:
-        quotas[int(np.argmax(quotas))] -= 1
-    out = np.zeros_like(labels)
-    for c, quota in zip(classes, quotas):
-        idx = np.nonzero(labels == c)[0]
-        chosen = rng.choice(idx, size=min(quota, len(idx)), replace=False)
-        out[chosen] = c
-    return out
-
-
-# ------------------------------------------------------------
-# Variant-specific preprocessing
-# ------------------------------------------------------------
-
-def prepare_training_data(data: Dataset, variant: str):
-    """(prepared dataset, standardization stats) for a kernel variant: the
-    statistics of its training attributes, applied as to held-out data."""
-    _, _, prep = VARIANTS[variant]
-    stats = dt.standardize(dt.concat_mask(data) if prep == "concat_mask" else data)[1]
-    return prepare_eval_data(data, variant, stats), stats
-
-
-def prepare_eval_data(data: Dataset, variant: str,
-                      stats: StandardizationStats) -> Dataset:
-    """Apply training statistics to held-out data, matching the variant."""
-    _, _, prep = VARIANTS[variant]
-    if prep == "concat_mask":
-        data = dt.concat_mask(data)
-    prepared = stats.apply(data)
-    if prep == "zero_impute":
-        prepared = dt.zero_impute(prepared)
-    return prepared
-
-
-def _transform_factory(variant: str, train: Dataset, h: float,
-                       n_labeled: int | None, seed: int):
-    """The variant's per-model label transform factory, or None. Its label
-    options are checked here, so that bad ones fail before any fit."""
-    _, kind, _ = VARIANTS[variant]
-    if kind is None:
-        return None
-    if train.labels is None or not (train.labels > 0).any():
-        raise ValueError(f"variant {variant} needs labels")
-    if kind == "supervised":
-        if (train.labels == 0).any():
-            raise ValueError("supervised variants need a label for every series")
-        return make_supervised_factory(train.one_hot())
-    if not 0.0 < h < 1.0:
-        raise ValueError(f"--h must lie in (0, 1) for variant {variant}; got {h}")
-    count = n_labeled if n_labeled is not None else max(20, 3 * train.n_classes)
-    if count < train.n_classes:
-        raise ValueError(f"--n-labeled must be at least the number of classes "
-                         f"({train.n_classes}), so that every class has a "
-                         f"labeled series; got {count}")
-    partial = stratified_label_subset(train.labels, count, seed)
-    onehot = dt.labels_to_onehot(partial, train.n_classes)
-    return make_semisupervised_factory(onehot, h)
-
-
-def _variant_kernels(variants, train: Dataset, cfg: EnsembleConfig, h: float,
-                     n_labeled: int | None, label_seed: int,
-                     n_jobs: int) -> list:
-    """(ensemble, train kernel) per variant of cfg's component family, from
-    one fit of the base ensemble. The label transforms are built, and their
-    options checked, before the fit."""
-    factories = [_transform_factory(v, train, h, n_labeled, label_seed)
-                 for v in variants]
-    fewest = min(cfg.component_counts or (train.n_classes,))
-    if fewest < train.n_classes and any(f is not None for f in factories):
-        raise ValueError(f"--components must be at least the number of classes "
-                         f"({train.n_classes}) for a label-transformed variant; "
-                         f"got {fewest}")
-    fitted = train_ensemble(train, cfg, n_jobs=n_jobs)
-    return [fitted if f is None else apply_posterior_transform(fitted[0], f)
-            for f in factories]
-
-
 def _stats_to_dict(stats: StandardizationStats) -> dict:
     return {"mean": stats.mean.tolist(), "std": stats.std.tolist()}
 
@@ -197,7 +87,8 @@ def cmd_generate(args, out_dir: str):
 
     if args.recipe == "var1":
         params = default_var1_params()
-        train, test = gen_var1(params, seed)
+        data = var1_data(seed, missing=not args.no_missing)
+        train, test = data.train, data.test
         info = {"generator": {
             "length": params.length,
             "n_per_class": params.n_per_class,
@@ -206,8 +97,6 @@ def cmd_generate(args, out_dir: str):
                          "intercept": c.intercept.tolist()}
                         for c in params.classes]}}
         if not args.no_missing:
-            train = inject_var1_mnar(train, seed=_derive_seed(seed, 11))
-            test = inject_var1_mnar(test, seed=_derive_seed(seed, 12))
             info["missing_fraction_train"] = float(1.0 - train.mask.mean())
             info["missing_fraction_test"] = float(1.0 - test.mask.mean())
         for name, ds in (("train", train), ("test", test)):
@@ -243,20 +132,27 @@ def cmd_generate(args, out_dir: str):
 # train
 # ------------------------------------------------------------
 
-def _build_config(args, seed: int) -> EnsembleConfig:
+def _fit_variant(args, data: Dataset, seed: int) -> tuple:
+    """(standardization stats, ensemble, train kernel) of --variant on
+    ``data``, with ``seed`` for the ensemble and the label subset. The
+    options are checked before the fit."""
+    prepared, stats = prepare_training_data(data, args.variant)
     n_init, counts = _ensemble_size(args)
-    return EnsembleConfig(n_init=n_init, component_counts=counts,
-                          t_min=args.t_min, seed=seed,
-                          mode=VARIANTS[args.variant][0],
-                          normalize_by_models=args.normalize)
+    cfg = EnsembleConfig(n_init=n_init, component_counts=counts,
+                         t_min=args.t_min, seed=seed,
+                         mode=VARIANTS[args.variant][0],
+                         normalize_by_models=args.normalize)
+    factory = _transform_factory(args.variant, prepared, args.h, args.n_labeled,
+                                 seed, counts)
+    fitted = train_ensemble(prepared, cfg, n_jobs=args.threads)
+    if factory is not None:
+        fitted = apply_posterior_transform(fitted[0], factory)
+    return (stats, *fitted)
 
 
 def cmd_train(args, out_dir: str):
     raw = dt.load_dataset(args.data, args.labels)
-    prepared, stats = prepare_training_data(raw, args.variant)
-    cfg = _build_config(args, args.seed)
-    [(ens, kernel)] = _variant_kernels([args.variant], prepared, cfg, args.h,
-                                       args.n_labeled, args.seed, args.threads)
+    stats, ens, kernel = _fit_variant(args, raw, args.seed)
     save_ensemble(ens, os.path.join(out_dir, "ensemble"))
     save_kernel(kernel, os.path.join(out_dir, "kernel_train.csv"))
     np.save(os.path.join(out_dir, "kernel_train.npy"), kernel.values)
@@ -267,9 +163,9 @@ def cmd_train(args, out_dir: str):
         "seed": args.seed,
         "h": args.h,
         "n_labeled": args.n_labeled,
-        "ensemble": {"n_init": cfg.n_init,
+        "ensemble": {"n_init": ens.config.n_init,
                      "component_counts": list(ens.config.component_counts),
-                     "mode": cfg.mode},
+                     "mode": ens.config.mode},
         "standardization": _stats_to_dict(stats),
         "train_labels": None if raw.labels is None else raw.labels.tolist(),
         "model_count": kernel.model_count,
@@ -281,18 +177,6 @@ def cmd_train(args, out_dir: str):
 # ------------------------------------------------------------
 # eval
 # ------------------------------------------------------------
-
-def _embed_and_classify(kernel_train, ens, test_prepared, train_labels,
-                        dim: int, k, seed: int = 0):
-    """k may be an integer or 'cv' (5-fold selection from {1,3,5,7,9})."""
-    embedding, projector = kpca(kernel_train, d=dim)
-    kstar = kernel_test(ens, test_prepared)
-    test_coords = projector.transform(kstar)
-    if k == "cv":
-        k = select_k(embedding.coords, train_labels, seed=seed)
-    preds = knn_predict(embedding.coords, train_labels, test_coords, k=int(k))
-    return embedding, test_coords, preds
-
 
 def _write_embedding_csv(path, embedding_coords, labels, ids, roles) -> None:
     with open(path, "w") as fh:
@@ -367,16 +251,12 @@ def _eval_cross_validated(args, out_dir: str):
     fold_counter = iter(range(10**6))
 
     def pipeline(train: Dataset, test: Dataset) -> np.ndarray:
-        fold = next(fold_counter)
-        prepared, stats = prepare_training_data(train, args.variant)
-        cfg = _build_config(args, _derive_seed(args.seed, 100 + fold))
-        [(ens, kernel)] = _variant_kernels([args.variant], prepared, cfg,
-                                           args.h, args.n_labeled, cfg.seed,
-                                           args.threads)
+        seed = _derive_seed(args.seed, 100 + next(fold_counter))
+        stats, ens, kernel = _fit_variant(args, train, seed)
         test_prepared = prepare_eval_data(test, args.variant, stats)
         _, _, preds = _embed_and_classify(kernel, ens, test_prepared,
                                           train.labels, args.dim,
-                                          _parse_k(args.k), seed=cfg.seed)
+                                          _parse_k(args.k), seed=seed)
         return preds
 
     result = kfold_evaluate(full, pipeline, folds=args.folds, seed=args.seed,
@@ -397,67 +277,6 @@ def _eval_cross_validated(args, out_dir: str):
 # ------------------------------------------------------------
 # reproduce
 # ------------------------------------------------------------
-
-def _run_var1_once(seed: int, n_init: int, component_counts, n_jobs: int,
-                   h: float, n_labeled: int | None) -> dict:
-    train, test = gen_var1(default_var1_params(), seed)
-    train = inject_var1_mnar(train, seed=_derive_seed(seed, 11))
-    test = inject_var1_mnar(test, seed=_derive_seed(seed, 12))
-    train_std, stats = prepare_training_data(train, "tck")
-    test_std = prepare_eval_data(test, "tck", stats)
-
-    accuracies = {}
-    for family, tag in (("tck", 21), ("tck_im", 22)):
-        names = (family, "ss" + family, "s" + family)
-        cfg = EnsembleConfig(n_init=n_init, component_counts=component_counts,
-                             seed=_derive_seed(seed, tag),
-                             mode=VARIANTS[family][0])
-        kernels = _variant_kernels(names, train_std, cfg, h, n_labeled,
-                                   _derive_seed(seed, 13), n_jobs)
-        for name, (ens, kernel) in zip(names, kernels):
-            _, _, preds = _embed_and_classify(kernel, ens, test_std,
-                                              train.labels, dim=10, k=1)
-            accuracies[name] = float((preds == test.labels).mean())
-    return accuracies
-
-
-def reproduce_var1(seed: int = 0, n_init: int = 30, component_counts=None,
-                   n_jobs: int = 1, h: float = 0.1,
-                   n_labeled: int | None = None, replicates: int = 3) -> dict:
-    """Run the six-variant benchmark on freshly generated two-class data.
-
-    The benchmark is regenerated and re-run ``replicates`` times with seeds
-    seed, seed+1, ... (the reference accuracies are replicate means), and the
-    mean accuracy per variant is compared against the references. Returns the
-    measured accuracies and the pass/fail outcome of every check at the
-    published tolerances.
-    """
-    if replicates < 1:
-        raise ValueError(f"replicates must be at least 1, got {replicates}")
-    per_replicate = [_run_var1_once(seed + r, n_init, component_counts,
-                                    n_jobs, h, n_labeled)
-                     for r in range(replicates)]
-    accuracies = {name: float(np.mean([rep[name] for rep in per_replicate]))
-                  for name in per_replicate[0]}
-
-    rows = [{"variant": name, "accuracy": accuracies[name], "target": target,
-             "ok": abs(accuracies[name] - target) <= VAR1_ACCURACY_TOL}
-            for name, target in VAR1_TARGETS.items()]
-    slack = VAR1_ORDERING_SLACK
-    checks = [
-        {"check": "tck_im - tck >= 0.05",
-         "ok": accuracies["tck_im"] - accuracies["tck"] >= 0.05 - slack},
-        {"check": "stck >= sstck >= tck",
-         "ok": (accuracies["stck"] >= accuracies["sstck"] - slack
-                and accuracies["sstck"] >= accuracies["tck"] - slack)},
-        {"check": "stck_im >= sstck_im >= tck_im",
-         "ok": (accuracies["stck_im"] >= accuracies["sstck_im"] - slack
-                and accuracies["sstck_im"] >= accuracies["tck_im"] - slack)},
-    ]
-    return {"accuracies": accuracies, "per_replicate": per_replicate,
-            "rows": rows, "checks": checks, "seed": seed,
-            "replicates": replicates}
-
 
 def cmd_reproduce(args, out_dir: str):
     n_init, counts = _ensemble_size(args)

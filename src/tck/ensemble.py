@@ -704,7 +704,7 @@ def load_ensemble(directory) -> TrainedEnsemble:
     """Read a directory written by ``save_ensemble``.
 
     Raises ValueError when a file is missing, when the manifest is not a
-    JSON object, lacks a key, has an unknown config key or a value of the
+    JSON object, lacks a key, has an unknown config or hp key or a value of the
     wrong type, when a model's
     attributes, window or component count do not fit the manifest's series
     shape, when an array's size or dtype disagrees with what the manifest's
@@ -772,8 +772,13 @@ def _ensemble_from_manifest(directory, path: str, manifest: dict) -> TrainedEnse
         transforms = [TransformMatrix(next(parts), next(parts)) for _ in models]
 
     specs, fitted = [], []
-    for m in models:
-        specs.append(BaseModelSpec(m["q1"], m["q2"], HyperParams(**m["hp"]),
+    hp_keys = [f.name for f in fields(HyperParams)]
+    for i, m in enumerate(models):
+        unknown = sorted(set(m["hp"]) - set(hp_keys)) if isinstance(m["hp"], dict) else []
+        if unknown:     # a missing key raises KeyError below, naming it
+            raise ValueError(f"{path}: model {i}: unknown hp key {unknown[0]!r}")
+        specs.append(BaseModelSpec(m["q1"], m["q2"],
+                                   HyperParams(*(m["hp"][k] for k in hp_keys)),
                                    m["t_start"], m["t_stop"],
                                    np.asarray(m["attributes"]), next(ids),
                                    m["sub_seed"]))

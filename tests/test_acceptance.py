@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from tck.cli import reproduce_var1
 from tck.data import Dataset, labels_to_onehot, standardize
 from tck.ensemble import EnsembleConfig, kernel_test, train_ensemble
+from tck.experiment import reproduce_var1
 from tck.mixture import (GAUSSIAN_ONLY, MIXED_MODE, HyperParams,
                          MixtureParams, component_kl, e_step, fit_map_em,
                          symmetric_kl)

@@ -68,3 +68,16 @@ def test_every_tck_attribute_in_the_workloads_resolves():
     missing = [f"{mod}.{attr}" for mod, attr in sorted(names)
                if not hasattr(modules[mod], attr)]
     assert not missing
+
+
+def test_every_name_imported_from_tck_cli_resolves():
+    """Each ``from tck.cli import <name>`` under perfbench/. Some run only
+    when a workload's report is printed, so a moved name would otherwise
+    break the benchmark late."""
+    names = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "tck.cli":
+                names.update(alias.name for alias in node.names)
+    assert "VAR1_TARGETS" in names
+    assert not [name for name in sorted(names) if not hasattr(tck.cli, name)]

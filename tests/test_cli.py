@@ -4,9 +4,10 @@ import shutil
 import numpy as np
 import pytest
 
-from tck.cli import main, stratified_label_subset
+from tck.cli import main
 from tck.data import load_dataset
 from tck.ensemble import load_ensemble, load_kernel
+from tck.experiment import stratified_label_subset
 
 from old_layout import rewrite_as_offsets_layout
 
@@ -395,10 +396,15 @@ class TestBadTrainDir:
                      id="missing-model-key"),
         pytest.param("'bogus'", lambda m: m["config"].update(bogus=1),
                      id="unknown-config-key"),
-        pytest.param("'a0'", lambda m: m["models"][0]["hp"].pop("a0"),
+        pytest.param("has no 'a0' key", lambda m: m["models"][0]["hp"].pop("a0"),
                      id="missing-hyperparameter"),
+        pytest.param("model 0: unknown hp key 'x'",
+                     lambda m: m["models"][0]["hp"].update(x=1),
+                     id="unknown-hyperparameter"),
         pytest.param(WRONG_TYPE, lambda m: m["models"][0]["hp"].update(a0="x"),
                      id="string-hyperparameter"),
+        pytest.param(WRONG_TYPE, lambda m: m["models"][0].update(hp="a0"),
+                     id="string-hp"),
         pytest.param(WRONG_TYPE, lambda m: m.update(models=5), id="int-models"),
         pytest.param(WRONG_TYPE, lambda m: m["models"].__setitem__(0, 5),
                      id="int-model"),
