@@ -4,17 +4,19 @@ Run from anywhere:
 
     python3 bench/cli_diff.py DIR_A DIR_B
 
-Each checkout's ``src`` runs the same tiny commands: ``generate --recipe
-var1``, ``train`` for all eight variants, and ``eval --k 1`` and ``eval --k
-cv`` against each trained run. A third eval, ``--k 1`` on a file of the
-first three test series (written with ``tck.data``), takes the small-batch
-path of ``kernel_test``. A small ``reproduce`` (one replicate, Q=1,
-component counts 2 and 3) writes its report, and its stdout goes to
-``reproduce_stdout.txt``, so that the printed table is compared too. The
-checkouts run in turn at the same output path, because manifests record
-absolute paths, and each one's outputs are then moved aside. Every output
-file whose bytes differ, or that exists on one side only, is listed; the
-exit status is 1 if there is any, else 0.
+Each checkout's ``src`` runs the same tiny commands: ``generate`` of every
+recipe (``var1`` with and without missing cells, then ``rate_mar`` at a
+given ``--strength`` and ``rate_mnar`` at a ``--target-corr``, which tunes
+the strength, both on the complete ``var1`` data), ``train`` for all eight
+variants, and ``eval --k 1`` and ``eval --k cv`` against each trained run.
+A third eval, ``--k 1`` on a file of the first three test series (written
+with ``tck.data``), takes the small-batch path of ``kernel_test``. A small
+``reproduce`` (one replicate, Q=1, component counts 2 and 3) writes its
+report, and its stdout goes to ``reproduce_stdout.txt``, so that the
+printed table is compared too. The checkouts run in turn at the same output
+path, because manifests record absolute paths, and each one's outputs are
+then moved aside. Every output file whose bytes differ, or that exists on
+one side only, is listed; the exit status is 1 if there is any, else 0.
 """
 from __future__ import annotations
 
@@ -63,7 +65,16 @@ def commands(out: str) -> list:
             "--labels", os.path.join(gen, "test_labels.csv")]
     small = ["--data", os.path.join(out, "small.csv"),
              "--labels", os.path.join(out, "small_labels.csv")]
+    full = os.path.join(out, "generate_full")
+    complete = ["--data", os.path.join(full, "train.csv"),
+                "--labels", os.path.join(full, "train_labels.csv")]
     argvs = [["generate", "--recipe", "var1", "--seed", "7", "--out", gen],
+             ["generate", "--recipe", "var1", "--no-missing", "--seed", "7",
+              "--out", full],
+             ["generate", "--recipe", "rate_mar", *complete, "--strength", "0.3",
+              "--seed", "7", "--out", os.path.join(out, "generate_rate_mar")],
+             ["generate", "--recipe", "rate_mnar", *complete, "--target-corr",
+              "0.3", "--seed", "7", "--out", os.path.join(out, "generate_rate_mnar")],
              ["head", test[1], test[3], small[1], small[3]]]
     for variant in VARIANTS:
         train = os.path.join(out, f"train_{variant}")

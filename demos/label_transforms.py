@@ -9,7 +9,7 @@ KL between the component Gaussians).
 import numpy as np
 
 from tck.data import labels_to_onehot
-from tck.mixture import GAUSSIAN_ONLY, MixtureParams, symmetric_kl
+from tck.mixture import GAUSSIAN_ONLY, MixtureParams, _symmetric_kls
 from tck.transform import (apply_transform, semisupervised_transform,
                            supervised_transform)
 
@@ -33,9 +33,10 @@ tm = semisupervised_transform(posteriors, labels, params, h=0.1)
 print("unnormalized row evidence:", np.round(tm.row_evidence, 3))
 print("W (component -> class):")
 print(np.round(tm.weights, 3))
+to_left, to_right = _symmetric_kls(params, 1, [0, 2])
 print(f"\nThe middle component saw no labels, so it copied its nearest "
-      f"neighbor in\ndivergence: d(mid, left) = {symmetric_kl(params, 1, 0):.1f} "
-      f"vs d(mid, right) = {symmetric_kl(params, 1, 2):.1f}.")
+      f"neighbor in\ndivergence: d(mid, left) = {to_left:.1f} "
+      f"vs d(mid, right) = {to_right:.1f}.")
 
 pi = posteriors[4]
 print(f"\nunlabeled series posterior {pi} -> class posterior "

@@ -70,10 +70,14 @@ def stratified_label_subset(labels: np.ndarray, n_labeled: int,
 
 def prepare_training_data(data: Dataset, variant: str):
     """(prepared dataset, standardization stats) for a kernel variant: the
-    statistics of its training attributes, applied as to held-out data."""
+    statistics of its training attributes, applied once; the result equals
+    ``prepare_eval_data`` of the data with these statistics."""
     _, _, prep = VARIANTS[variant]
-    stats = dt.standardize(dt.concat_mask(data) if prep == "concat_mask" else data)[1]
-    return prepare_eval_data(data, variant, stats), stats
+    prepared, stats = dt.standardize(
+        dt.concat_mask(data) if prep == "concat_mask" else data)
+    if prep == "zero_impute":
+        prepared = dt.zero_impute(prepared)
+    return prepared, stats
 
 
 def prepare_eval_data(data: Dataset, variant: str,

@@ -22,15 +22,17 @@ Scores and M-step statistics are linear in per-series feature rows. One
 function, ``_feature_grid``, builds them for fits, ``e_step`` and the
 ensemble's scoring plan alike.
 
-``fit_map_em`` masks its subset once, for the prior, the restart and the
-feature rows. The V prior covariances share one T x T matrix, so one
-inverse and one log-determinant serve them all. Its sweeps score by BLAS
-GEMM into per-fit buffers: a fit scores only its whole subset and keeps no
-posteriors. ``e_step``, ``map_objective`` and the ensemble's scoring plan
-score by einsum, which gives a series the same bits alone as in a batch;
-GEMM does not. The ensemble's pool workers run with one BLAS thread each.
-Fitted parameters, and so kernels and CLI outputs, stay byte-identical
-run to run and across BLAS thread counts.
+Each EM step is one function: ``build_prior`` once per fit, then per
+sweep ``m_step``, one scoring softmax and ``map_objective``. ``fit_map_em``
+masks its subset once, for the prior, the restart and the feature rows.
+The V prior covariances share one T x T matrix, so one inverse and one
+log-determinant serve them all. Its sweeps score by BLAS GEMM into per-fit
+buffers: a fit scores only its whole subset and keeps no posteriors.
+``e_step`` and the ensemble's scoring plan score by einsum, which gives a
+series the same bits alone as in a batch; GEMM does not. The ensemble's
+pool workers run with one BLAS thread each. Fitted parameters, and so
+kernels and CLI outputs, stay byte-identical run to run and across BLAS
+thread counts.
 """
 from __future__ import annotations
 
@@ -111,18 +113,12 @@ def _masked_arrays(values: np.ndarray,
     return np.where(mask.astype(bool), values, 0.0), mask.astype(float)
 
 
-def build_prior(data: Dataset, hp: HyperParams) -> PriorSpec:
-    """Empirical means/scales of a subset plus the smoothing kernel prior.
+def build_prior(x0: np.ndarray, r: np.ndarray, hp: HyperParams) -> PriorSpec:
+    """Empirical means/scales of a subset plus the smoothing kernel prior,
+    from the masked arrays of ``_masked_arrays``.
 
     Time steps of an attribute with no observation anywhere in the subset fall
     back to the attribute's grand mean so the prior center stays finite.
-    """
-    return _build_prior(*_masked_arrays(data.values, data.mask), hp)
-
-
-def _build_prior(x0: np.ndarray, r: np.ndarray, hp: HyperParams) -> PriorSpec:
-    """``build_prior`` from the masked arrays of ``_masked_arrays``.
-
     Every attribute's covariance is ``scale_v * (kernel + jitter)``, so one
     inverse and one log-determinant of the shared T x T matrix serve all V.
     """
@@ -217,9 +213,9 @@ def _log_component_scores(params: MixtureParams, feats: np.ndarray) -> np.ndarra
     """(N, G) array of log(theta_g) + log-likelihood of each series under g.
 
     The contraction is an einsum, not a BLAS GEMM: GEMM blocking changes the
-    last bits of a row with the batch size, and ``e_step``, ``map_objective``
-    and the ensemble's scoring plan must score a series the same alone as
-    inside its training set. ``fit_map_em`` scores its own sweeps by GEMM:
+    last bits of a row with the batch size, and ``e_step`` and the
+    ensemble's scoring plan must score a series the same alone as inside
+    its training set. ``fit_map_em`` scores its own sweeps by GEMM:
     a fit only ever scores its whole subset, and its posteriors are not kept.
     """
     weights, const = _component_weights(params)
@@ -255,13 +251,21 @@ def e_step(params: MixtureParams, data: Dataset) -> np.ndarray:
 
 def _sweep_systems(prior: PriorSpec, g_dim: int) -> np.ndarray:
     """(G, V, T, T) copies of the prior precisions, the mu systems of one
-    fit; each ``_m_step`` rewrites only their diagonals."""
+    fit; each ``m_step`` rewrites only their diagonals."""
     return np.broadcast_to(prior.cov_inv[None], (g_dim,) + prior.cov_inv.shape).copy()
 
 
-def _m_step(post: np.ndarray, feats: np.ndarray, prior: PriorSpec,
-            hp: HyperParams, params_in: MixtureParams,
-            systems: np.ndarray) -> MixtureParams:
+def m_step(post: np.ndarray, feats: np.ndarray, prior: PriorSpec,
+           hp: HyperParams, params_in: MixtureParams,
+           systems: np.ndarray) -> MixtureParams:
+    """One maximization sweep given responsibilities ``post`` of the series
+    whose ``_feature_grid`` rows are ``feats``; ``systems`` come from
+    ``_sweep_systems``.
+
+    Update order: theta, then sigma^2 (using the incoming mu), then mu with
+    the fresh sigma^2, then the Bernoulli rates. Components with no weighted
+    observations for an attribute fall back to the prior mean exactly.
+    """
     g_dim, v_dim, t_dim = params_in.mu.shape
     vt = v_dim * t_dim
     weight = post.sum(axis=0)                                  # (G,)
@@ -302,21 +306,14 @@ def _m_step(post: np.ndarray, feats: np.ndarray, prior: PriorSpec,
     return MixtureParams(params_in.mode, theta, mu, sigma2, beta)
 
 
-def m_step(post: np.ndarray, data: Dataset, prior: PriorSpec, hp: HyperParams,
-           params_in: MixtureParams) -> MixtureParams:
-    """One maximization sweep given responsibilities.
+def map_objective(peak: np.ndarray, sums: np.ndarray, params: MixtureParams,
+                  prior: PriorSpec, hp: HyperParams) -> float:
+    """Observed-data log likelihood plus (unnormalized) log priors, given the
+    ``_normalize_rows`` softmax of the parameters' scores.
 
-    Update order: theta, then sigma^2 (using the incoming mu), then mu with
-    the fresh sigma^2, then the Bernoulli rates. Components with no weighted
-    observations for an attribute fall back to the prior mean exactly.
+    EM never decreases this quantity; the inverse-Gamma part is kept in kernel
+    form, so values are comparable within a run but not across n0.
     """
-    return _m_step(post, _features(data.values, data.mask), prior, hp, params_in,
-                   _sweep_systems(prior, params_in.n_components))
-
-
-def _objective(peak: np.ndarray, sums: np.ndarray, params: MixtureParams,
-               prior: PriorSpec, hp: HyperParams) -> float:
-    """The MAP objective, given the softmax of the parameters' scores."""
     loglik = float(np.sum(peak + np.log(sums)))
 
     diff = (params.mu - prior.mean[None]).transpose(1, 0, 2)  # (V, G, T)
@@ -330,17 +327,6 @@ def _objective(peak: np.ndarray, sums: np.ndarray, params: MixtureParams,
     if not np.isfinite(total):
         raise FloatingPointError("non-finite MAP objective")
     return total
-
-
-def map_objective(params: MixtureParams, data: Dataset, prior: PriorSpec,
-                  hp: HyperParams) -> float:
-    """Observed-data log likelihood plus (unnormalized) log priors.
-
-    EM never decreases this quantity; the inverse-Gamma part is kept in kernel
-    form, so values are comparable within a run but not across n0.
-    """
-    scores = _log_component_scores(params, _features(data.values, data.mask))
-    return _objective(*_normalize_rows(scores), params, prior, hp)
 
 
 # ------------------------------------------------------------
@@ -391,7 +377,7 @@ def fit_map_em(data: Dataset, n_components: int, hp: HyperParams, seed: int,
             f"need at least {n_components} series to fit {n_components} components")
     rng = np.random.default_rng(seed)
     x0, r = _masked_arrays(data.values, data.mask)
-    prior = _build_prior(x0, r, hp)
+    prior = build_prior(x0, r, hp)
     params = _init_params(x0, r, n_components, prior, mode, rng)
     feats = _masked_feature_grid(x0, r, [(0, data.length)])
     # Per-fit buffers: weight rows, scores (softmaxed in place into the
@@ -408,10 +394,10 @@ def fit_map_em(data: Dataset, n_components: int, hp: HyperParams, seed: int,
     softmax_scores(params)
     objectives, converged = [], False
     while not converged and len(objectives) < max_iter:
-        params = _m_step(post, feats, prior, hp, params, systems)
+        params = m_step(post, feats, prior, hp, params, systems)
         # One softmax of the new scores gives both the objective and the
         # responsibilities of the next sweep.
-        objectives.append(_objective(*softmax_scores(params), params, prior, hp))
+        objectives.append(map_objective(*softmax_scores(params), params, prior, hp))
         converged = (len(objectives) > 1 and abs(objectives[-1] - objectives[-2])
                      < tol * (abs(objectives[-2]) + DENOM_EPS))
     return params, FitReport(tuple(objectives), converged)
@@ -431,23 +417,9 @@ def _gaussian_kl(mu_i: np.ndarray, s2i: np.ndarray, mu_j: np.ndarray,
     return 0.5 * np.sum(ratio + shift, axis=-1)
 
 
-def component_kl(params: MixtureParams, i: int, j: int) -> float:
-    """KL(component i || component j) of the Gaussian parts, closed form.
-
-    The components factorize over the V*T observed-cell grid, so the
-    divergence is a sum of univariate Gaussian divergences.
-    """
-    return float(_gaussian_kl(params.mu[i], params.sigma2[i],
-                              params.mu[j], params.sigma2[j]))
-
-
-def symmetric_kl(params: MixtureParams, i: int, j: int) -> float:
-    """Symmetrized divergence: the mean of both directed KL values."""
-    return 0.5 * (component_kl(params, i, j) + component_kl(params, j, i))
-
-
 def _symmetric_kls(params: MixtureParams, i: int, others) -> np.ndarray:
-    """``symmetric_kl(params, i, j)`` for every j in ``others``, bit for bit,
+    """The symmetrized divergence between component i and each j in
+    ``others``: the mean of KL(i || j) and KL(j || i) of the Gaussian parts,
     from one broadcast evaluation per direction."""
     mu, s2 = params.mu, params.sigma2
     return 0.5 * (_gaussian_kl(mu[i], s2[i], mu[others], s2[others])

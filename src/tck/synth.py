@@ -191,6 +191,8 @@ def _inject_rates(kind: str, data: Dataset, strength: float,
                   seed: int) -> tuple[Dataset, InjectionReport]:
     """The rate injector ``kind``; under ``rate_mnar`` only cells above their
     attribute's dataset mean are eligible."""
+    if not np.isfinite(strength):
+        raise ValueError(f"injector strength must be finite; got {strength}")
     labels = _require_labels(data)
     rng = np.random.default_rng(seed)
     rates, signs = _sample_rates(kind, labels, data.n_attributes, strength, rng)

@@ -14,13 +14,14 @@ from tck.data import Dataset, labels_to_onehot, standardize
 from tck.ensemble import EnsembleConfig, kernel_test, train_ensemble
 from tck.experiment import reproduce_var1
 from tck.mixture import (GAUSSIAN_ONLY, MIXED_MODE, HyperParams,
-                         MixtureParams, component_kl, e_step, fit_map_em,
-                         symmetric_kl)
+                         MixtureParams, _symmetric_kls, e_step, fit_map_em)
 from tck.synth import (Var1Params, default_var1_params, gen_var1,
                        inject_rate_mar, inject_var1_mnar,
                        tune_informativeness)
 from tck.transform import (TransformMatrix, apply_transform,
                            semisupervised_transform, supervised_transform)
+
+from em_reference import component_kl
 
 HP = HyperParams(0.1, 0.1, 0.05)
 
@@ -233,10 +234,10 @@ def test_transform_properties():
     anchored_post = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     anchored_labels = labels_to_onehot(np.array([1, 2]), 2)
     tm = semisupervised_transform(anchored_post, anchored_labels, line, h=0.1)
+    to_left, to_right = _symmetric_kls(line, 1, [0, 2])
     report("KL anchoring copies the near anchor (means 0, 2, 10)",
            bool(np.array_equal(tm.weights[1], tm.weights[0])),
-           f"divergences {symmetric_kl(line, 1, 0):.1f} vs "
-           f"{symmetric_kl(line, 1, 2):.1f}")
+           f"divergences {to_left:.1f} vs {to_right:.1f}")
 
 
 # ------------------------------------------------------------
@@ -271,7 +272,7 @@ def test_component_divergence_closed_form():
         closed = component_kl(params, 0, 1)
         numeric = _quadrature_kl(params, 0, 1)
         worst = max(worst, abs(closed - numeric))
-        assert symmetric_kl(params, 0, 1) == symmetric_kl(params, 1, 0)
+        assert _symmetric_kls(params, 0, [1]) == _symmetric_kls(params, 1, [0])
     report("closed-form divergence matches quadrature within 1e-3 on 20 pairs",
            worst <= 1e-3, f"worst deviation {worst:.2e}")
     report("symmetrized divergence is exactly symmetric", True)

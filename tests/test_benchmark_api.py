@@ -6,6 +6,9 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import tck
 import tck.cli
 
@@ -43,6 +46,47 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for name, where in tracing.TRACED.items():
         assert traced_function(*where) is originals[name], name
+
+
+def test_traced_em_metrics_match_the_fit_reports():
+    """The EM metrics that ``layer_metrics`` derives from the spans of
+    ``m_step``, ``map_objective`` and ``build_prior`` agree with the
+    ``FitReport`` of each fit, some of which stop at their ``max_iter``."""
+    tracing = load_tracing()
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(40, 2, 8))
+    mask = (rng.random(values.shape) < 0.8).astype(np.uint8)
+    mask[:, :, 0] = 1
+    data = tck.Dataset(values, mask, None, 0, np.arange(1, 41))
+    hp = tck.HyperParams(0.1, 0.1, 0.05)
+    runs = [(2, 0, tck.GAUSSIAN_ONLY, 50), (3, 1, tck.MIXED_MODE, 50),
+            (3, 2, tck.GAUSSIAN_ONLY, 2), (2, 3, tck.MIXED_MODE, 1)]
+    tracer = tracing.Tracer()
+    tracer.request = 0
+    reports = []
+    try:
+        tracer.install()
+        for g, seed, mode, max_iter in runs:
+            reports.append(tck.fit_map_em(data, g, hp, seed, mode=mode,
+                                          max_iter=max_iter)[1])
+    finally:
+        tracer.uninstall()
+    metrics = {name: value for name, (value, _) in tracing.layer_metrics(
+        tracer.spans, {0}, 1, set(), 1, 0.0, 0.0).items()}
+
+    sweeps = [len(r.objectives) for r in reports]
+    at_max = sum(n == run[3] and not r.converged
+                 for n, run, r in zip(sweeps, runs, reports))
+    assert 0 < at_max < len(runs)
+    assert metrics["mixture.fit_map_em.calls"] == len(runs)
+    assert metrics["mixture.em_iters_per_fit"] == pytest.approx(np.mean(sweeps))
+    assert metrics["mixture.converged_ratio"] == pytest.approx(
+        np.mean([r.converged for r in reports]))
+    assert metrics["mixture.fits_at_max_iter"] == at_max
+    assert metrics["mixture.m_step.calls"] == sum(sweeps)
+    assert metrics["mixture.map_objective.calls"] == sum(sweeps)
+    assert metrics["mixture.score_evals_per_iter"] == 1.0
+    assert metrics["mixture.build_prior.busy_s"] > 0
 
 
 def test_cli_helpers_used_by_the_workloads_exist():

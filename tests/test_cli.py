@@ -93,6 +93,17 @@ class TestGenerate:
         assert not (tmp_path / "inj" / "manifest.json").exists()
 
 
+    def test_non_finite_strength_fails(self, tmp_path, capsys):
+        generate_var1(tmp_path / "base", extra=["--no-missing"])
+        code = run(["generate", "--recipe", "rate_mnar",
+                    "--data", tmp_path / "base" / "train.csv",
+                    "--labels", tmp_path / "base" / "train_labels.csv",
+                    "--strength", "nan", "--out", tmp_path / "inj"])
+        assert code == 1
+        assert "strength must be finite; got nan" in capsys.readouterr().err
+        assert not (tmp_path / "inj" / "manifest.json").exists()
+
+
 @pytest.fixture(scope="module")
 def var1_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("var1")

@@ -1,9 +1,11 @@
 """The VAR(1) experiment in steps: one base fit per family serves every
 variant and embedding dimension, and gives the accuracies that
 ``reproduce_var1`` reports."""
+import numpy as np
 import pytest
 
 import tck.ensemble
+from tck import data as dt
 from tck import experiment
 
 SMALL = {"n_init": 1, "component_counts": (2, 3)}
@@ -46,3 +48,26 @@ def test_fit_family_checks_label_options_before_fitting(fits):
     with pytest.raises(ValueError, match="--components"):
         experiment.fit_family(data, "tck", n_init=1, component_counts=(1, 2))
     assert fits == []
+
+
+@pytest.fixture(scope="module")
+def raw_train():
+    return experiment.var1_data(0).train
+
+
+@pytest.mark.parametrize("variant", sorted(experiment.VARIANTS))
+def test_training_data_is_standardized_once(monkeypatch, raw_train, variant):
+    calls, apply = [], dt.StandardizationStats.apply
+
+    def counted(self, data):
+        calls.append(data)
+        return apply(self, data)
+    monkeypatch.setattr(dt.StandardizationStats, "apply", counted)
+    prepared, stats = experiment.prepare_training_data(raw_train, variant)
+    assert len(calls) == 1
+    expected = experiment.prepare_eval_data(raw_train, variant, stats)
+    for field in ("values", "mask", "labels", "ids"):
+        got, want = getattr(prepared, field), getattr(expected, field)
+        assert got.dtype == want.dtype and got.shape == want.shape, field
+        assert got.tobytes() == want.tobytes(), field
+    assert prepared.n_classes == expected.n_classes

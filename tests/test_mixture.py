@@ -8,12 +8,14 @@ import pytest
 import tck
 from tck.data import Dataset
 from tck.mixture import (BETA_EPS, COV_JITTER, GAUSSIAN_ONLY, MIXED_MODE,
-                         FitReport, HyperParams, MixtureParams, build_prior,
-                         component_kl, e_step, _symmetric_kls, fit_map_em,
-                         m_step, map_objective, symmetric_kl)
+                         FitReport, HyperParams, MixtureParams, e_step,
+                         _symmetric_kls, fit_map_em)
 from tck.ensemble import (BaseModelSpec, EnsembleConfig, TrainedEnsemble,
                           load_ensemble, save_ensemble)
 from tck.transform import TransformMatrix
+
+from em_reference import (build_prior, component_kl, m_step, map_objective,
+                          symmetric_kl)
 
 HP = HyperParams(0.1, 0.1, 0.05)
 

@@ -138,6 +138,24 @@ class TestRateInjectors:
         with pytest.raises(ValueError, match="label"):
             inject_rate_mar(data, 0.1, seed=0)
 
+    @pytest.mark.parametrize("injector", [inject_rate_mar, inject_rate_mnar])
+    @pytest.mark.parametrize("strength", [np.nan, np.inf, -np.inf])
+    def test_non_finite_strength_rejected(self, injector, strength):
+        data = labeled_noise(n=20, seed=8)
+        with pytest.raises(ValueError,
+                           match=f"^injector strength must be finite; got {strength}$"):
+            injector(data, strength, seed=0)
+
+    @pytest.mark.parametrize("injector", [inject_rate_mar, inject_rate_mnar])
+    def test_negative_strength_flips_the_shift(self, injector):
+        data = labeled_noise(n=20, seed=9)
+        _, report = injector(data, -0.2, seed=0)
+        _, mirror = injector(data, 0.2, seed=0)
+        class2 = data.labels == 2
+        np.testing.assert_array_equal(report.directions, mirror.directions)
+        assert not np.array_equal(report.rates[class2], mirror.rates[class2])
+        np.testing.assert_array_equal(report.rates[~class2], mirror.rates[~class2])
+
 
 class TestTuning:
     def test_zero_target(self):

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from tck.data import labels_to_onehot
-from tck.mixture import GAUSSIAN_ONLY, MixtureParams, symmetric_kl
+from tck.mixture import GAUSSIAN_ONLY, MixtureParams
 from tck.transform import (apply_transform, semisupervised_transform,
                            supervised_transform, TransformMatrix)
+
+from em_reference import symmetric_kl
 
 
 def gaussian_line_params(means, sigma2=1.0):
