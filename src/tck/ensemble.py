@@ -97,8 +97,8 @@ class _ScoringPlan:
     """How to score a batch of series under each base model of an ensemble.
 
     A batch is scored from one ``_feature_grid`` over every distinct model
-    window. Each model keeps the grid columns that are its ``_features``
-    on its attributes and window, its weight rows and its constants. The
+    window. Each model keeps the grid columns that are the feature rows of
+    its attributes and window, its weight rows and its constants. The
     plan is derived from specs and parameters, which it does not keep, so
     ensembles that share a model's parameters share the plan.
 

@@ -19,12 +19,12 @@ inverse-Gamma-type penalty ``sigma_gv^{-N0} exp(-N0 s_v^2 / (2 sigma_gv^2))``
 that shrinks small clusters toward the dataset scale.
 
 Scores and M-step statistics are linear in per-series feature rows. One
-function, ``_feature_grid``, builds them for fits, ``e_step`` and the
-ensemble's scoring plan alike.
+function, ``_feature_grid``, masks its input and builds them for fits,
+``e_step`` and the ensemble's scoring plan alike.
 
 Each EM step is one function: ``build_prior`` once per fit, then per
 sweep ``m_step``, one scoring softmax and ``map_objective``. ``fit_map_em``
-masks its subset once, for the prior, the restart and the feature rows.
+masks its subset once for the prior and the restart.
 The V prior covariances share one T x T matrix, so one inverse and one
 log-determinant serve them all. Its sweeps score by BLAS GEMM into per-fit
 buffers: a fit scores only its whole subset and keeps no posteriors.
@@ -72,7 +72,6 @@ class PriorSpec:
 
     mean: np.ndarray        # (V, T) per-time-step empirical means
     scale: np.ndarray       # (V,) empirical std per attribute
-    kernel: np.ndarray        # (T, T) squared-exponential kernel
     cov_inv: np.ndarray       # (V, T, T) inverse of scale_v * (kernel + jitter)
     cov_logdet: np.ndarray    # (V,)
     natural_mean: np.ndarray  # (V, T) cov_inv_v @ mean_v, fixed for the fit
@@ -146,7 +145,7 @@ def build_prior(x0: np.ndarray, r: np.ndarray, hp: HyperParams) -> PriorSpec:
     if not sign > 0:
         raise np.linalg.LinAlgError("prior covariance is not positive definite")
     cov_inv = np.linalg.inv(jittered)[None] / scale[:, None, None]
-    return PriorSpec(mean, scale, kernel, cov_inv, t_dim * np.log(scale) + logdet,
+    return PriorSpec(mean, scale, cov_inv, t_dim * np.log(scale) + logdet,
                      np.einsum("vij,vj->vi", cov_inv, mean))
 
 
@@ -161,14 +160,9 @@ def _feature_grid(values: np.ndarray, mask: np.ndarray, windows) -> np.ndarray:
     x0 is the values with zeros in unobserved cells and r the float mask.
     Component scores and all M-step statistics are linear in one window's
     columns. Each sum reduces a slice whose last axis is contiguous, so a
-    window's columns carry the bits of ``_features`` of that window alone.
+    window's columns carry the bits of a call on that window alone.
     """
-    return _masked_feature_grid(*_masked_arrays(values, mask), windows)
-
-
-def _masked_feature_grid(x0: np.ndarray, r: np.ndarray, windows) -> np.ndarray:
-    """``_feature_grid`` from the masked arrays of ``_masked_arrays``."""
-    cells = np.concatenate((x0, r), axis=1)                       # (N, 2V, T)
+    cells = np.concatenate(_masked_arrays(values, mask), axis=1)  # (N, 2V, T)
     n, two_v, t_dim = cells.shape
     grid = np.empty((n, two_v * (t_dim + len(windows))))
     grid[:, :two_v * t_dim] = cells.reshape(n, -1)
@@ -177,10 +171,6 @@ def _masked_feature_grid(x0: np.ndarray, r: np.ndarray, windows) -> np.ndarray:
     for w, (t_start, t_stop) in enumerate(windows):
         cells[:, :, t_start:t_stop].sum(axis=2, out=sums[:, :, w])
     return grid
-
-
-def _features(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return _feature_grid(values, mask, [(0, values.shape[2])])
 
 
 def _component_weights(params: MixtureParams,
@@ -240,7 +230,8 @@ def _normalize_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def e_step(params: MixtureParams, data: Dataset) -> np.ndarray:
     """Component responsibilities, one simplex row per series."""
-    post = _log_component_scores(params, _features(data.values, data.mask))
+    post = _log_component_scores(
+        params, _feature_grid(data.values, data.mask, [(0, data.length)]))
     _normalize_rows(post)
     return post
 
@@ -340,9 +331,7 @@ def _init_params(x0: np.ndarray, r: np.ndarray, n_components: int,
     theta = np.full(n_components, 1.0 / n_components)
     sigma2 = np.tile(prior.scale ** 2, (n_components, 1))
     picks = rng.choice(x0.shape[0], size=n_components, replace=False)
-    mu = np.empty((n_components,) + x0.shape[1:])
-    for g, i in enumerate(picks):
-        mu[g] = np.where(r[i] != 0, 0.5 * (x0[i] + prior.mean), prior.mean)
+    mu = np.where(r[picks] != 0, 0.5 * (x0[picks] + prior.mean), prior.mean)
     beta = None
     if mode == MIXED_MODE:
         observed_frac = r.mean(axis=0)                          # (V, T)
@@ -379,7 +368,7 @@ def fit_map_em(data: Dataset, n_components: int, hp: HyperParams, seed: int,
     x0, r = _masked_arrays(data.values, data.mask)
     prior = build_prior(x0, r, hp)
     params = _init_params(x0, r, n_components, prior, mode, rng)
-    feats = _masked_feature_grid(x0, r, [(0, data.length)])
+    feats = _feature_grid(data.values, data.mask, [(0, data.length)])
     # Per-fit buffers: weight rows, scores (softmaxed in place into the
     # responsibilities) and the mu systems.
     weights = np.empty((n_components, feats.shape[1]))

@@ -17,7 +17,7 @@ from tck.ensemble import (EnsembleConfig, KernelMatrix,
                           apply_posterior_transform, kernel_test,
                           load_ensemble, load_kernel, sample_configs,
                           save_ensemble, save_kernel, train_ensemble)
-from tck.mixture import (GAUSSIAN_ONLY, MIXED_MODE, _features,
+from tck.mixture import (GAUSSIAN_ONLY, MIXED_MODE, _feature_grid,
                          _log_component_scores, _normalize_rows, e_step)
 from tck.transform import (apply_transform, make_semisupervised_factory,
                            make_supervised_factory)
@@ -741,7 +741,8 @@ def per_model_kernel_test(ens, test):
     if test.n:
         for i, (spec, params) in enumerate(zip(ens.specs, ens.params)):
             a, w = spec.attributes, slice(spec.t_start, spec.t_stop)
-            feats = _features(test.values[:, a, w], test.mask[:, a, w])
+            feats = _feature_grid(test.values[:, a, w], test.mask[:, a, w],
+                                  [(0, spec.t_stop - spec.t_start)])
             post = _log_component_scores(params, feats)
             _normalize_rows(post)
             train = ens.posteriors[i]

@@ -9,13 +9,13 @@ import tck
 from tck.data import Dataset
 from tck.mixture import (BETA_EPS, COV_JITTER, GAUSSIAN_ONLY, MIXED_MODE,
                          FitReport, HyperParams, MixtureParams, e_step,
-                         _symmetric_kls, fit_map_em)
+                         _init_params, _masked_arrays, _symmetric_kls, fit_map_em)
 from tck.ensemble import (BaseModelSpec, EnsembleConfig, TrainedEnsemble,
                           load_ensemble, save_ensemble)
 from tck.transform import TransformMatrix
 
-from em_reference import (build_prior, component_kl, m_step, map_objective,
-                          symmetric_kl)
+from em_reference import (build_prior, component_kl, exact_mu, m_step,
+                          map_objective, prior_kernel, symmetric_kl)
 
 HP = HyperParams(0.1, 0.1, 0.05)
 
@@ -44,10 +44,10 @@ def random_params(rng, g, v, t, mode):
     return MixtureParams(mode, theta, mu, sigma2, beta)
 
 
-def prior_cov(prior, v):
+def prior_cov(prior, hp, v):
     """Attribute v's prior covariance, by the expression ``build_prior`` uses."""
-    t_dim = prior.kernel.shape[0]
-    return prior.scale[v] * (prior.kernel + COV_JITTER * np.eye(t_dim))
+    t_dim = prior.mean.shape[1]
+    return prior.scale[v] * (prior_kernel(hp, t_dim) + COV_JITTER * np.eye(t_dim))
 
 
 def naive_responsibilities(params, values, mask):
@@ -77,21 +77,30 @@ def naive_responsibilities(params, values, mask):
 
 class TestPrior:
     def test_kernel_diagonal_is_b0(self):
-        ds = random_instance(np.random.default_rng(0))
-        prior = build_prior(ds, HyperParams(0.5, 0.37, 0.1))
-        np.testing.assert_allclose(np.diag(prior.kernel), 0.37)
+        np.testing.assert_allclose(np.diag(prior_kernel(HyperParams(0.5, 0.37, 0.1), 9)),
+                                   0.37)
 
     def test_kernel_off_diagonal_value(self):
-        ds = random_instance(np.random.default_rng(1), t_max=8)
-        prior = build_prior(ds, HyperParams(0.1, 1.0, 0.1))
-        lag2 = np.diag(prior.kernel, k=2)
+        lag2 = np.diag(prior_kernel(HyperParams(0.1, 1.0, 0.1), 8), k=2)
         np.testing.assert_allclose(lag2, 0.6703200460356393, rtol=1e-12)
 
-    def test_huge_decay_gives_diagonal_kernel(self):
+    def test_huge_decay_gives_diagonal_precisions(self):
         ds = random_instance(np.random.default_rng(2))
         prior = build_prior(ds, HyperParams(1e6, 1.0, 0.1))
-        off = prior.kernel - np.diag(np.diag(prior.kernel))
+        off = prior.cov_inv - prior.cov_inv * np.eye(ds.length)
         assert np.abs(off).max() < 1e-300
+
+    @pytest.mark.parametrize("hp", [HyperParams(0.5, 0.37, 0.1), HyperParams(1.0, 0.05, 0.1),
+                                    HyperParams(0.1, 0.8, 0.1)])
+    def test_precisions_invert_the_kernel_covariances(self, hp):
+        values = np.random.default_rng(3).normal(size=(10, 2, 8))
+        ds = make_dataset(values, np.ones_like(values))
+        prior = build_prior(ds, hp)
+        for v in range(ds.n_attributes):
+            np.testing.assert_allclose(prior.cov_inv[v] @ prior_cov(prior, hp, v),
+                                       np.eye(ds.length), atol=1e-9)
+            _, logdet = np.linalg.slogdet(prior_cov(prior, hp, v))
+            np.testing.assert_allclose(prior.cov_logdet[v], logdet, rtol=1e-10)
 
     def test_unobserved_attribute_rejected(self):
         values = np.zeros((3, 2, 4))
@@ -243,7 +252,7 @@ class TestMStep:
                 if d.sum() == 0:
                     mu = prior.mean[v]
                 else:
-                    s_inv = np.linalg.inv(prior_cov(prior, v))
+                    s_inv = np.linalg.inv(prior_cov(prior, HP, v))
                     rhs = s_inv @ prior.mean[v] + (w * x).sum(axis=0) / sigma2
                     mu = np.linalg.solve(s_inv + np.diag(d) / sigma2, rhs)
                 np.testing.assert_allclose(out.mu[g, v], mu, rtol=1e-10)
@@ -253,6 +262,29 @@ class TestMStep:
                         out.beta[g, v], np.clip(rate, BETA_EPS, 1 - BETA_EPS), rtol=1e-10)
         if mode == GAUSSIAN_ONLY:
             assert out.beta is None
+
+    # m_step solves through the explicitly inverted prior covariance, whose
+    # condition number here reaches 3.8e9 (a0 = 1e-4, b0 = 0.8, T = 50). The
+    # worst error measured over these cases is 5.2e-9 (a0 = 0.01), so 2e-8
+    # leaves a margin of about 4; at a0 = 1 (condition number 6) it is
+    # 1.0e-15, under 1e-14. A more stable solve tightens these bounds.
+    @pytest.mark.parametrize("a0, bound", [(1e-4, 2e-8), (1e-3, 2e-8), (1e-2, 2e-8),
+                                           (0.1, 2e-8), (1.0, 1e-14)])
+    def test_first_sweep_mu_is_near_the_exact_solution(self, a0, bound):
+        params = dataclasses.replace(tck.default_var1_params(), n_per_class=30)
+        data, _ = tck.standardize(tck.inject_var1_mnar(tck.gen_var1(params, 0)[0], seed=1))
+        window = data.take(np.arange(48))
+        window = make_dataset(window.values[:, :, 5:45], window.mask[:, :, 5:45])
+        hp = HyperParams(a0, 0.8, 0.1)
+        for ds in (data, window):
+            prior = build_prior(ds, hp)
+            restart = _init_params(*_masked_arrays(ds.values, ds.mask), 10, prior,
+                                   MIXED_MODE, np.random.default_rng(0))
+            post = e_step(restart, ds)
+            out = m_step(post, ds, prior, hp, restart)
+            exact = exact_mu(post, ds, prior, hp, out.sigma2)
+            error = np.abs(out.mu - exact).max() / np.abs(exact).max()
+            assert error < bound, f"a0={a0}: relative error {float(error):.2e}"
 
 
 class TestObjective:
@@ -275,8 +307,8 @@ class TestObjective:
         prior_term = 0.0
         for v in range(ds.n_attributes):
             diff = params.mu[0, v] - prior.mean[v]
-            quad = diff @ np.linalg.solve(prior_cov(prior, v), diff)
-            _, logdet = np.linalg.slogdet(prior_cov(prior, v))
+            quad = diff @ np.linalg.solve(prior_cov(prior, HP, v), diff)
+            _, logdet = np.linalg.slogdet(prior_cov(prior, HP, v))
             prior_term += -0.5 * (ds.length * math.log(2 * math.pi) + logdet + quad)
             s2 = params.sigma2[0, v]
             prior_term += (-0.5 * HP.n0 * math.log(s2)
@@ -297,8 +329,8 @@ class TestObjective:
         extra = 0.0
         for v in range(ds.n_attributes):
             diff = one.mu[0, v] - prior.mean[v]
-            quad = diff @ np.linalg.solve(prior_cov(prior, v), diff)
-            _, logdet = np.linalg.slogdet(prior_cov(prior, v))
+            quad = diff @ np.linalg.solve(prior_cov(prior, HP, v), diff)
+            _, logdet = np.linalg.slogdet(prior_cov(prior, HP, v))
             extra += -0.5 * (ds.length * math.log(2 * math.pi) + logdet + quad)
             extra += (-0.5 * HP.n0 * math.log(one.sigma2[0, v])
                       - HP.n0 * prior.scale[v] ** 2 / (2 * one.sigma2[0, v]))

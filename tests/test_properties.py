@@ -18,7 +18,7 @@ from tck.ensemble import (BaseModelSpec, EnsembleConfig, _ScoringPlan,
                           apply_posterior_transform, kernel_test, load_ensemble,
                           save_ensemble, train_ensemble)
 from tck.mixture import (GAUSSIAN_ONLY, MIXED_MODE, HyperParams, MixtureParams,
-                         _feature_grid, _features, fit_map_em)
+                         _feature_grid, fit_map_em)
 from tck.transform import make_semisupervised_factory, make_supervised_factory
 
 from poison import poison_missing
@@ -225,8 +225,9 @@ def test_plan_columns_are_the_features_of_each_model_view(view):
     grid = _feature_grid(values, mask, plan.windows)
     for spec, cols in zip(specs, plan.cols):
         a, w = spec.attributes, slice(spec.t_start, spec.t_stop)
-        assert np.array_equal(grid.take(cols, axis=1),
-                              _features(values[:, a, w], mask[:, a, w]))
+        alone = _feature_grid(values[:, a, w], mask[:, a, w],
+                              [(0, spec.t_stop - spec.t_start)])
+        assert np.array_equal(grid.take(cols, axis=1), alone)
 
 
 @st.composite
