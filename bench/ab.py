@@ -75,7 +75,9 @@ SEED = 0
 RESAMPLES = 1000
 # Calls below which an op's A/A interval was seen not to hold: fit_replicate's
 # A'/A read 1.217 [0.732, 1.756] at 4 calls, 1.096 at 8 and 0.994/0.982 at 16.
-MIN_CALLS = {"fit_replicate": 16}
+# train_q1's A/A intervals all held 1 in three runs at 20 calls; at 40, on a
+# host that ran the op 1.3-1.9x slower, two of six A'/A intervals did not.
+MIN_CALLS = {"fit_replicate": 16, "train_q1": 20}
 
 
 def load_tck(root: str, name: str):

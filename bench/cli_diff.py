@@ -10,13 +10,17 @@ given ``--strength`` and ``rate_mnar`` at a ``--target-corr``, which tunes
 the strength, both on the complete ``var1`` data), ``train`` for all eight
 variants, and ``eval --k 1`` and ``eval --k cv`` against each trained run.
 A third eval, ``--k 1`` on a file of the first three test series (written
-with ``tck.data``), takes the small-batch path of ``kernel_test``. A small
+with ``tck.data``), takes the small-batch path of ``kernel_test``. Two
+``eval --folds 2 --k cv`` runs cross-validate ``tck`` and ``sstck_im`` on
+the training data, and one more ``train`` takes its options from a
+``--config`` JSON file (written by the runner), ``normalize`` included. A small
 ``reproduce`` (one replicate, Q=1, component counts 2 and 3) writes its
 report, and its stdout goes to ``reproduce_stdout.txt``, so that the
 printed table is compared too. The checkouts run in turn at the same output
 path, because manifests record absolute paths, and each one's outputs are
 then moved aside. Every output file whose bytes differ, or that exists on
 one side only, is listed; the exit status is 1 if there is any, else 0.
+Both sides write 166 files.
 """
 from __future__ import annotations
 
@@ -33,8 +37,8 @@ SMALL = ["--q", "2", "--components", "2,3", "--t-min", "4", "--threads", "1"]
 
 # Runs each argv of a JSON list through tck.cli.main; stops at a failure.
 # An argv ["head", data, labels, out_data, out_labels] instead writes the
-# first three series of a data set; ["stdout", path, *argv] runs argv with
-# its stdout written to path.
+# first three series of a data set; ["write", path, text] writes text to
+# path; ["stdout", path, *argv] runs argv with its stdout written to path.
 RUNNER = """
 import contextlib, json, sys
 from tck import data
@@ -48,6 +52,9 @@ for argv in json.loads(sys.argv[1]):
     if argv[0] == "head":
         head = data.load_dataset(argv[1], argv[2]).take([0, 1, 2])
         data.save_dataset(head, argv[3], argv[4])
+    elif argv[0] == "write":
+        with open(argv[1], "w") as fh:
+            fh.write(argv[2])
     elif argv[0] == "stdout":
         with open(argv[1], "w") as fh, contextlib.redirect_stdout(fh):
             run(argv[2:])
@@ -85,6 +92,16 @@ def commands(out: str) -> list:
                           "--out", os.path.join(out, f"eval_{variant}_k{k}")])
         argvs.append(["eval", "--train-dir", train, *small, "--k", "1",
                       "--out", os.path.join(out, f"eval_{variant}_small")])
+    for variant in ("tck", "sstck_im"):
+        argvs.append(["eval", *data, "--folds", "2", "--k", "cv", "--variant",
+                      variant, "--seed", "2", "--out",
+                      os.path.join(out, f"eval_{variant}_folds"), *SMALL])
+    config = os.path.join(out, "train_config.json")
+    argvs.append(["write", config, json.dumps(
+        {"q": 2, "components": "2,3", "t_min": 4, "threads": 1, "seed": 5,
+         "normalize": True})])
+    argvs.append(["train", *data, "--variant", "tck", "--config", config,
+                  "--out", os.path.join(out, "train_config")])
     argvs.append(["stdout", os.path.join(out, "reproduce_stdout.txt"),
                   "reproduce", "--seed", "3", "--q", "1", "--components", "2,3",
                   "--replicates", "1", "--threads", "1",

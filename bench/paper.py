@@ -9,10 +9,13 @@ Run from the repository root:
 Each argument is ``[DIR=]N``, as for ``record.py``: the checkout in DIR
 (default: this repository) is recorded as ``bench/PAPER_<N>.json`` here.
 Each checkout runs in its own process with its ``src`` first on
-PYTHONPATH, on the data of ``reproduce`` seed 0: 200 training and 200 test
-VAR(1) series (V=2, T=50) with MNAR missingness, standardized with the
-training statistics. Per mode (``tck``, Gaussian-only; ``tck_im``,
-mixed-mode), with the seeds ``reproduce`` uses, it records:
+PYTHONPATH, on the data of ``reproduce`` seed 0 as
+``tck.experiment.var1_data`` builds it: 200 training and 200 test VAR(1)
+series (V=2, T=50) with MNAR missingness, standardized with the training
+statistics. A checkout must have ``tck.experiment`` (commit 9963c18 or
+later). Per family of ``tck.experiment`` (``tck``, Gaussian-only;
+``tck_im``, mixed-mode), with the ensemble seed ``reproduce`` derives for
+it, it records:
 
 * the wall time of ``train_ensemble`` at the paper configuration (Q=30
   restarts x 21 component counts = 630 base models), serial and with
@@ -44,9 +47,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SEED = 0
 REPEATS = 5
-# mode name -> the seed tag ``tck.experiment.fit_family`` derives its ensemble
-# seed from
-MODES = {"tck": 21, "tck_im": 22}
 
 
 def timed(call, repeats: int = 1):
@@ -95,20 +95,15 @@ def convergence(reports: list, max_iter: int) -> dict:
 
 def measure() -> dict:
     """This process's ``tck`` at the paper configuration, per mode."""
-    from tck import (EnsembleConfig, default_var1_params, gen_var1,
-                     inject_var1_mnar, kernel_test, knn_predict, kpca,
+    from tck import (EnsembleConfig, kernel_test, knn_predict, kpca,
                      load_ensemble, save_ensemble, train_ensemble)
-    from tck.cli import (VARIANTS, _derive_seed, prepare_eval_data,
-                         prepare_training_data, reproduce_var1)
+    from tck.experiment import (_FAMILY_TAGS, VARIANTS, _derive_seed,
+                                reproduce_var1, var1_data)
 
-    train, test = gen_var1(default_var1_params(), SEED)
-    train = inject_var1_mnar(train, seed=_derive_seed(SEED, 11))
-    test = inject_var1_mnar(test, seed=_derive_seed(SEED, 12))
-    train_std, stats = prepare_training_data(train, "tck")
-    test_std = prepare_eval_data(test, "tck", stats)
+    _, train, _, train_std, test_std = var1_data(SEED)
 
     modes = {}
-    for name, tag in MODES.items():
+    for name, tag in _FAMILY_TAGS.items():
         cfg = EnsembleConfig(seed=_derive_seed(SEED, tag), mode=VARIANTS[name][0])
         serial_s, (ens, kernel), reports = fit_reports(train_std, cfg)
         pooled_s, _ = timed(lambda: train_ensemble(train_std, cfg, n_jobs=2))

@@ -94,8 +94,8 @@ class Dataset:
         if indices.size == 0:       # np.asarray([]) is float64
             indices = indices.astype(np.int64)
         labels = None if self.labels is None else self.labels[indices]
-        return Dataset(self.values[indices].copy(), self.mask[indices].copy(),
-                       labels, self.n_classes, self.ids[indices].copy())
+        return Dataset(self.values[indices], self.mask[indices], labels,
+                       self.n_classes, self.ids[indices])
 
     def restrict(self, attributes=None, time=None) -> "Dataset":
         """View on a subset of attributes and/or a contiguous time window."""

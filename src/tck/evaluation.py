@@ -163,16 +163,12 @@ def select_k(train_coords, train_labels, seed: int = 0) -> int:
     """
     coords = np.asarray(train_coords)
     labels = np.asarray(train_labels, dtype=np.int64)
-    rng = np.random.default_rng(seed)
     folds = min(5, len(labels))
-    fold_idx = _stratified_folds(labels, folds, rng)
+    splits = _stratified_folds(labels, folds, np.random.default_rng(seed))
     best_k, best_acc = None, -1.0
     for k in (1, 3, 5, 7, 9):
         hits = total = 0
-        for f in range(folds):
-            test_rows = fold_idx[f]
-            train_rows = np.concatenate(
-                [fold_idx[g] for g in range(folds) if g != f])
+        for train_rows, test_rows in splits:
             if k > len(train_rows) or len(test_rows) == 0:
                 continue
             preds = knn_predict(coords[train_rows], labels[train_rows],
@@ -194,8 +190,10 @@ class KFoldResult:
     se: dict
 
 
-def _stratified_folds(labels: np.ndarray, folds, rng) -> list[np.ndarray]:
-    """Round-robin assignment of shuffled indices, class by class."""
+def _stratified_folds(labels: np.ndarray, folds, rng) -> list[tuple]:
+    """Each fold's (training rows, held-out rows), from a round-robin
+    assignment of shuffled indices, class by class. A fold's training rows
+    are the other folds' rows, concatenated in fold order."""
     assignment = np.empty(len(labels), dtype=np.int64)
     pools = [np.nonzero(labels == c)[0] for c in np.unique(labels)]
     slot = 0
@@ -204,7 +202,9 @@ def _stratified_folds(labels: np.ndarray, folds, rng) -> list[np.ndarray]:
         for idx in pool:
             assignment[idx] = slot % folds
             slot += 1
-    return [np.nonzero(assignment == f)[0] for f in range(folds)]
+    held_out = [np.nonzero(assignment == f)[0] for f in range(folds)]
+    return [(np.concatenate(held_out[:f] + held_out[f + 1:]), rows)
+            for f, rows in enumerate(held_out)]
 
 
 def kfold_evaluate(data: Dataset, pipeline, folds: int = 5, seed: int = 0,
@@ -221,12 +221,9 @@ def kfold_evaluate(data: Dataset, pipeline, folds: int = 5, seed: int = 0,
         raise ValueError("more folds than series")
     if data.labels is None:
         raise ValueError("cross-validation requires labels")
-    rng = np.random.default_rng(seed)
-    fold_idx = _stratified_folds(data.labels, folds, rng)
+    splits = _stratified_folds(data.labels, folds, np.random.default_rng(seed))
     per_fold = []
-    for f in range(folds):
-        test_rows = fold_idx[f]
-        train_rows = np.concatenate([fold_idx[g] for g in range(folds) if g != f])
+    for f, (train_rows, test_rows) in enumerate(splits):
         train_rows.sort()
         train, test = data.take(train_rows), data.take(test_rows)
         if len(np.unique(train.labels)) < 2:

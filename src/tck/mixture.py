@@ -23,8 +23,9 @@ function, ``_feature_grid``, masks its input and builds them for fits,
 ``e_step`` and the ensemble's scoring plan alike.
 
 Each EM step is one function: ``build_prior`` once per fit, then per
-sweep ``m_step``, one scoring softmax and ``map_objective``. ``fit_map_em``
-masks its subset once for the prior and the restart.
+sweep ``m_step``, one scoring softmax and ``map_objective``. A fit runs
+``_feature_grid`` once on its subset; the prior and the restart read the
+grid's x0 and r cell columns.
 The V prior covariances share one T x T matrix, so one inverse and one
 log-determinant serve them all. Its sweeps score by BLAS GEMM into per-fit
 buffers: a fit scores only its whole subset and keeps no posteriors.
@@ -106,15 +107,9 @@ class MixtureParams:
         return self.mu.shape[2]
 
 
-def _masked_arrays(values: np.ndarray,
-                   mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values with zeros in unobserved cells, float mask)."""
-    return np.where(mask.astype(bool), values, 0.0), mask.astype(float)
-
-
 def build_prior(x0: np.ndarray, r: np.ndarray, hp: HyperParams) -> PriorSpec:
     """Empirical means/scales of a subset plus the smoothing kernel prior,
-    from the masked arrays of ``_masked_arrays``.
+    from the (N, V, T) x0 and r cell columns of its ``_feature_grid``.
 
     Time steps of an attribute with no observation anywhere in the subset fall
     back to the attribute's grand mean so the prior center stays finite.
@@ -162,7 +157,8 @@ def _feature_grid(values: np.ndarray, mask: np.ndarray, windows) -> np.ndarray:
     columns. Each sum reduces a slice whose last axis is contiguous, so a
     window's columns carry the bits of a call on that window alone.
     """
-    cells = np.concatenate(_masked_arrays(values, mask), axis=1)  # (N, 2V, T)
+    cells = np.concatenate([np.where(mask.astype(bool), values, 0.0),
+                            mask.astype(float)], axis=1)          # (N, 2V, T)
     n, two_v, t_dim = cells.shape
     grid = np.empty((n, two_v * (t_dim + len(windows))))
     grid[:, :two_v * t_dim] = cells.reshape(n, -1)
@@ -365,10 +361,11 @@ def fit_map_em(data: Dataset, n_components: int, hp: HyperParams, seed: int,
         raise ValueError(
             f"need at least {n_components} series to fit {n_components} components")
     rng = np.random.default_rng(seed)
-    x0, r = _masked_arrays(data.values, data.mask)
+    feats = _feature_grid(data.values, data.mask, [(0, data.length)])
+    cells = feats[:, :2 * data.n_attributes * data.length].reshape(data.n, -1, data.length)
+    x0, r = np.split(cells, 2, axis=1)  # views, (N, V, T) each
     prior = build_prior(x0, r, hp)
     params = _init_params(x0, r, n_components, prior, mode, rng)
-    feats = _feature_grid(data.values, data.mask, [(0, data.length)])
     # Per-fit buffers: weight rows, scores (softmaxed in place into the
     # responsibilities) and the mu systems.
     weights = np.empty((n_components, feats.shape[1]))

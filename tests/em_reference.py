@@ -5,7 +5,8 @@ with its per-fit arrays. These wrappers feed each step from a whole
 ``Dataset`` and score by einsum, so a test can run the steps one by one and
 check them against direct evaluations. ``component_kl`` and
 ``symmetric_kl`` are the per-pair divergences that ``_symmetric_kls``
-evaluates for many pairs at once. ``prior_kernel`` is the prior's
+evaluates for many pairs at once. ``masked`` gives the x0 and r cells
+that a fit reads from its feature grid, ``prior_kernel`` is the prior's
 smoothing kernel and ``exact_mu`` an extended-precision μ update.
 """
 import numpy as np
@@ -13,9 +14,14 @@ import numpy as np
 from tck import mixture
 
 
+def masked(data):
+    """(values with zeros in unobserved cells, float mask) of ``data``."""
+    return np.where(data.mask.astype(bool), data.values, 0.0), data.mask.astype(float)
+
+
 def build_prior(data, hp):
     """The prior of ``data``'s series."""
-    return mixture.build_prior(*mixture._masked_arrays(data.values, data.mask), hp)
+    return mixture.build_prior(*masked(data), hp)
 
 
 def features(data):
@@ -68,7 +74,7 @@ def exact_mu(post, data, prior, hp, sigma2):
     partial pivoting.
     """
     ld = np.longdouble
-    x0, r = (a.astype(ld) for a in mixture._masked_arrays(data.values, data.mask))
+    x0, r = (a.astype(ld) for a in masked(data))
     post = post.astype(ld)
     e = np.einsum("ng,nvt->gvt", post, x0)
     c = np.einsum("ng,nvt->gvt", post, r) / sigma2.astype(ld)[:, :, None]

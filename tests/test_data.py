@@ -303,6 +303,19 @@ class TestMaskBaselines:
             assert np.array_equal(out.labels, ds.labels)
 
 
+@pytest.mark.parametrize("rows", [[3, 0], np.array([1, 4]), [], np.arange(5)])
+def test_take_copies_the_picked_rows(rows):
+    rng = np.random.default_rng(2)
+    ds = make_dataset(rng.normal(size=(5, 2, 3)),
+                      (rng.random((5, 2, 3)) < 0.5).astype(np.uint8),
+                      np.array([1, 2, 0, 1, 2]), 2)
+    out = ds.take(rows)
+    picked = np.asarray(rows, dtype=np.int64)
+    for name in ("values", "mask", "labels", "ids"):
+        np.testing.assert_array_equal(getattr(out, name), getattr(ds, name)[picked])
+        assert not np.shares_memory(getattr(out, name), getattr(ds, name)), name
+
+
 def test_masked_cells_never_read():
     rng = np.random.default_rng(5)
     ds = make_dataset(rng.normal(size=(8, 2, 5)),

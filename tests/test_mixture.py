@@ -9,13 +9,13 @@ import tck
 from tck.data import Dataset
 from tck.mixture import (BETA_EPS, COV_JITTER, GAUSSIAN_ONLY, MIXED_MODE,
                          FitReport, HyperParams, MixtureParams, e_step,
-                         _init_params, _masked_arrays, _symmetric_kls, fit_map_em)
+                         _init_params, _symmetric_kls, fit_map_em)
 from tck.ensemble import (BaseModelSpec, EnsembleConfig, TrainedEnsemble,
                           load_ensemble, save_ensemble)
 from tck.transform import TransformMatrix
 
 from em_reference import (build_prior, component_kl, exact_mu, m_step,
-                          map_objective, prior_kernel, symmetric_kl)
+                          map_objective, masked, prior_kernel, symmetric_kl)
 
 HP = HyperParams(0.1, 0.1, 0.05)
 
@@ -278,8 +278,8 @@ class TestMStep:
         hp = HyperParams(a0, 0.8, 0.1)
         for ds in (data, window):
             prior = build_prior(ds, hp)
-            restart = _init_params(*_masked_arrays(ds.values, ds.mask), 10, prior,
-                                   MIXED_MODE, np.random.default_rng(0))
+            restart = _init_params(*masked(ds), 10, prior, MIXED_MODE,
+                                   np.random.default_rng(0))
             post = e_step(restart, ds)
             out = m_step(post, ds, prior, hp, restart)
             exact = exact_mu(post, ds, prior, hp, out.sigma2)
