@@ -4,7 +4,8 @@ Run from anywhere:
 
     python3 bench/ab.py DIR_A DIR_B --op kernel_test1 --calls 1000
     python3 bench/ab.py DIR_A DIR_B --op kernel_test200 --calls 100 --record 19
-    python3 bench/ab.py DIR_A DIR_B --op fit_replicate --calls 10
+    python3 bench/ab.py DIR_A DIR_B --op fit_replicate --calls 16
+    python3 bench/ab.py DIR_A DIR_B --op setup_fit --calls 5
 
 Each checkout's ``src/tck`` is imported under its own module name, and
 DIR_A's a second time as the A/A control. The inputs are built once, from
@@ -24,6 +25,11 @@ statistics. The operations:
   supervised transforms, and runs KPCA, ``kernel_test`` and 1-NN for each
   of the three variants. The test set is the 200 held-out series that
   ``gen_var1`` draws with the training set.
+* ``setup_fit``: the data of one ``perfbench`` ``fit`` set-up, whose time is
+  that workload's ``setup_s``: 8 (train, test) pairs of ``gen_var1`` at 100
+  series per class and T=50, each split through ``inject_var1_mnar``, seeded
+  as ``perfbench``'s ``var1_pair`` seeds them; call i uses workload seed i.
+  It compares the values, masks and labels of all 16 datasets.
 
 Each checkout builds its own ensemble from the shared data. The script sets
 ``OPENBLAS_NUM_THREADS=1`` for itself, then pins itself to each allowed CPU
@@ -77,7 +83,15 @@ RESAMPLES = 1000
 # A'/A read 1.217 [0.732, 1.756] at 4 calls, 1.096 at 8 and 0.994/0.982 at 16.
 # train_q1's A/A intervals all held 1 in three runs at 20 calls; at 40, on a
 # host that ran the op 1.3-1.9x slower, two of six A'/A intervals did not.
-MIN_CALLS = {"fit_replicate": 16, "train_q1": 20}
+# setup_fit's A'/A intervals missed 1 in five of six at 2 calls (0.928 [0.877,
+# 0.979] to 1.133 [1.088, 1.179]); three runs each at 5 and 20 calls held it.
+MIN_CALLS = {"fit_replicate": 16, "train_q1": 20, "setup_fit": 5}
+# As perfbench's fit workload: datasets per set-up, and its seed derivation.
+FIT_DATASETS = 8
+
+
+def derive_seed(seed: int, tag: int) -> int:
+    return int(np.random.SeedSequence((seed, tag)).generate_state(1)[0])
 
 
 def load_tck(root: str, name: str):
@@ -142,10 +156,30 @@ def fit_replicate(tck, inputs: dict):
     return call
 
 
+def setup_fit(tck, inputs: dict):
+    """call(i) -> the data of the ``perfbench`` ``fit`` set-up for workload
+    seed i, in checkout ``tck``."""
+    params = dataclasses.replace(tck.default_var1_params(), n_per_class=100,
+                                 length=50)
+
+    def call(i):
+        out = []
+        for r in range(FIT_DATASETS):
+            data_seed = derive_seed(inputs["seed"] + i, 100 + r)
+            train, test = tck.gen_var1(params, derive_seed(data_seed, 1))
+            for data, tag in ((train, 2), (test, 3)):
+                data = tck.inject_var1_mnar(data, seed=derive_seed(data_seed, tag))
+                out += [data.values.ravel(), data.mask.ravel(), data.labels]
+        return np.concatenate(out)
+    return call
+
+
 def subject(tck, op: str, inputs: dict):
     """call(i) -> the float array of the op's i-th call, in checkout ``tck``."""
     if op == "fit_replicate":
         return fit_replicate(tck, inputs)
+    if op == "setup_fit":
+        return setup_fit(tck, inputs)
     train = tck.Dataset(**inputs["train"])
     if op == "train_q1":
         cfg = tck.EnsembleConfig(n_init=1, seed=inputs["seed"],
@@ -201,13 +235,13 @@ def main(argv: list) -> int:
     parser.add_argument("dir_b")
     parser.add_argument("--op", required=True,
                         help="kernel_test<n> (kernel_test1, kernel_test200, ...), "
-                             "train_q1 or fit_replicate")
+                             "train_q1, fit_replicate or setup_fit")
     parser.add_argument("--calls", type=int, required=True,
                         help="rounds per CPU; a round calls A, B and A' once")
     parser.add_argument("--record", type=int, metavar="N",
                         help="append the result to bench/AB_<N>.json")
     args = parser.parse_args(argv)
-    if (args.op not in ("train_q1", "fit_replicate")
+    if (args.op not in ("train_q1", "fit_replicate", "setup_fit")
             and not re.fullmatch(r"kernel_test[1-9]\d*", args.op)):
         parser.error(f"unknown --op {args.op!r}")
     if args.calls < 1:

@@ -9,6 +9,11 @@ the two attributes hits a target rho:
 
     corr(xi1, xi2) = rho * (1 - ar1*ar2) / sqrt((1 - ar1^2) (1 - ar2^2))
 
+All chains of a class are simulated together, one time step at a time over
+the whole class. Each series still draws its normals in the order a
+one-series-at-a-time simulation would (its start values, then its shocks),
+so a seed keeps its data.
+
 Injectors then remove cells so that the missingness carries class information:
 value-threshold dropping with class-dependent probability, or per-series rates
 drawn from label-shifted uniform intervals (optionally restricted to
@@ -44,11 +49,22 @@ class Var1ClassParams:
             raise ValueError("target correlation must lie in [-1, 1]")
 
 
+def _require_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1; got {value}")
+
+
 @dataclass(frozen=True)
 class Var1Params:
     classes: tuple[Var1ClassParams, ...]
     length: int = 50
     n_per_class: int = 100
+
+    def __post_init__(self):
+        if len(self.classes) < 1:
+            raise ValueError("classes must hold at least one class")
+        _require_positive("length", self.length)
+        _require_positive("n_per_class", self.n_per_class)
 
 
 def default_var1_params() -> Var1Params:
@@ -79,33 +95,51 @@ def _stationary_cov(cls: Var1ClassParams) -> np.ndarray:
     ])
 
 
-def simulate_var1_chain(cls: Var1ClassParams, length: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    """One (2, length) chain with unit-variance noise, started at the
-    stationary distribution."""
+def _simulate_chains(cls: Var1ClassParams, n: int, length: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """(n, 2, length) chains of one class, simulated together.
+
+    Series i reads row i of one (n, 2 * length) draw: its 2 start values,
+    then its 2 (length - 1) shocks, attribute 0's first. That is the order in
+    which one series at a time would draw them, so a seed keeps its data.
+    The products are stacked, one 2x2 product per series as in a
+    one-series simulation: a single product over all series rounds some
+    values differently.
+    """
     c = _noise_correlation(cls)
     chol = np.linalg.cholesky(np.array([[1.0, c], [c, 1.0]]))
     start_chol = np.linalg.cholesky(_stationary_cov(cls))
     alpha = cls.intercept
     a = np.asarray(cls.ar)
-    x = np.empty((2, length))
-    x[:, 0] = np.asarray(cls.mean) + start_chol @ rng.standard_normal(2)
-    shocks = chol @ rng.standard_normal((2, length - 1)) if length > 1 else None
+    z = rng.standard_normal((n, 2 * length))
+    x = np.empty((n, 2, length))
+    x[:, :, 0] = np.asarray(cls.mean) + (start_chol @ z[:, :2, None])[:, :, 0]
+    shocks = chol @ z[:, 2:].reshape(n, 2, length - 1)
     for t in range(1, length):
-        x[:, t] = alpha + a * x[:, t - 1] + shocks[:, t - 1]
+        x[:, :, t] = alpha + a * x[:, :, t - 1] + shocks[:, :, t - 1]
     return x
 
 
+def simulate_var1_chain(cls: Var1ClassParams, length: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """One (2, length) chain with unit-variance noise, started at the
+    stationary distribution.
+
+    It is the one-series case of the simulator that ``gen_var1`` runs over
+    all of a class's chains at once: the series draws its 2 start values and
+    then its 2 (length - 1) shocks from ``rng``, in the same order.
+    """
+    _require_positive("length", length)
+    return _simulate_chains(cls, 1, length, rng)[0]
+
+
 def _gen_split(params: Var1Params, rng: np.random.Generator) -> Dataset:
-    n = params.n_per_class * len(params.classes)
-    values = np.empty((n, 2, params.length))
-    labels = np.empty(n, dtype=np.int64)
-    i = 0
-    for label, cls in enumerate(params.classes, start=1):
-        for _ in range(params.n_per_class):
-            values[i] = simulate_var1_chain(cls, params.length, rng)
-            labels[i] = label
-            i += 1
+    values = np.concatenate([
+        _simulate_chains(cls, params.n_per_class, params.length, rng)
+        for cls in params.classes])
+    labels = np.repeat(np.arange(1, len(params.classes) + 1, dtype=np.int64),
+                       params.n_per_class)
+    n = len(labels)
     mask = np.ones((n, 2, params.length), dtype=np.uint8)
     return Dataset(values, mask, labels, len(params.classes),
                    np.arange(1, n + 1))

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import synth_reference
 from tck.data import Dataset
-from tck.synth import (Var1ClassParams, default_var1_params, gen_var1,
+from tck.synth import (Var1ClassParams, Var1Params, default_var1_params, gen_var1,
                        inject_rate_mar, inject_rate_mnar, inject_var1_mnar,
                        simulate_var1_chain, tune_informativeness)
 from tck.synth import _sample_rates
@@ -60,6 +63,66 @@ class TestGenerator:
         train2, test2 = gen_var1(seed=11)
         assert np.array_equal(train.values, train2.values)
         assert not np.array_equal(train.values, test.values)
+
+
+THREE_CLASSES = Var1Params(default_var1_params().classes + (
+    Var1ClassParams(cross_corr=0.3, ar=(0.5, -0.4), mean=(1.0, 2.0)),))
+
+
+def assert_same_dataset(got, want):
+    for field in ("values", "mask", "labels", "ids"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert got.n_classes == want.n_classes
+
+
+class TestGeneratorKeepsItsBits:
+    """The class-at-a-time simulator against the series-by-series reference."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_gen_var1(self, seed):
+        for n_per_class in (1, 7, 100):
+            for length in (1, 2, 13, 50):
+                params = dataclasses.replace(default_var1_params(),
+                                             n_per_class=n_per_class, length=length)
+                for got, want in zip(gen_var1(params, seed),
+                                     synth_reference.gen_var1(params, seed)):
+                    assert_same_dataset(got, want)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_three_classes(self, seed):
+        params = dataclasses.replace(THREE_CLASSES, n_per_class=7, length=13)
+        for got, want in zip(gen_var1(params, seed),
+                             synth_reference.gen_var1(params, seed)):
+            assert_same_dataset(got, want)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_simulate_var1_chain(self, seed):
+        for cls in THREE_CLASSES.classes:
+            for length in (1, 2, 13, 50):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = simulate_var1_chain(cls, length, rng)
+                want = synth_reference.simulate_chain(cls, length, ref_rng)
+                assert got.shape == (2, length) and np.array_equal(got, want)
+                assert rng.random() == ref_rng.random()
+
+
+class TestVar1ParamsValidation:
+    @pytest.mark.parametrize("field", ["length", "n_per_class"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_size_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1; got {value}$"):
+            dataclasses.replace(default_var1_params(), **{field: value})
+
+    def test_no_classes_rejected(self):
+        with pytest.raises(ValueError, match="^classes must hold at least one class$"):
+            Var1Params(())
+
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_chain_length_rejected(self, length):
+        cls = default_var1_params().classes[0]
+        with pytest.raises(ValueError, match=f"^length must be at least 1; got {length}$"):
+            simulate_var1_chain(cls, length, np.random.default_rng(0))
 
 
 class TestThresholdInjector:
