@@ -6,6 +6,7 @@ Run from anywhere:
     python3 bench/ab.py DIR_A DIR_B --op kernel_test200 --calls 100 --record 19
     python3 bench/ab.py DIR_A DIR_B --op fit_replicate --calls 16
     python3 bench/ab.py DIR_A DIR_B --op setup_fit --calls 5
+    python3 bench/ab.py DIR_A DIR_B --op eval --calls 20
 
 Each checkout's ``src/tck`` is imported under its own module name, and
 DIR_A's a second time as the A/A control. The inputs are built once, from
@@ -30,6 +31,14 @@ statistics. The operations:
   series per class and T=50, each split through ``inject_var1_mnar``, seeded
   as ``perfbench``'s ``var1_pair`` seeds them; call i uses workload seed i.
   It compares the values, masks and labels of all 16 datasets.
+* ``eval``: an in-process ``tck eval`` at the shape of the ``perfbench``
+  ``eval`` workload, whose time is that workload's ``op_p50_ms``. In set-up,
+  each checkout saves the raw training and test series as CSV and runs its
+  own ``tck train --variant tck`` on them (Q=8 x 21 counts, 168 models);
+  each call then evaluates the 200 test series against that run. It
+  compares the bytes of ``metrics.csv`` and ``embedding_2d.csv``; the
+  run's ``manifest.json`` names the checkout's own directories, so it is
+  left out.
 
 Each checkout builds its own ensemble from the shared data. The script sets
 ``OPENBLAS_NUM_THREADS=1`` for itself, then pins itself to each allowed CPU
@@ -69,6 +78,7 @@ import json  # noqa: E402
 import re  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -85,7 +95,10 @@ RESAMPLES = 1000
 # host that ran the op 1.3-1.9x slower, two of six A'/A intervals did not.
 # setup_fit's A'/A intervals missed 1 in five of six at 2 calls (0.928 [0.877,
 # 0.979] to 1.133 [1.088, 1.179]); three runs each at 5 and 20 calls held it.
-MIN_CALLS = {"fit_replicate": 16, "train_q1": 20, "setup_fit": 5}
+# eval: in three runs each, all six A'/A intervals held 1 at 5, 10, 20 and 40
+# calls, but at 5 a same-tree B/A read 0.974 [0.883, 0.997]; at 10 all twelve
+# held, some as wide as [0.734, 1.019], and at 20 the widest was [0.954, 1.035].
+MIN_CALLS = {"fit_replicate": 16, "train_q1": 20, "setup_fit": 5, "eval": 10}
 # As perfbench's fit workload: datasets per set-up, and its seed derivation.
 FIT_DATASETS = 8
 
@@ -174,12 +187,42 @@ def setup_fit(tck, inputs: dict):
     return call
 
 
+def eval_run(tck, inputs: dict):
+    """call(i) -> the bytes of the files that ``tck eval`` writes against
+    checkout ``tck``'s own ``tck train`` run, made here."""
+    cli = importlib.import_module(tck.__name__ + ".cli")
+    workdir = os.path.join(inputs["workdir"], tck.__name__)
+    os.makedirs(workdir)
+    paths = {}
+    for split in ("train", "test"):
+        paths[split] = [os.path.join(workdir, f"{split}{part}.csv")
+                        for part in ("", "_labels")]
+        tck.save_dataset(tck.Dataset(**inputs["raw_" + split]), *paths[split])
+    train_dir, eval_dir = (os.path.join(workdir, name) for name in ("train", "eval"))
+    if cli.main(["train", "--data", paths["train"][0], "--labels", paths["train"][1],
+                 "--variant", "tck", "--q", "8",
+                 "--threads", str(min(2, len(os.sched_getaffinity(0)))),
+                 "--seed", str(inputs["seed"] + 21), "--out", train_dir]) != 0:
+        raise SystemExit(f"{tck.__name__}: tck train failed")
+    argv = ["eval", "--train-dir", train_dir, "--data", paths["test"][0],
+            "--labels", paths["test"][1], "--out", eval_dir]
+
+    def call(i):
+        if cli.main(argv) != 0:
+            raise SystemExit(f"{tck.__name__}: tck eval failed")
+        return np.concatenate([np.fromfile(os.path.join(eval_dir, name), np.uint8)
+                               for name in ("metrics.csv", "embedding_2d.csv")])
+    return call
+
+
 def subject(tck, op: str, inputs: dict):
-    """call(i) -> the float array of the op's i-th call, in checkout ``tck``."""
+    """call(i) -> the array of the op's i-th call, in checkout ``tck``."""
     if op == "fit_replicate":
         return fit_replicate(tck, inputs)
     if op == "setup_fit":
         return setup_fit(tck, inputs)
+    if op == "eval":
+        return eval_run(tck, inputs)
     train = tck.Dataset(**inputs["train"])
     if op == "train_q1":
         cfg = tck.EnsembleConfig(n_init=1, seed=inputs["seed"],
@@ -235,13 +278,13 @@ def main(argv: list) -> int:
     parser.add_argument("dir_b")
     parser.add_argument("--op", required=True,
                         help="kernel_test<n> (kernel_test1, kernel_test200, ...), "
-                             "train_q1, fit_replicate or setup_fit")
+                             "train_q1, fit_replicate, setup_fit or eval")
     parser.add_argument("--calls", type=int, required=True,
                         help="rounds per CPU; a round calls A, B and A' once")
     parser.add_argument("--record", type=int, metavar="N",
                         help="append the result to bench/AB_<N>.json")
     args = parser.parse_args(argv)
-    if (args.op not in ("train_q1", "fit_replicate", "setup_fit")
+    if (args.op not in ("train_q1", "fit_replicate", "setup_fit", "eval")
             and not re.fullmatch(r"kernel_test[1-9]\d*", args.op)):
         parser.error(f"unknown --op {args.op!r}")
     if args.calls < 1:
@@ -254,15 +297,17 @@ def main(argv: list) -> int:
     mods = [load_tck(args.dir_a, "tck_a"), load_tck(args.dir_b, "tck_b"),
             load_tck(args.dir_a, "tck_a2")]
     inputs = shared_inputs(mods[0], SEED)
-    calls = [subject(tck, args.op, inputs) for tck in mods]
-    identical = all(np.array_equal(calls[0](i), calls[1](i)) for i in range(3))
-
     allowed = sorted(os.sched_getaffinity(0))
     rng = np.random.default_rng(SEED)
-    try:
-        per_cpu = {cpu: time_rounds(calls, args.calls, cpu, rng) for cpu in allowed}
-    finally:
-        os.sched_setaffinity(0, allowed)
+    with tempfile.TemporaryDirectory(prefix="ab_") as workdir:
+        inputs["workdir"] = workdir
+        calls = [subject(tck, args.op, inputs) for tck in mods]
+        identical = all(np.array_equal(calls[0](i), calls[1](i)) for i in range(3))
+        try:
+            per_cpu = {cpu: time_rounds(calls, args.calls, cpu, rng)
+                       for cpu in allowed}
+        finally:
+            os.sched_setaffinity(0, allowed)
 
     for cpu, r in per_cpu.items():
         ab, aa = r["b_over_a"], r["a2_over_a"]

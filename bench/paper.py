@@ -14,12 +14,13 @@ PYTHONPATH, on the data of ``reproduce`` seed 0 as
 series (V=2, T=50) with MNAR missingness, standardized with the training
 statistics. A checkout must have ``tck.experiment`` (commit 9963c18 or
 later). Per family of ``tck.experiment`` (``tck``, Gaussian-only;
-``tck_im``, mixed-mode), with the ensemble seed ``reproduce`` derives for
-it, it records:
+``tck_im``, mixed-mode), it fits the ensemble ``reproduce`` fits, through
+``tck.experiment.fit_family``, and records:
 
-* the wall time of ``train_ensemble`` at the paper configuration (Q=30
+* the wall time of ``fit_family`` at the paper configuration (Q=30
   restarts x 21 component counts = 630 base models), serial and with
-  ``n_jobs=2``;
+  ``n_jobs=2``; it includes building the family's label transform
+  factories, which takes no fit;
 * from the serial run, the fits whose ``FitReport`` says ``converged=False``,
   the fits that ran all ``em_max_iter`` sweeps and the mean sweep count
   over all fits. A checkout whose ``fit_map_em`` returns no ``FitReport``
@@ -59,9 +60,9 @@ def timed(call, repeats: int = 1):
     return statistics.median(seconds), result
 
 
-def fit_reports(data, cfg):
-    """(seconds, (ensemble, kernel), reports) of a serial ``train_ensemble``,
-    with the report of every fit its ``fit_map_em`` returned."""
+def fit_reports(fit):
+    """(seconds, result, reports) of ``fit()``, with the report of every fit
+    that ``tck.ensemble.fit_map_em`` returned during it."""
     import tck.ensemble as ens_mod
     original, reports = ens_mod.fit_map_em, []
 
@@ -72,7 +73,7 @@ def fit_reports(data, cfg):
 
     ens_mod.fit_map_em = recording
     try:
-        seconds, fitted = timed(lambda: ens_mod.train_ensemble(data, cfg))
+        seconds, fitted = timed(fit)
     finally:
         ens_mod.fit_map_em = original
     return seconds, fitted, reports
@@ -95,18 +96,19 @@ def convergence(reports: list, max_iter: int) -> dict:
 
 def measure() -> dict:
     """This process's ``tck`` at the paper configuration, per mode."""
-    from tck import (EnsembleConfig, kernel_test, knn_predict, kpca,
-                     load_ensemble, save_ensemble, train_ensemble)
-    from tck.experiment import (_FAMILY_TAGS, VARIANTS, _derive_seed,
-                                reproduce_var1, var1_data)
+    from tck import (kernel_test, knn_predict, kpca, load_ensemble,
+                     save_ensemble)
+    from tck.experiment import (_FAMILY_TAGS, fit_family, reproduce_var1,
+                                var1_data)
 
-    _, train, _, train_std, test_std = var1_data(SEED)
+    data = var1_data(SEED)
+    train, test_std = data.train, data.test_std
 
     modes = {}
-    for name, tag in _FAMILY_TAGS.items():
-        cfg = EnsembleConfig(seed=_derive_seed(SEED, tag), mode=VARIANTS[name][0])
-        serial_s, (ens, kernel), reports = fit_reports(train_std, cfg)
-        pooled_s, _ = timed(lambda: train_ensemble(train_std, cfg, n_jobs=2))
+    for name in _FAMILY_TAGS:
+        serial_s, (ens, kernel, _), reports = fit_reports(
+            lambda: fit_family(data, name, n_jobs=1))
+        pooled_s, _ = timed(lambda: fit_family(data, name, n_jobs=2))
         test_s, kstar = timed(lambda: kernel_test(ens, test_std), REPEATS)
         kpca_s, (embedding, projector) = timed(lambda: kpca(kernel, d=10), REPEATS)
         coords = projector.transform(kstar)
@@ -118,7 +120,7 @@ def measure() -> dict:
         modes[name] = {
             "failed": len(ens.failed),
             "train_serial_s": serial_s, "train_n_jobs_2_s": pooled_s,
-            **convergence(reports, cfg.em_max_iter),
+            **convergence(reports, ens.config.em_max_iter),
             "kernel_test_200_s": test_s, "kpca_s": kpca_s, "knn_1_s": knn_s,
             "save_s": save_s, "load_s": load_s}
     reproduce_s, report = timed(lambda: reproduce_var1(seed=SEED, replicates=1,

@@ -27,7 +27,6 @@ from .evaluation import (Embedding, KernelProjector, KFoldResult, Metrics,
                          kpca, select_k)
 from .synth import (InjectionReport, Var1ClassParams, Var1Params,
                     default_var1_params, gen_var1, inject_rate_mar,
-                    inject_rate_mnar, inject_var1_mnar, simulate_var1_chain,
-                    tune_informativeness)
+                    inject_rate_mnar, inject_var1_mnar, tune_informativeness)
 
 __version__ = "0.1.0"

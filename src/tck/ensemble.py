@@ -156,8 +156,7 @@ class _ScoringPlan:
 
         The feature grid is built once. Per model, the score einsum reads
         C-contiguous feature rows and weight rows, and the softmax reduces
-        the contiguous last axis, as ``_log_component_scores`` and
-        ``_normalize_rows`` do for that model alone.
+        the contiguous last axis, as ``e_step`` does for that model alone.
         """
         grid = _feature_grid(values, mask, self.windows)
         for cols, weights, consts in zip(self.cols, self.weights, self.consts):
@@ -328,6 +327,10 @@ def _fit_one(spec: BaseModelSpec, data: Dataset, cfg: EnsembleConfig) -> tuple:
         cells = (slice(None), spec.attributes, slice(spec.t_start, spec.t_stop))
         sub = Dataset(data.values[rows][cells], data.mask[rows][cells], None,
                       data.n_classes, spec.subsample_ids)
+        empty = ~sub.mask.any(axis=(0, 2))
+        if empty.any():     # named by its dataset number, not its subset position
+            return "failed", (f"attribute {spec.attributes[empty.argmax()] + 1} has "
+                              f"no observed entries in the subset")
         params, _ = fit_map_em(sub, spec.q2, spec.hp, spec.sub_seed,
                                mode=cfg.mode, max_iter=cfg.em_max_iter)
         return "ok", params
@@ -372,10 +375,11 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig,
     """Fit the ensemble on standardized data and accumulate the train kernel.
 
     Workers only fit; this process then scores the training series under
-    all fitted models in one pass. Base models that fail to fit are
-    skipped and recorded; more than 10% failures aborts training before
-    scoring. ``Dataset``'s bound on observed values keeps every score of a
-    fitted model finite. Label transforms are attached afterwards with
+    all fitted models in one pass. An attribute with no observed cell is
+    refused before any fit. Base models that fail to fit are skipped and
+    recorded; more than 10% failures aborts training before scoring.
+    ``Dataset``'s bound on observed values keeps every score of a fitted
+    model finite. Label transforms are attached afterwards with
     ``apply_posterior_transform``.
     """
     cfg = _resolve_counts(cfg, data)
@@ -384,6 +388,10 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig,
         raise ValueError(
             f"dataset has {data.n} series but the largest base model needs "
             f"{max(cfg.component_counts)}; shrink component_counts or add data")
+    unobserved = np.flatnonzero(~data.mask.any(axis=(0, 2)))
+    if unobserved.size:
+        raise ValueError(f"attribute {unobserved[0] + 1} has no observed entries "
+                         f"in the training data")
     if n_jobs > 1:      # forked workers, whatever the platform default
         with ProcessPoolExecutor(max_workers=n_jobs, initializer=_worker_init,
                                  initargs=(data, cfg),

@@ -195,19 +195,6 @@ def _component_weights(params: MixtureParams,
     return weights, const
 
 
-def _log_component_scores(params: MixtureParams, feats: np.ndarray) -> np.ndarray:
-    """(N, G) array of log(theta_g) + log-likelihood of each series under g.
-
-    The contraction is an einsum, not a BLAS GEMM: GEMM blocking changes the
-    last bits of a row with the batch size, and ``e_step`` and the
-    ensemble's scoring plan must score a series the same alone as inside
-    its training set. ``fit_map_em`` scores its own sweeps by GEMM:
-    a fit only ever scores its whole subset, and its posteriors are not kept.
-    """
-    weights, const = _component_weights(params)
-    return np.einsum("nd,gd->ng", feats, weights) + const[None, :]
-
-
 def _normalize_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Softmax over the last axis via log-sum-exp, in place, on any leading
     shape; the second-to-last axis indexes series. Returns the (..., 1) row
@@ -225,9 +212,18 @@ def _normalize_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def e_step(params: MixtureParams, data: Dataset) -> np.ndarray:
-    """Component responsibilities, one simplex row per series."""
-    post = _log_component_scores(
-        params, _feature_grid(data.values, data.mask, [(0, data.length)]))
+    """Component responsibilities, one simplex row per series.
+
+    The scores log(theta_g) + log-likelihood of each series under g are
+    contracted by einsum, not by a BLAS GEMM: GEMM blocking changes the last
+    bits of a row with the batch size, and ``e_step`` and the ensemble's
+    scoring plan must score a series the same alone as inside its training
+    set. ``fit_map_em`` scores its own sweeps by GEMM: a fit only ever
+    scores its whole subset, and its posteriors are not kept.
+    """
+    weights, const = _component_weights(params)
+    feats = _feature_grid(data.values, data.mask, [(0, data.length)])
+    post = np.einsum("nd,gd->ng", feats, weights) + const[None, :]
     _normalize_rows(post)
     return post
 

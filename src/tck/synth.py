@@ -120,19 +120,6 @@ def _simulate_chains(cls: Var1ClassParams, n: int, length: int,
     return x
 
 
-def simulate_var1_chain(cls: Var1ClassParams, length: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    """One (2, length) chain with unit-variance noise, started at the
-    stationary distribution.
-
-    It is the one-series case of the simulator that ``gen_var1`` runs over
-    all of a class's chains at once: the series draws its 2 start values and
-    then its 2 (length - 1) shocks from ``rng``, in the same order.
-    """
-    _require_positive("length", length)
-    return _simulate_chains(cls, 1, length, rng)[0]
-
-
 def _gen_split(params: Var1Params, rng: np.random.Generator) -> Dataset:
     values = np.concatenate([
         _simulate_chains(cls, params.n_per_class, params.length, rng)

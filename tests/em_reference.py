@@ -2,8 +2,8 @@
 
 ``tck.mixture`` has one function per EM step, which ``fit_map_em`` calls
 with its per-fit arrays. These wrappers feed each step from a whole
-``Dataset`` and score by einsum, so a test can run the steps one by one and
-check them against direct evaluations. ``component_kl`` and
+``Dataset`` and score by einsum (``component_scores``), so a test can run
+the steps one by one and check them against direct evaluations. ``component_kl`` and
 ``symmetric_kl`` are the per-pair divergences that ``_symmetric_kls``
 evaluates for many pairs at once. ``masked`` gives the x0 and r cells
 that a fit reads from its feature grid, ``prior_kernel`` is the prior's
@@ -42,10 +42,17 @@ def m_step(post, data, prior, hp, params_in):
                           mixture._sweep_systems(prior, params_in.n_components))
 
 
+def component_scores(params, feats):
+    """(N, G) log(theta_g) + log-likelihood of each series under g, from
+    its feature rows ``feats``, by the einsum that ``e_step`` runs."""
+    weights, const = mixture._component_weights(params)
+    return np.einsum("nd,gd->ng", feats, weights) + const[None, :]
+
+
 def map_objective(params, data, prior, hp):
     """The MAP objective of ``params`` on ``data``."""
-    scores = mixture._log_component_scores(params, features(data))
-    return mixture.map_objective(*mixture._normalize_rows(scores), params, prior, hp)
+    post = component_scores(params, features(data))
+    return mixture.map_objective(*mixture._normalize_rows(post), params, prior, hp)
 
 
 def component_kl(params, i, j):

@@ -17,12 +17,13 @@ from tck.ensemble import (EnsembleConfig, KernelMatrix,
                           apply_posterior_transform, kernel_test,
                           load_ensemble, load_kernel, sample_configs,
                           save_ensemble, save_kernel, train_ensemble)
-from tck.mixture import (GAUSSIAN_ONLY, MIXED_MODE, _feature_grid,
-                         _log_component_scores, _normalize_rows, e_step)
+from tck.mixture import (GAUSSIAN_ONLY, MIXED_MODE, HyperParams, _feature_grid,
+                         _normalize_rows, e_step)
 from tck.transform import (apply_transform, make_semisupervised_factory,
                            make_supervised_factory)
 from tck.data import labels_to_onehot
 
+from em_reference import component_scores
 from old_layout import rewrite_as_offsets_layout
 from poison import poison_missing
 
@@ -206,6 +207,30 @@ class TestTrainKernel:
         data = blob_dataset(seed=8).take(list(range(rows)))
         with pytest.raises(ValueError, match=name):
             train_ensemble(data, small_config(**change))
+
+    def test_never_observed_attribute_fails_before_any_fit(self, monkeypatch):
+        calls, fit = [], ens_mod.fit_map_em
+
+        def counting(*a, **kw):
+            calls.append(a)
+            return fit(*a, **kw)
+
+        monkeypatch.setattr(ens_mod, "fit_map_em", counting)
+        data = blob_dataset(seed=8, v=3)
+        data.mask[:, 2, :] = 0
+        with pytest.raises(ValueError, match="^attribute 3 has no observed "
+                                             "entries in the training data$"):
+            train_ensemble(data, small_config(n_init=3))
+        assert calls == []
+
+    def test_failed_fit_names_the_dataset_attribute(self):
+        # attribute 3 is observed only at t = 0, outside the model's window
+        data = blob_dataset(seed=8, v=3)
+        data.mask[:, 2, 1:] = 0
+        spec = ens_mod.BaseModelSpec(1, 2, HyperParams(0.1, 0.1, 0.05), 1, 10,
+                                     np.array([0, 2]), data.ids, 0)
+        assert ens_mod._fit_one(spec, data, small_config()) == (
+            "failed", "attribute 3 has no observed entries in the subset")
 
     def test_schema_mismatch_rejected(self):
         data = blob_dataset(seed=9)
@@ -743,7 +768,7 @@ def per_model_kernel_test(ens, test):
             a, w = spec.attributes, slice(spec.t_start, spec.t_stop)
             feats = _feature_grid(test.values[:, a, w], test.mask[:, a, w],
                                   [(0, spec.t_stop - spec.t_start)])
-            post = _log_component_scores(params, feats)
+            post = component_scores(params, feats)
             _normalize_rows(post)
             train = ens.posteriors[i]
             if ens.transforms is not None:

@@ -286,6 +286,25 @@ class TestMStep:
             error = np.abs(out.mu - exact).max() / np.abs(exact).max()
             assert error < bound, f"a0={a0}: relative error {float(error):.2e}"
 
+    # The M-step after ``sweeps`` sweeps of a fit (tol=0 runs them all), under
+    # the first sweep's bound. Measured: 4.1e-9, 1.03e-8 and 6.1e-9 at
+    # a0 = 1e-3; 1.40e-8, 1.12e-8 and 1.24e-8 at a0 = 0.01.
+    @pytest.mark.parametrize("sweeps", [1, 5, 29])
+    @pytest.mark.parametrize("a0", [1e-3, 1e-2])
+    def test_later_sweep_mu_is_near_the_exact_solution(self, a0, sweeps):
+        params = dataclasses.replace(tck.default_var1_params(), n_per_class=30)
+        ds, _ = tck.standardize(tck.inject_var1_mnar(tck.gen_var1(params, 0)[0], seed=1))
+        hp = HyperParams(a0, 0.8, 0.1)
+        fitted, report = fit_map_em(ds, 10, hp, seed=0, mode=MIXED_MODE,
+                                    max_iter=sweeps, tol=0.0)
+        assert len(report.objectives) == sweeps
+        prior = build_prior(ds, hp)
+        post = e_step(fitted, ds)
+        out = m_step(post, ds, prior, hp, fitted)
+        exact = exact_mu(post, ds, prior, hp, out.sigma2)
+        error = np.abs(out.mu - exact).max() / np.abs(exact).max()
+        assert error < 2e-8, f"a0={a0}, {sweeps} sweeps: relative error {float(error):.2e}"
+
 
 class TestObjective:
     def test_single_component_matches_direct_evaluation(self):

@@ -7,8 +7,8 @@ import synth_reference
 from tck.data import Dataset
 from tck.synth import (Var1ClassParams, Var1Params, default_var1_params, gen_var1,
                        inject_rate_mar, inject_rate_mnar, inject_var1_mnar,
-                       simulate_var1_chain, tune_informativeness)
-from tck.synth import _sample_rates
+                       tune_informativeness)
+from tck.synth import _sample_rates, _simulate_chains
 
 
 def labeled_noise(n=1000, v=2, t=10, n_classes=2, seed=0, skew=False):
@@ -29,30 +29,30 @@ class TestGenerator:
 
     def test_long_chain_cross_correlation(self):
         cls = default_var1_params().classes[0]
-        chain = simulate_var1_chain(cls, 100_000, np.random.default_rng(0))
+        chain = _simulate_chains(cls, 1, 100_000, np.random.default_rng(0))[0]
         corr = np.corrcoef(chain[0], chain[1])[0, 1]
         assert abs(corr - 0.8) < 0.02
 
     def test_second_class_negative_correlation(self):
         cls = default_var1_params().classes[1]
-        chain = simulate_var1_chain(cls, 100_000, np.random.default_rng(1))
+        chain = _simulate_chains(cls, 1, 100_000, np.random.default_rng(1))[0]
         corr = np.corrcoef(chain[0], chain[1])[0, 1]
         assert abs(corr + 0.8) < 0.02
 
     def test_zero_target_gives_uncorrelated_attributes(self):
         cls = Var1ClassParams(cross_corr=0.0, ar=(0.7, 0.5), mean=(1.0, -1.0))
-        chain = simulate_var1_chain(cls, 100_000, np.random.default_rng(2))
+        chain = _simulate_chains(cls, 1, 100_000, np.random.default_rng(2))[0]
         assert abs(np.corrcoef(chain[0], chain[1])[0, 1]) < 0.02
 
     def test_stationary_mean(self):
         cls = default_var1_params().classes[0]
-        chain = simulate_var1_chain(cls, 100_000, np.random.default_rng(3))
+        chain = _simulate_chains(cls, 1, 100_000, np.random.default_rng(3))[0]
         np.testing.assert_allclose(chain.mean(axis=1), [0.5, -0.5], atol=0.02)
 
     def test_unreachable_noise_correlation(self):
         cls = Var1ClassParams(cross_corr=0.99, ar=(-0.9, 0.9), mean=(0.0, 0.0))
         with pytest.raises(ValueError, match="unreachable"):
-            simulate_var1_chain(cls, 10, np.random.default_rng(0))
+            _simulate_chains(cls, 1, 10, np.random.default_rng(0))
 
     def test_shapes_labels_and_determinism(self):
         train, test = gen_var1(seed=11)
@@ -97,11 +97,11 @@ class TestGeneratorKeepsItsBits:
             assert_same_dataset(got, want)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_simulate_var1_chain(self, seed):
+    def test_single_chain(self, seed):
         for cls in THREE_CLASSES.classes:
             for length in (1, 2, 13, 50):
                 rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = simulate_var1_chain(cls, length, rng)
+                got = _simulate_chains(cls, 1, length, rng)[0]
                 want = synth_reference.simulate_chain(cls, length, ref_rng)
                 assert got.shape == (2, length) and np.array_equal(got, want)
                 assert rng.random() == ref_rng.random()
@@ -117,12 +117,6 @@ class TestVar1ParamsValidation:
     def test_no_classes_rejected(self):
         with pytest.raises(ValueError, match="^classes must hold at least one class$"):
             Var1Params(())
-
-    @pytest.mark.parametrize("length", [0, -3])
-    def test_chain_length_rejected(self, length):
-        cls = default_var1_params().classes[0]
-        with pytest.raises(ValueError, match=f"^length must be at least 1; got {length}$"):
-            simulate_var1_chain(cls, length, np.random.default_rng(0))
 
 
 class TestThresholdInjector:
