@@ -7,6 +7,7 @@ Run from anywhere:
     python3 bench/ab.py DIR_A DIR_B --op fit_replicate --calls 16
     python3 bench/ab.py DIR_A DIR_B --op setup_fit --calls 5
     python3 bench/ab.py DIR_A DIR_B --op eval --calls 20
+    python3 bench/ab.py DIR_A DIR_B --op eval --calls 10 --memory
 
 Each checkout's ``src/tck`` is imported under its own module name, and
 DIR_A's a second time as the A/A control. The inputs are built once, from
@@ -56,6 +57,16 @@ BLAS thread and one worker, no op can show what a pool of workers costs
 when each also starts its own BLAS threads; only the end-to-end benchmark
 runs with the machine's default thread count.
 
+``--memory`` adds one pass after the timed rounds, on the last CPU, with
+``tracemalloc`` on: for each of ``--calls`` rounds it calls A, B and A' in
+the same alternating order, and records each call's peak of traced memory
+above what was traced when the call began (the peak is reset, after a
+garbage collection, before each call). It prints the median peaks and the
+paired ratios B/A and A'/A with the same bootstrap interval. The timed
+rounds run untraced. tracemalloc sees Python's and numpy's allocations, not
+the process's resident set, so it pairs a ``peak_rss_mb`` move with the
+allocations behind it.
+
 ``--record N`` appends the result, with the commit and a hash of ``src/``
 of both checkouts, to the runs in ``bench/AB_<N>.json``.
 
@@ -80,6 +91,7 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -272,6 +284,36 @@ def time_rounds(calls: list, rounds: int, cpu: int, rng) -> dict:
             "a2_over_a": summary(times[:, 2] / times[:, 0], rng)}
 
 
+def memory_rounds(calls: list, rounds: int, rng) -> dict:
+    """Paired tracemalloc peaks of calls[1] (B) and calls[2] (A') to
+    calls[0], each above the memory traced when its call began."""
+    peaks = np.empty((rounds, len(calls)))
+    tracemalloc.start()
+    try:
+        for i in range(rounds):
+            order = range(len(calls)) if i % 2 == 0 else reversed(range(len(calls)))
+            for k in order:
+                gc.collect()
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                calls[k](i)
+                peaks[i, k] = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return {"a_median_mb": float(np.median(peaks[:, 0]) / 2**20),
+            "b_median_mb": float(np.median(peaks[:, 1]) / 2**20),
+            "a2_median_mb": float(np.median(peaks[:, 2]) / 2**20),
+            "b_over_a": summary(peaks[:, 1] / peaks[:, 0], rng),
+            "a2_over_a": summary(peaks[:, 2] / peaks[:, 0], rng)}
+
+
+def ratios(ab: dict, aa: dict) -> str:
+    """B/A and A'/A with their intervals, and B/A divided by A'/A."""
+    return (f"B/A {ab['median']:.3f} [{ab['ci95'][0]:.3f}, {ab['ci95'][1]:.3f}], "
+            f"A'/A {aa['median']:.3f} [{aa['ci95'][0]:.3f}, {aa['ci95'][1]:.3f}], "
+            f"(B/A)/(A'/A) {ab['median'] / aa['median']:.3f}")
+
+
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("dir_a")
@@ -281,6 +323,9 @@ def main(argv: list) -> int:
                              "train_q1, fit_replicate, setup_fit or eval")
     parser.add_argument("--calls", type=int, required=True,
                         help="rounds per CPU; a round calls A, B and A' once")
+    parser.add_argument("--memory", action="store_true",
+                        help="after the timed rounds, pair each call's "
+                             "tracemalloc peak")
     parser.add_argument("--record", type=int, metavar="N",
                         help="append the result to bench/AB_<N>.json")
     args = parser.parse_args(argv)
@@ -306,16 +351,17 @@ def main(argv: list) -> int:
         try:
             per_cpu = {cpu: time_rounds(calls, args.calls, cpu, rng)
                        for cpu in allowed}
+            memory = memory_rounds(calls, args.calls, rng) if args.memory else None
         finally:
             os.sched_setaffinity(0, allowed)
 
     for cpu, r in per_cpu.items():
-        ab, aa = r["b_over_a"], r["a2_over_a"]
         print(f"{args.op} cpu {cpu}: A {r['a_median_ms']:.3f} ms, "
-              f"B {r['b_median_ms']:.3f} ms, B/A {ab['median']:.3f} "
-              f"[{ab['ci95'][0]:.3f}, {ab['ci95'][1]:.3f}], A'/A {aa['median']:.3f} "
-              f"[{aa['ci95'][0]:.3f}, {aa['ci95'][1]:.3f}], "
-              f"(B/A)/(A'/A) {ab['median'] / aa['median']:.3f}")
+              f"B {r['b_median_ms']:.3f} ms, {ratios(r['b_over_a'], r['a2_over_a'])}")
+    if memory is not None:
+        print(f"{args.op} tracemalloc peak: A {memory['a_median_mb']:.3f} MB, "
+              f"B {memory['b_median_mb']:.3f} MB, A' {memory['a2_median_mb']:.3f} MB, "
+              f"{ratios(memory['b_over_a'], memory['a2_over_a'])}")
     print(f"{args.op}: A and B outputs {'identical' if identical else 'DIFFER'}")
     if args.record is not None:
         path = os.path.join(HERE, f"AB_{args.record}.json")
@@ -330,7 +376,8 @@ def main(argv: list) -> int:
             "calls_per_cpu": args.calls, "seed": SEED, "identical": identical,
             "median_b_over_a": statistics.median(
                 r["b_over_a"]["median"] for r in per_cpu.values()),
-            "per_cpu": {str(cpu): r for cpu, r in per_cpu.items()}})
+            "per_cpu": {str(cpu): r for cpu, r in per_cpu.items()},
+            "memory": memory})
         with open(path, "w") as fh:
             json.dump(record, fh, indent=1)
             fh.write("\n")

@@ -23,8 +23,7 @@ later). Per family of ``tck.experiment`` (``tck``, Gaussian-only;
   factories, which takes no fit;
 * from the serial run, the fits whose ``FitReport`` says ``converged=False``,
   the fits that ran all ``em_max_iter`` sweeps and the mean sweep count
-  over all fits. A checkout whose ``fit_map_em`` returns no ``FitReport``
-  records null for these;
+  over all fits;
 * the median of five calls each of ``kernel_test`` on the 200 test series,
   KPCA (d=10), 1-NN and the ensemble's save and load.
 
@@ -80,13 +79,7 @@ def fit_reports(fit):
 
 
 def convergence(reports: list, max_iter: int) -> dict:
-    """Fits not converged, fits at the sweep cap and the mean sweep count;
-    null for each when the fits returned no ``FitReport``."""
-    import tck.mixture
-    kind = getattr(tck.mixture, "FitReport", None)
-    if kind is None or not all(isinstance(r, kind) for r in reports):
-        return {"fits": len(reports), "not_converged": None,
-                "at_max_iter": None, "mean_iterations": None}
+    """Fits not converged, fits at the sweep cap and the mean sweep count."""
     sweeps = [len(r.objectives) for r in reports]
     return {"fits": len(reports),
             "not_converged": sum(not r.converged for r in reports),

@@ -47,6 +47,18 @@ def _parse_k(value):
         raise ValueError(f"--k must be an integer or 'cv'; got {value!r}") from None
 
 
+def _check_dim_and_k(args, n_train: int | None = None) -> None:
+    """Refuse a --dim or an integer --k below 1, or above ``n_train``, the
+    fewest training series it will meet, when that is known."""
+    for flag, value in (("--dim", args.dim), ("--k", _parse_k(args.k))):
+        if value == "cv" or 1 <= value <= (value if n_train is None else n_train):
+            continue
+        if n_train is None:
+            raise ValueError(f"{flag} must be at least 1; got {value}")
+        raise ValueError(f"{flag} must lie in 1..{n_train}, the series of the "
+                         f"smallest training split; got {value}")
+
+
 def _ensemble_size(args) -> tuple:
     """(--q, --components as a tuple or None), checked before any fit."""
     if args.q < 1:
@@ -191,6 +203,7 @@ def cmd_eval(args, out_dir: str):
         return _eval_cross_validated(args, out_dir)
     if not args.train_dir:
         raise ValueError("--train-dir is required (output directory of `train`)")
+    _check_dim_and_k(args)
     path = os.path.join(args.train_dir, "manifest.json")
     train_manifest = _load_json_object(path)
     try:
@@ -248,6 +261,13 @@ def _eval_cross_validated(args, out_dir: str):
     full = dt.load_dataset(args.data, args.labels)
     if full.labels is None:
         raise ValueError("cross-validation requires labels")
+    if 2 <= args.folds <= full.n:   # kfold_evaluate refuses other fold counts
+        # series are dealt to the folds in turn, so the largest fold holds
+        # ceil(N / folds) of them and the smallest training split the rest
+        _check_dim_and_k(args, full.n * (args.folds - 1) // args.folds)
+    if args.positive_class is not None and args.positive_class not in full.labels:
+        raise ValueError(f"--positive-class {args.positive_class} does not "
+                         f"occur in the labels")
     fold_counter = iter(range(10**6))
 
     def pipeline(train: Dataset, test: Dataset) -> np.ndarray:

@@ -338,6 +338,19 @@ class StandardizationStats:
         return replace(data, values=new_values, mask=data.mask.copy())
 
 
+def observed_moments(values: np.ndarray, mask: np.ndarray) -> tuple:
+    """Per-attribute (mean, sample std) over the observed cells of (N, V, T)
+    ``values``; std is 0 for a single cell, and an unobserved attribute fails."""
+    mean, std = np.zeros(values.shape[1]), np.zeros(values.shape[1])
+    for v in range(values.shape[1]):
+        cells = values[:, v, :][mask[:, v, :] != 0]
+        if cells.size == 0:
+            raise ValueError(f"attribute {v + 1} has no observed entries")
+        mean[v] = cells.mean()
+        std[v] = cells.std(ddof=1) if cells.size > 1 else 0.0
+    return mean, std
+
+
 def standardize(data: Dataset) -> tuple[Dataset, StandardizationStats]:
     """Scale every attribute to zero mean / unit sample std over observed cells.
 
@@ -345,17 +358,7 @@ def standardize(data: Dataset) -> tuple[Dataset, StandardizationStats]:
     and are mapped to 0; an attribute with no observed cell at all is an
     error.
     """
-    v_dim = data.n_attributes
-    mean = np.zeros(v_dim)
-    std = np.zeros(v_dim)
-    obs = data.mask.astype(bool)
-    for v in range(v_dim):
-        cells = data.values[:, v, :][obs[:, v, :]]
-        if cells.size == 0:
-            raise ValueError(f"attribute {v + 1} has no observed entries")
-        mean[v] = cells.mean()
-        std[v] = cells.std(ddof=1) if cells.size > 1 else 0.0
-    stats = StandardizationStats(mean, std)
+    stats = StandardizationStats(*observed_moments(data.values, data.mask))
     return stats.apply(data), stats
 
 

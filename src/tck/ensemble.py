@@ -375,9 +375,11 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig,
     """Fit the ensemble on standardized data and accumulate the train kernel.
 
     Workers only fit; this process then scores the training series under
-    all fitted models in one pass. An attribute with no observed cell is
-    refused before any fit. Base models that fail to fit are skipped and
-    recorded; more than 10% failures aborts training before scoring.
+    all fitted models in one pass. An attribute with no observed cell, and
+    subsamples that leave more than 10% of the base models fewer series than
+    components, are refused before any fit. Base models that fail to fit are
+    skipped and recorded; more than 10% failures aborts training before
+    scoring.
     ``Dataset``'s bound on observed values keeps every score of a fitted
     model finite. Label transforms are attached afterwards with
     ``apply_posterior_transform``.
@@ -388,6 +390,13 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig,
         raise ValueError(
             f"dataset has {data.n} series but the largest base model needs "
             f"{max(cfg.component_counts)}; shrink component_counts or add data")
+    short = sum(len(spec.subsample_ids) < spec.q2 for spec in specs)
+    if short > 0.1 * len(specs):
+        raise ValueError(
+            f"{short} of {len(specs)} base models would have fewer series than "
+            f"components: subsamples hold {math.ceil(0.8 * data.n)}..{data.n} "
+            f"series and component_counts is {tuple(cfg.component_counts)}; "
+            f"shrink component_counts or add data")
     unobserved = np.flatnonzero(~data.mask.any(axis=(0, 2)))
     if unobserved.size:
         raise ValueError(f"attribute {unobserved[0] + 1} has no observed entries "

@@ -70,14 +70,11 @@ def stratified_label_subset(labels: np.ndarray, n_labeled: int,
 
 def prepare_training_data(data: Dataset, variant: str):
     """(prepared dataset, standardization stats) for a kernel variant: the
-    statistics of its training attributes, applied once; the result equals
-    ``prepare_eval_data`` of the data with these statistics."""
-    _, _, prep = VARIANTS[variant]
-    prepared, stats = dt.standardize(
-        dt.concat_mask(data) if prep == "concat_mask" else data)
-    if prep == "zero_impute":
-        prepared = dt.zero_impute(prepared)
-    return prepared, stats
+    observed-cell statistics of its training attributes, and
+    ``prepare_eval_data`` of the data with them."""
+    source = dt.concat_mask(data) if VARIANTS[variant][2] == "concat_mask" else data
+    stats = StandardizationStats(*dt.observed_moments(source.values, source.mask))
+    return prepare_eval_data(data, variant, stats), stats
 
 
 def prepare_eval_data(data: Dataset, variant: str,

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, observed_moments
 
 # Bernoulli rates live in [BETA_EPS, 1 - BETA_EPS]; the clamp bounds the mask
 # evidence a single cell can contribute to log-odds between components.
@@ -126,13 +126,8 @@ def build_prior(x0: np.ndarray, r: np.ndarray, hp: HyperParams) -> PriorSpec:
     grand_mean = totals.sum(axis=1) / attr_counts
     mean = np.where(counts > 0, totals / np.maximum(counts, 1.0), grand_mean[:, None])
 
-    v_dim, t_dim = mean.shape
-    scale = np.zeros(v_dim)
-    for v in range(v_dim):
-        cells = x0[:, v, :][r[:, v, :] != 0]
-        sd = cells.std(ddof=1) if cells.size > 1 else 0.0
-        scale[v] = max(sd, 1e-6)  # keep the prior covariance positive definite
-
+    scale = np.maximum(observed_moments(x0, r)[1], 1e-6)  # positive definite prior
+    t_dim = mean.shape[1]
     t_idx = np.arange(t_dim)
     kernel = hp.b0 * np.exp(-hp.a0 * (t_idx[:, None] - t_idx[None, :]) ** 2)
     jittered = kernel + COV_JITTER * np.eye(t_dim)

@@ -269,7 +269,7 @@ class TestEval:
                     "--data", var1_dir / "test.csv", "--dim", dim,
                     "--out", tmp_path / "e"])
         assert code == 1
-        assert f"embedding dimension {dim} must lie in 1..200" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"tck eval: --dim must be at least 1; got {dim}\n"
         assert not (tmp_path / "e" / "embedding_2d.csv").exists()
 
     def test_schema_mismatch_fails(self, tmp_path, var1_dir, trained_dir, capsys):
@@ -377,6 +377,49 @@ class TestEnsembleOptionsFailBeforeFitting:
         code = run([command, *data, "--config", cfg, "--out", tmp_path / "x"])
         assert code == 1
         assert "--threads must be at least 1; got 0" in capsys.readouterr().err
+
+
+@pytest.mark.usefixtures("no_fits")
+class TestEvalOptionsFailBeforeFitting:
+    """With --folds, a --dim or an integer --k outside 1..(the smallest
+    training split) and a --positive-class absent from the labels exit 1
+    naming the flag, before fold 1's fit. 200 series in 3 folds leave at
+    least 133 to train on. Plain eval checks that --k is at least 1 before
+    it reads the training run (``TestEval`` checks --dim)."""
+
+    @pytest.mark.parametrize("options, error", [
+        pytest.param(["--k", "0"], "--k must lie in 1..133", id="k-0"),
+        pytest.param(["--k", "134"], "--k must lie in 1..133", id="k-above-split"),
+        pytest.param(["--dim", "0"], "--dim must lie in 1..133", id="dim-0"),
+        pytest.param(["--dim", "134"], "--dim must lie in 1..133",
+                     id="dim-above-split"),
+        pytest.param(["--positive-class", "5"],
+                     "--positive-class 5 does not occur in the labels",
+                     id="absent-positive-class"),
+    ])
+    def test_folds(self, tmp_path, var1_dir, capsys, options, error):
+        code = run(["eval", "--folds", "3", "--variant", "tck",
+                    "--data", var1_dir / "train.csv",
+                    "--labels", var1_dir / "train_labels.csv",
+                    "--out", tmp_path / "x", *SMALL, *options])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"tck eval: {error}")
+
+    def test_folds_accept_the_smallest_split(self, var1_dir, tmp_path, resolve):
+        resolve(["eval", "--folds", "3", "--variant", "tck",
+                 "--data", var1_dir / "train.csv",
+                 "--labels", var1_dir / "train_labels.csv",
+                 "--k", "133", "--dim", "133", "--positive-class", "2",
+                 "--out", tmp_path / "x", *SMALL])
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_without_folds(self, tmp_path, var1_dir, capsys, k):
+        (tmp_path / "empty").mkdir()
+        code = run(["eval", "--train-dir", tmp_path / "empty",
+                    "--data", var1_dir / "test.csv", "--k", k,
+                    "--out", tmp_path / "x"])
+        assert code == 1
+        assert capsys.readouterr().err == f"tck eval: --k must be at least 1; got {k}\n"
 
 
 WRONG_TYPE = "a value has the wrong type"

@@ -212,6 +212,52 @@ class TestReader:
         least = 1 if key[0] in "VT" else 0
         assert str(info.value) == f"{path}: metadata {key} must be at least {least}"
 
+    # (whole file, the error after the path); the metadata reader names no
+    # line, as the header it checks is the file's first or second line.
+    BAD_HEADERS = {
+        "empty-file": ("", ": empty file, expected a metadata header"),
+        "no-hash": ("N=1,V=1,T=1,N_c=0\n",
+                    ": first line must be a '# N=..,V=..,T=..,N_c=..' header"),
+        "item-without-equals": ("# N=1,V=1,T,N_c=0\n",
+                                ": malformed metadata item 'T'"),
+        "missing-key": ("# N=1,V=1,N_c=0\n",
+                        ": metadata must declare integer N, V, T, N_c"),
+        "non-integer-key": ("# N=1,V=1,T=x,N_c=0\n",
+                            ": metadata must declare integer N, V, T, N_c"),
+        "data-header": ("# N=1,V=1,T=1,N_c=0\nid,attribute,time,value\n",
+                        ": expected header 'series_id,attribute,time,value'"),
+    }
+
+    @pytest.mark.parametrize("text, error", BAD_HEADERS.values(),
+                             ids=BAD_HEADERS.keys())
+    def test_bad_metadata_and_header_are_named(self, tmp_path, text, error):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}{error}"
+
+    # (label file, the error after its path) for two series of two classes
+    BAD_LABELS = {
+        "empty-file": ("", ": expected header 'series_id,label'"),
+        "header": ("id,label\n1,1\n", ": expected header 'series_id,label'"),
+        "field-count": ("series_id,label\n1,1\n2,1,1\n", ":3: expected 2 fields"),
+        "non-integer-id": ("series_id,label\nx,1\n", ":2: bad series_id"),
+        "id-range": ("series_id,label\n1,1\n\n3,1\n",
+                     ":4: series_id 3 outside [1, 2]"),
+        "non-integer-label": ("series_id,label\n1,a\n", ":2: bad label 'a'"),
+    }
+
+    @pytest.mark.parametrize("text, error", BAD_LABELS.values(),
+                             ids=BAD_LABELS.keys())
+    def test_bad_label_rows_are_named(self, tmp_path, text, error):
+        path, lpath = tmp_path / "d.csv", tmp_path / "l.csv"
+        write_csv(path, "# N=2,V=1,T=1,N_c=2", [(1, 1, 1, 0.5)])
+        lpath.write_text(text)
+        with pytest.raises(FormatError) as info:
+            load_dataset(path, lpath)
+        assert str(info.value) == f"{lpath}{error}"
+
     def test_duplicate_label_row_rejected(self, tmp_path):
         path, lpath = tmp_path / "d.csv", tmp_path / "l.csv"
         write_csv(path, "# N=1,V=1,T=1,N_c=2", [(1, 1, 1, 0.5)])

@@ -223,6 +223,26 @@ class TestTrainKernel:
             train_ensemble(data, small_config(n_init=3))
         assert calls == []
 
+    def test_short_subsamples_fail_before_any_fit(self, monkeypatch):
+        """Subsamples hold ceil(0.8 N)..N series: at N=40 and counts
+        (36, 38, 40), 6 of the 9 sampled models have fewer series than
+        components, more than the 10% of failed fits training allows."""
+        calls, fit = [], ens_mod.fit_map_em
+
+        def counting(*a, **kw):
+            calls.append(a)
+            return fit(*a, **kw)
+
+        monkeypatch.setattr(ens_mod, "fit_map_em", counting)
+        data = blob_dataset(seed=8, n=40, t=12)
+        with pytest.raises(ValueError) as info:
+            train_ensemble(data, small_config(n_init=3, counts=(36, 38, 40)))
+        assert str(info.value) == (
+            "6 of 9 base models would have fewer series than components: "
+            "subsamples hold 32..40 series and component_counts is "
+            "(36, 38, 40); shrink component_counts or add data")
+        assert calls == []
+
     def test_failed_fit_names_the_dataset_attribute(self):
         # attribute 3 is observed only at t = 0, outside the model's window
         data = blob_dataset(seed=8, v=3)

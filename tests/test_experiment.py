@@ -3,6 +3,7 @@ variant and embedding dimension, and gives the accuracies that
 ``reproduce_var1`` reports."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import tck.ensemble
 from tck import data as dt
@@ -71,3 +72,33 @@ def test_training_data_is_standardized_once(monkeypatch, raw_train, variant):
         assert got.dtype == want.dtype and got.shape == want.shape, field
         assert got.tobytes() == want.tobytes(), field
     assert prepared.n_classes == expected.n_classes
+
+
+@st.composite
+def unbalanced_labels(draw):
+    """(labels of 3-5 classes of 1..60 series each, in shuffled order,
+    n_labeled from the class count up to the labelled series, seed)."""
+    sizes = draw(st.lists(st.integers(1, 60), min_size=3, max_size=5))
+    labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    labels = np.random.default_rng(draw(st.integers(0, 99))).permutation(labels)
+    return (labels, draw(st.integers(len(sizes), len(labels))),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def repeated_classes(sizes, n_labeled):
+    return np.repeat(np.arange(1, len(sizes) + 1), sizes), n_labeled, 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(unbalanced_labels())
+@example(repeated_classes((100, 100, 100), 20))     # quotas below n_labeled
+@example(repeated_classes((1000, 1, 1, 1), 4))      # quotas above n_labeled
+def test_stratified_label_subset_keeps_n_labeled_and_every_class(case):
+    labels, n_labeled, seed = case
+    subset = experiment.stratified_label_subset(labels, n_labeled, seed)
+    kept = subset > 0
+    assert kept.sum() == n_labeled
+    assert np.array_equal(subset[kept], labels[kept])
+    assert set(subset[kept]) == set(labels)
+    assert np.array_equal(
+        experiment.stratified_label_subset(labels, n_labeled, seed), subset)
