@@ -59,6 +59,13 @@ def _check_dim_and_k(args, n_train: int | None = None) -> None:
                          f"smallest training split; got {value}")
 
 
+def _check_positive_class(args, labels: np.ndarray) -> None:
+    """Refuse a --positive-class that does not occur in ``labels``."""
+    if args.positive_class is not None and args.positive_class not in labels:
+        raise ValueError(f"--positive-class {args.positive_class} does not "
+                         f"occur in the labels")
+
+
 def _ensemble_size(args) -> tuple:
     """(--q, --components as a tuple or None), checked before any fit."""
     if args.q < 1:
@@ -204,6 +211,9 @@ def cmd_eval(args, out_dir: str):
     if not args.train_dir:
         raise ValueError("--train-dir is required (output directory of `train`)")
     _check_dim_and_k(args)
+    test_raw = dt.load_dataset(args.data, args.labels)
+    if test_raw.labels is not None:
+        _check_positive_class(args, test_raw.labels)
     path = os.path.join(args.train_dir, "manifest.json")
     train_manifest = _load_json_object(path)
     try:
@@ -223,11 +233,17 @@ def cmd_eval(args, out_dir: str):
     kernel_train = _load_array(args.train_dir, "kernel_train.npy",
                                (ens.n_series, ens.n_series))
 
-    test_raw = dt.load_dataset(args.data, args.labels)
     test_prepared = prepare_eval_data(test_raw, variant, stats)
     embedding, test_coords, preds = _embed_and_classify(
         kernel_train, ens, test_prepared, train_labels, args.dim,
         _parse_k(args.k), seed=args.seed)
+    resolved = {"train_dir": os.path.abspath(args.train_dir),
+                "data": os.path.abspath(args.data),
+                "dim": args.dim, "k": args.k, "seed": args.seed}
+    if test_raw.labels is not None:
+        metrics = classification_metrics(preds, test_raw.labels,
+                                          positive_class=args.positive_class)
+        resolved["accuracy"] = metrics.accuracy
 
     outputs = ["embedding_2d.csv"]
     roles = ["train"] * len(train_labels) + ["test"] * test_raw.n
@@ -238,19 +254,12 @@ def cmd_eval(args, out_dir: str):
     coords = np.vstack([embedding.coords, test_coords]) if test_raw.n else embedding.coords
     _write_embedding_csv(os.path.join(out_dir, "embedding_2d.csv"),
                          coords, labels, ids, roles)
-
-    resolved = {"train_dir": os.path.abspath(args.train_dir),
-                "data": os.path.abspath(args.data),
-                "dim": args.dim, "k": args.k, "seed": args.seed}
     if test_raw.labels is not None:
-        metrics = classification_metrics(preds, test_raw.labels,
-                                         positive_class=args.positive_class)
         with open(os.path.join(out_dir, "metrics.csv"), "w") as fh:
             fh.write("metric,value\n")
             for key, value in metrics.as_dict().items():
                 fh.write(f"{key},{value:.17g}\n")
         outputs.append("metrics.csv")
-        resolved["accuracy"] = metrics.accuracy
     return resolved, outputs
 
 
@@ -265,9 +274,7 @@ def _eval_cross_validated(args, out_dir: str):
         # series are dealt to the folds in turn, so the largest fold holds
         # ceil(N / folds) of them and the smallest training split the rest
         _check_dim_and_k(args, full.n * (args.folds - 1) // args.folds)
-    if args.positive_class is not None and args.positive_class not in full.labels:
-        raise ValueError(f"--positive-class {args.positive_class} does not "
-                         f"occur in the labels")
+    _check_positive_class(args, full.labels)
     fold_counter = iter(range(10**6))
 
     def pipeline(train: Dataset, test: Dataset) -> np.ndarray:

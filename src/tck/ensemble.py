@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import Dataset
 from .mixture import (HyperParams, MixtureParams, fit_map_em, GAUSSIAN_ONLY,
-                      MIXED_MODE, _component_weights, _feature_grid,
+                      MIXED_MODE, _MODES, _component_weights, _feature_grid,
                       _normalize_rows)
 from .transform import TransformMatrix, apply_transform
 
@@ -257,18 +257,28 @@ def sample_configs(cfg: EnsembleConfig, v: int, t: int,
     ``B0_RANGE`` and ``N0_RANGE``; a segment length in t_min..T and its
     start; min(2, V)..V attributes; a subsample of ceil(0.8 N)..N of the
     N = len(ids) series ids, keyed by the sorted ids, not by position; and
-    the seed of its own fit. A config that gives no base model or a model
-    without components, a t_min outside 1..T, and V = 0 or N = 0 fail here,
-    before any fit.
+    the seed of its own fit. A config that gives no base model, a model
+    without components or one component count twice, fewer than one EM
+    sweep, an unknown mode, a t_min outside 1..T, and V = 0 or N = 0 fail
+    here, before any fit.
     """
     counts = cfg.component_counts
     if counts is None:
         raise ValueError("component_counts must be resolved before sampling")
     if cfg.n_init < 1:
         raise ValueError(f"n_init must be at least 1, got {cfg.n_init}")
+    if cfg.em_max_iter < 1:
+        raise ValueError(f"em_max_iter must be at least 1, got {cfg.em_max_iter}")
+    if cfg.mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {cfg.mode!r}")
     if not counts or min(counts) < 1:
         raise ValueError(f"component_counts must be a nonempty list of counts "
                          f">= 1, got {tuple(counts)}")
+    values, times = np.unique(counts, return_counts=True)
+    if (times > 1).any():
+        raise ValueError(f"component_counts repeats {values[times > 1][0]}: "
+                         f"each count gives one base model per restart, got "
+                         f"{tuple(counts)}")
     sorted_ids = np.sort(np.asarray(ids))
     n, t_min = len(sorted_ids), cfg.t_min
     if t_min < 1:
@@ -379,11 +389,13 @@ def train_ensemble(data: Dataset, cfg: EnsembleConfig,
     subsamples that leave more than 10% of the base models fewer series than
     components, are refused before any fit. Base models that fail to fit are
     skipped and recorded; more than 10% failures aborts training before
-    scoring.
+    scoring. ``n_jobs`` below 1 is refused.
     ``Dataset``'s bound on observed values keeps every score of a fitted
     model finite. Label transforms are attached afterwards with
     ``apply_posterior_transform``.
     """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
     cfg = _resolve_counts(cfg, data)
     specs = sample_configs(cfg, data.n_attributes, data.length, ids=data.ids)
     if data.n < max(cfg.component_counts):

@@ -27,8 +27,8 @@ sweep ``m_step``, one scoring softmax and ``map_objective``. A fit runs
 ``_feature_grid`` once on its subset; the prior and the restart read the
 grid's x0 and r cell columns.
 The V prior covariances share one T x T matrix, so one inverse and one
-log-determinant serve them all. Its sweeps score by BLAS GEMM into per-fit
-buffers: a fit scores only its whole subset and keeps no posteriors.
+log-determinant serve them all. Its sweeps score by BLAS GEMM: a fit
+scores only its whole subset and keeps no posteriors.
 ``e_step`` and the ensemble's scoring plan score by einsum, which gives a
 series the same bits alone as in a batch; GEMM does not. The ensemble's
 pool workers run with one BLAS thread each. Fitted parameters, and so
@@ -111,22 +111,18 @@ def build_prior(x0: np.ndarray, r: np.ndarray, hp: HyperParams) -> PriorSpec:
     """Empirical means/scales of a subset plus the smoothing kernel prior,
     from the (N, V, T) x0 and r cell columns of its ``_feature_grid``.
 
-    Time steps of an attribute with no observation anywhere in the subset fall
+    ``observed_moments`` refuses an attribute unobserved in the subset. Time
+    steps of an attribute with no observation anywhere in the subset fall
     back to the attribute's grand mean so the prior center stays finite.
     Every attribute's covariance is ``scale_v * (kernel + jitter)``, so one
     inverse and one log-determinant of the shared T x T matrix serve all V.
     """
-    if x0.shape[0] == 0:
-        raise ValueError("cannot build a prior from an empty subset")
+    scale = np.maximum(observed_moments(x0, r)[1], 1e-6)  # positive definite prior
     counts = r.sum(axis=0)                       # (V, T)
     totals = x0.sum(axis=0)                      # (V, T)
-    attr_counts = counts.sum(axis=1)             # (V,)
-    for v in np.nonzero(attr_counts == 0)[0]:
-        raise ValueError(f"attribute {v + 1} has no observed entries in the subset")
-    grand_mean = totals.sum(axis=1) / attr_counts
+    grand_mean = totals.sum(axis=1) / counts.sum(axis=1)
     mean = np.where(counts > 0, totals / np.maximum(counts, 1.0), grand_mean[:, None])
 
-    scale = np.maximum(observed_moments(x0, r)[1], 1e-6)  # positive definite prior
     t_dim = mean.shape[1]
     t_idx = np.arange(t_dim)
     kernel = hp.b0 * np.exp(-hp.a0 * (t_idx[:, None] - t_idx[None, :]) ** 2)
@@ -357,24 +353,21 @@ def fit_map_em(data: Dataset, n_components: int, hp: HyperParams, seed: int,
     x0, r = np.split(cells, 2, axis=1)  # views, (N, V, T) each
     prior = build_prior(x0, r, hp)
     params = _init_params(x0, r, n_components, prior, mode, rng)
-    # Per-fit buffers: weight rows, scores (softmaxed in place into the
-    # responsibilities) and the mu systems.
-    weights = np.empty((n_components, feats.shape[1]))
-    post = np.empty((data.n, n_components))
     systems = _sweep_systems(prior, n_components)
 
     def softmax_scores(params):
-        _, const = _component_weights(params, out=weights)
-        np.add(np.matmul(feats, weights.T, out=post), const, out=post)
-        return _normalize_rows(post)
+        weights, const = _component_weights(params)
+        post = feats @ weights.T + const
+        return post, *_normalize_rows(post)
 
-    softmax_scores(params)
+    post, _, _ = softmax_scores(params)
     objectives, converged = [], False
     while not converged and len(objectives) < max_iter:
         params = m_step(post, feats, prior, hp, params, systems)
         # One softmax of the new scores gives both the objective and the
         # responsibilities of the next sweep.
-        objectives.append(map_objective(*softmax_scores(params), params, prior, hp))
+        post, peak, sums = softmax_scores(params)
+        objectives.append(map_objective(peak, sums, params, prior, hp))
         converged = (len(objectives) > 1 and abs(objectives[-1] - objectives[-2])
                      < tol * (abs(objectives[-2]) + DENOM_EPS))
     return params, FitReport(tuple(objectives), converged)

@@ -272,6 +272,20 @@ class TestEval:
         assert capsys.readouterr().err == f"tck eval: --dim must be at least 1; got {dim}\n"
         assert not (tmp_path / "e" / "embedding_2d.csv").exists()
 
+    def test_absent_positive_class_fails_before_reading_the_run(
+            self, tmp_path, var1_dir, trained_dir, capsys, monkeypatch):
+        def refuse(path):
+            raise AssertionError("the training run was read")
+        monkeypatch.setattr("tck.cli.load_ensemble", refuse)
+        code = run(["eval", "--train-dir", trained_dir,
+                    "--data", var1_dir / "test.csv",
+                    "--labels", var1_dir / "test_labels.csv",
+                    "--positive-class", "5", "--out", tmp_path / "e"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "tck eval: --positive-class 5 does not occur in the labels\n")
+        assert list((tmp_path / "e").iterdir()) == []
+
     def test_schema_mismatch_fails(self, tmp_path, var1_dir, trained_dir, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("# N=1,V=1,T=3,N_c=2\nseries_id,attribute,time,value\n"
@@ -337,8 +351,9 @@ class TestLabelOptionsFailBeforeFitting:
 
 @pytest.mark.usefixtures("no_fits")
 class TestEnsembleOptionsFailBeforeFitting:
-    """Ensemble sizes that cannot be fitted exit 1 naming the flag, before any
-    base model is fitted. Later flags win, so each case overrides SMALL."""
+    """Ensemble sizes that cannot be fitted exit 1 naming the flag, or the
+    repeated component count, before any base model is fitted. Later flags
+    win, so each case overrides SMALL."""
 
     @pytest.mark.parametrize("variant, options, flag", [
         pytest.param("stck", ["--components", "1,2"], "--components",
@@ -347,6 +362,8 @@ class TestEnsembleOptionsFailBeforeFitting:
                      id="empty-component-range"),
         pytest.param("tck", ["--components", "0,2"], "--components",
                      id="zero-components"),
+        pytest.param("tck", ["--q", "1", "--components", "3,3"],
+                     "component_counts repeats 3", id="repeated-component-count"),
         pytest.param("tck", ["--q", "0"], "--q", id="no-restarts"),
         pytest.param("tck", ["--components", "2..x"], "--components",
                      id="range-bound-not-an-integer"),

@@ -43,9 +43,17 @@ def blob_dataset(seed=0, n=30, v=2, t=10, missing=0.3):
 
 
 def small_config(seed=0, mode=GAUSSIAN_ONLY, n_init=10, counts=(2, 3),
-                 t_min=4):
+                 t_min=4, em_max_iter=30):
     return EnsembleConfig(n_init=n_init, component_counts=counts, t_min=t_min,
-                          seed=seed, mode=mode)
+                          seed=seed, mode=mode, em_max_iter=em_max_iter)
+
+
+@pytest.fixture
+def no_fits(monkeypatch):
+    """Replace fit_map_em by a function that must not be called."""
+    def refuse(*a, **kw):
+        raise AssertionError("a base model was fitted")
+    monkeypatch.setattr(ens_mod, "fit_map_em", refuse)
 
 
 def train_supervised(data, cfg, n_jobs=1):
@@ -195,18 +203,28 @@ class TestTrainKernel:
         ({"n_init": 0}, 30, "n_init"),
         ({"counts": ()}, 30, "component_counts"),
         ({"counts": (0, 2)}, 30, "component_counts"),
+        ({"counts": (3, 2, 3)}, 30, "component_counts repeats 3"),
+        ({"em_max_iter": 0}, 30, "em_max_iter must be at least 1, got 0"),
+        ({"em_max_iter": -3}, 30, "em_max_iter must be at least 1, got -3"),
+        ({"mode": "bogus"}, 30, "got 'bogus'"),
         ({"t_min": 0}, 30, "t_min must be at least 1, got 0"),
         ({}, 0, "one series, got V=2 and N=0"),
-    ], ids=["no-restarts", "no-counts", "zero-count", "zero-t-min", "no-series"])
+    ], ids=["no-restarts", "no-counts", "zero-count", "repeated-count",
+            "no-em-sweep", "negative-em-sweeps", "unknown-mode", "zero-t-min",
+            "no-series"])
+    @pytest.mark.usefixtures("no_fits")
     def test_config_without_a_base_model_fails_before_any_fit(
-            self, change, rows, name, monkeypatch):
-        def no_fit(*a, **kw):
-            raise AssertionError("a base model was fitted")
-
-        monkeypatch.setattr(ens_mod, "fit_map_em", no_fit)
+            self, change, rows, name):
         data = blob_dataset(seed=8).take(list(range(rows)))
         with pytest.raises(ValueError, match=name):
             train_ensemble(data, small_config(**change))
+
+    @pytest.mark.parametrize("n_jobs", [0, -1])
+    @pytest.mark.usefixtures("no_fits")
+    def test_worker_count_below_one_fails_before_any_fit(self, n_jobs):
+        with pytest.raises(ValueError,
+                           match=f"^n_jobs must be at least 1, got {n_jobs}$"):
+            train_ensemble(blob_dataset(seed=8), small_config(), n_jobs=n_jobs)
 
     def test_never_observed_attribute_fails_before_any_fit(self, monkeypatch):
         calls, fit = [], ens_mod.fit_map_em

@@ -102,12 +102,22 @@ class TestPrior:
             _, logdet = np.linalg.slogdet(prior_cov(prior, hp, v))
             np.testing.assert_allclose(prior.cov_logdet[v], logdet, rtol=1e-10)
 
-    def test_unobserved_attribute_rejected(self):
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda ds: build_prior(ds, HP), id="build_prior"),
+        pytest.param(lambda ds: fit_map_em(ds, 2, HP, seed=0), id="fit_map_em"),
+    ])
+    def test_unobserved_attribute_rejected(self, build):
         values = np.zeros((3, 2, 4))
         mask = np.ones((3, 2, 4), dtype=np.uint8)
         mask[:, 1, :] = 0
-        with pytest.raises(ValueError, match="attribute 2"):
-            build_prior(make_dataset(values, mask), HP)
+        with pytest.raises(ValueError,
+                           match="^attribute 2 has no observed entries"):
+            build(make_dataset(values, mask))
+
+    def test_empty_subset_rejected(self):
+        empty = np.zeros((0, 2, 4))
+        with pytest.raises(ValueError):
+            tck.mixture.build_prior(empty, empty, HP)
 
     def test_empty_time_step_falls_back_to_grand_mean(self):
         values = np.array([[[1.0, 5.0]], [[3.0, 7.0]]])
